@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     DegenerateFace,
-    EtaNotClosed,
     FrameUnavailable,
     LiftFailed,
     MonodromyObstruction,
@@ -38,13 +37,12 @@ from .moebius import (
     SpherePoint,
     act_on_hermitian,
     horosphere,
-    inner,
 )
 from .osculating import (
     MoebiusFrame,
     coherent_lift,
+    integrate_eta,
     osculating_frame,
-    transition_closed_form,
 )
 from .pattern import CirclePattern, cross_ratios_of, shear_match
 
@@ -248,8 +246,8 @@ def measure_net(net: HorosphericalNet) -> HorosphericalNet:
             r_pts = 0.5 * (abs(w_a - center) + abs(w_b - center))
             chart_residual = max(
                 chart_residual,
-                abs(abs(w_a - center) - r_tilde),
-                abs(abs(w_b - center) - r_tilde),
+                abs(abs(w_a - center) - r_tilde) / max(1.0, r_tilde),
+                abs(abs(w_b - center) - r_tilde) / max(1.0, r_tilde),
             )
             corrections += 0.5 * r_pts * r_pts * (phi - math.sin(phi))
         net.area[v] = abs(shoelace + corrections)
@@ -493,11 +491,6 @@ def dual_surface(net: HorosphericalNet) -> HorosphericalNet:
     return _net_from_frame(net.frame.inverse(), check_consistency=False)
 
 
-def _eta_matrix(z_i: SpherePoint, z_j: SpherePoint, lam: complex) -> MoebiusMap:
-    """Transition eta_{ij} with eigenvalue 1/lam at z_i and lam at z_j."""
-    return transition_closed_form(z_j, z_i, lam)
-
-
 def extract_patterns(net: HorosphericalNet, tol: float = TOL_INVERSE):
     """Inverse direction: recover (z, z~, frame) from a measured CMC-1 net.
 
@@ -527,73 +520,5 @@ def extract_patterns(net: HorosphericalNet, tol: float = TOL_INVERSE):
             )
         lam[(i, j)] = cmath.exp(0.5j * s)
 
-    etas = {
-        e: _eta_matrix(net.gauss[e[0]], net.gauss[e[1]], lam[e])
-        for e in disk.interior_edges
-    }
-
-    def eta_for(i, j):
-        if i < j:
-            return etas[(i, j)]
-        return etas[(j, i)].inverse()
-
-    worst = 0.0
-    for v in disk.interior_vertices:
-        ring = disk.ring_ccw(v)
-        prod = MoebiusMap.identity()
-        for m in range(len(ring)):
-            w = ring[(m + 1) % len(ring)]
-            prod = eta_for(v, w).inverse().compose(prod)
-        worst = max(worst, prod.frobenius_distance(MoebiusMap.identity()))
-    if worst > tol:
-        raise EtaNotClosed(
-            f"per-vertex eta product deviates from I by {worst:.2e}"
-        )
-
-    b_maps: list = [None] * disk.n_faces
-    b_maps[0] = MoebiusMap.identity()
-    queue = [0]
-    while queue:
-        fidx = queue.pop(0)
-        for (g, (i, j)) in disk.dual_adjacency[fidx]:
-            if b_maps[g] is not None:
-                continue
-            # crossing from the left of i -> j to its right applies eta_{ij}
-            b_maps[g] = eta_for(i, j).compose(b_maps[fidx])
-            queue.append(g)
-
-    # right constant from C C* = f_root (principal PSD square root)
-    f0 = net.f[0]
-    s = math.sqrt(max(f0.det(), 0.0))
-    denom = math.sqrt(f0.trace() + 2.0 * s)
-    c = MoebiusMap(
-        (f0.a + s) / denom, f0.b / denom, f0.b.conjugate() / denom, (f0.d + s) / denom
-    )
-    a_maps = tuple(b.compose(c) for b in b_maps)
-
-    residual = 0.0
-    for fidx in range(disk.n_faces):
-        rebuilt = act_on_hermitian(a_maps[fidx], HermitianPoint.identity())
-        fref = net.f[fidx]
-        scale = max(fref.a, fref.d, 1.0)
-        residual = max(
-            residual,
-            max(
-                abs(rebuilt.a - fref.a),
-                abs(rebuilt.b - fref.b),
-                abs(rebuilt.d - fref.d),
-            )
-            / scale,
-        )
-    if residual > 100 * tol:
-        raise EtaNotClosed(
-            f"integrated frame fails A A* = f by {residual:.2e}"
-        )
-
-    z = []
-    for v in range(disk.n_vertices):
-        fidx = net.disk.vertex_faces_ccw(v)[0]
-        z.append(a_maps[fidx].inverse().apply(net.gauss[v]))
-    source = CirclePattern(disk, z)
-    frame = MoebiusFrame(source, gauss_pattern, a_maps, lift="coherent")
+    source, frame = integrate_eta(gauss_pattern, net.f, lam, tol)
     return source, gauss_pattern, frame

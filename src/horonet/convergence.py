@@ -34,7 +34,6 @@ from .mesh import LatticePatch, LatticeSpec, lattice_subcomplex
 from .moebius import HermitianPoint, act_on_hermitian, hyperbolic_distance
 from .osculating import (
     MoebiusFrame,
-    SqrtBranch,
     coherent_lift,
     osculating_frame,
     smooth_osculating,
@@ -183,14 +182,13 @@ def shear_preserving_solve(
     interior = [v for v in range(n) if not disk.is_boundary_vertex[v]]
     interior_index = {v: m for m, v in enumerate(interior)}
     if interior:
-        f_val, _ = _angle_defects(patch, u, base_log_len, interior_index)
+        f_val, (rows, cols, vals) = _angle_defects(
+            patch, u, base_log_len, interior_index
+        )
         for _ in range(max_iter):
             err = np.abs(f_val).max()
             if err <= grad_tol:
                 break
-            _, (rows, cols, vals) = _angle_defects(
-                patch, u, base_log_len, interior_index
-            )
             keep = [m for m, c in enumerate(cols) if c in interior_index]
             jac = sp.csr_matrix(
                 (
@@ -208,11 +206,13 @@ def shear_preserving_solve(
                 trial = u.copy()
                 for v, m in interior_index.items():
                     trial[v] += s * step[m]
-                f_trial, _ = _angle_defects(patch, trial, base_log_len, interior_index)
+                f_trial, jac_trial = _angle_defects(
+                    patch, trial, base_log_len, interior_index
+                )
                 if np.abs(f_trial).max() < (1.0 - 0.25 * s) * err or np.abs(
                     f_trial
                 ).max() <= grad_tol:
-                    u, f_val = trial, f_trial
+                    u, f_val, (rows, cols, vals) = trial, f_trial, jac_trial
                     break
                 s /= 2.0
             else:
@@ -225,7 +225,6 @@ def shear_preserving_solve(
     z = _layout(patch, u, base_log_len, jet)
     pattern = CirclePattern(disk, z)
     xt = cross_ratios_of(pattern)
-    x = cross_ratios_of(CirclePattern(disk, patch.positions))
     bad = xt.delaunay_violations(1e-12)
     if bad:
         worst = min(xt.args[e] for e in bad)
@@ -256,24 +255,11 @@ def _layout(patch: LatticePatch, u, base_log_len, jet: Jet):
     direction /= abs(direction)
     z[j] = z[i] + length(i, j) * direction
     z[k] = _third_point(z[i], z[j], length(i, k), length(j, k))
-    placed = [False] * disk.n_faces
-    placed[seed_face] = True
-    queue = [seed_face]
-    while queue:
-        f = queue.pop(0)
-        fv = disk.face_vertices(f)
-        for (a, b) in ((fv[0], fv[1]), (fv[1], fv[2]), (fv[2], fv[0])):
-            if not disk.is_interior_edge(a, b):
-                continue
-            g = disk.right_face(a, b)
-            if placed[g]:
-                continue
-            l = disk.apex(b, a)
-            if z[l] is None:
-                # face (b, a, l) is counterclockwise: l left of b -> a
-                z[l] = _third_point(z[b], z[a], length(b, l), length(a, l))
-            placed[g] = True
-            queue.append(g)
+    for (_, _, (a, b)) in disk.dual_tree(seed_face):
+        l = disk.apex(b, a)
+        if z[l] is None:
+            # face (b, a, l) is counterclockwise: l left of b -> a
+            z[l] = _third_point(z[b], z[a], length(b, l), length(a, l))
     return z
 
 
@@ -431,19 +417,13 @@ def _threaded_references(jet: Jet, patch: LatticePatch):
     disk = patch.disk
     refs: list = [None] * disk.n_faces
     refs[0] = smooth_osculating(jet.f, jet.d1, jet.d2, barys[0])
-    queue = [0]
-    while queue:
-        f = queue.pop(0)
-        for (g, _) in disk.dual_adjacency[f]:
-            if refs[g] is not None:
-                continue
-            cand = smooth_osculating(jet.f, jet.d1, jet.d2, barys[g])
-            if cand.frobenius_distance(refs[f]) > cand.negate().frobenius_distance(
-                refs[f]
-            ):
-                cand = cand.negate()
-            refs[g] = cand
-            queue.append(g)
+    for (f, g, _) in disk.dual_tree():
+        cand = smooth_osculating(jet.f, jet.d1, jet.d2, barys[g])
+        if cand.frobenius_distance(refs[f]) > cand.negate().frobenius_distance(
+            refs[f]
+        ):
+            cand = cand.negate()
+        refs[g] = cand
     return refs
 
 
@@ -470,7 +450,6 @@ def _vertex_frame_field(frame: MoebiusFrame, patch: LatticePatch):
         b = patch.shift_vertex(v, 2)
         if a is None or b is None:
             continue
-        key = (v, a)
         try:
             fidx = disk.left_face(v, a)
         except KeyError:
@@ -522,7 +501,6 @@ def frame_convergence(
             )
         # C^1: forward difference of the frame field against dA_h
         vf = _vertex_frame_field(frame, patch)
-        sign = 1.0
         d1 = discrete_derivative(vf, patch, 1) if vf else {}
         c1 = 0.0
         for v, d in d1.items():

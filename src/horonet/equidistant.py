@@ -8,24 +8,20 @@ the circumcircle of the three tangency points of its face.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    EtaNotClosed,
     LiftFailed,
     MonodromyObstruction,
     NotAngleMatched,
     NotEquidistant,
 )
-from .mesh import TriangulatedDisk, _canon
+from .mesh import TriangulatedDisk
 from .moebius import (
     HermitianPoint,
-    MoebiusMap,
-    SpherePoint,
     act_on_hermitian,
     horosphere,
     mobius_from_triples,
@@ -34,8 +30,8 @@ from .moebius import (
 from .osculating import (
     MoebiusFrame,
     coherent_lift,
+    integrate_eta,
     osculating_frame,
-    transition_closed_form,
 )
 from .pattern import CirclePattern, cross_ratios_of, angle_match
 
@@ -175,7 +171,6 @@ def _geometric_lambda(net: EquidistantNet, i: int, j: int):
 
 def extract_equidistant_patterns(net: EquidistantNet, tol: float = 1e-8):
     """Recover (z, z~, frame) from an equidistant net by eta integration."""
-    report = verify_equidistant(net) if net.lambdas else None
     disk = net.disk
     gauss_pattern = CirclePattern(disk, net.gauss)
     if net.degenerate:
@@ -189,65 +184,5 @@ def extract_equidistant_patterns(net: EquidistantNet, tol: float = 1e-8):
                 f"through the tangencies (residual {coll:.2e})"
             )
         lam[(i, j)] = val
-
-    etas = {
-        (i, j): transition_closed_form(net.gauss[j], net.gauss[i], lam[(i, j)])
-        for (i, j) in disk.interior_edges
-    }
-
-    def eta_for(i, j):
-        if i < j:
-            return etas[(i, j)]
-        return etas[(j, i)].inverse()
-
-    worst = 0.0
-    for v in disk.interior_vertices:
-        ring = disk.ring_ccw(v)
-        prod = MoebiusMap.identity()
-        for m in range(len(ring)):
-            w = ring[(m + 1) % len(ring)]
-            prod = eta_for(v, w).inverse().compose(prod)
-        worst = max(worst, prod.frobenius_distance(MoebiusMap.identity()))
-    if worst > tol:
-        raise EtaNotClosed(f"per-vertex eta product deviates from I by {worst:.2e}")
-
-    b_maps: list = [None] * disk.n_faces
-    b_maps[0] = MoebiusMap.identity()
-    queue = [0]
-    while queue:
-        fidx = queue.pop(0)
-        for (g, (i, j)) in disk.dual_adjacency[fidx]:
-            if b_maps[g] is not None:
-                continue
-            b_maps[g] = eta_for(i, j).compose(b_maps[fidx])
-            queue.append(g)
-    f0 = net.f[0]
-    s = math.sqrt(max(f0.det(), 0.0))
-    denom = math.sqrt(f0.trace() + 2.0 * s)
-    c = MoebiusMap(
-        (f0.a + s) / denom, f0.b / denom, f0.b.conjugate() / denom, (f0.d + s) / denom
-    )
-    a_maps = tuple(b.compose(c) for b in b_maps)
-    residual = 0.0
-    for fidx in range(disk.n_faces):
-        rebuilt = act_on_hermitian(a_maps[fidx], HermitianPoint.identity())
-        fref = net.f[fidx]
-        scale = max(fref.a, fref.d, 1.0)
-        residual = max(
-            residual,
-            max(
-                abs(rebuilt.a - fref.a),
-                abs(rebuilt.b - fref.b),
-                abs(rebuilt.d - fref.d),
-            )
-            / scale,
-        )
-    if residual > 100 * tol:
-        raise EtaNotClosed(f"integrated frame fails A A* = f by {residual:.2e}")
-    z = []
-    for v in range(disk.n_vertices):
-        fidx = disk.vertex_faces_ccw(v)[0]
-        z.append(a_maps[fidx].inverse().apply(net.gauss[v]))
-    source = CirclePattern(disk, z)
-    frame = MoebiusFrame(source, gauss_pattern, a_maps, lift="coherent")
+    source, frame = integrate_eta(gauss_pattern, net.f, lam, tol)
     return source, gauss_pattern, frame

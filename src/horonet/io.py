@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .cmc1 import HorosphericalNet, _chart, _neighbor_circle
-from .errors import HoronetError, UnmeasuredNet
+from .errors import HoronetError
 from .mesh import TriangulatedDisk, build_disk
 from .moebius import MoebiusMap, SpherePoint, act_on_hermitian, from_upper_half_space, to_poincare_ball
 from .osculating import MoebiusFrame
@@ -115,10 +115,7 @@ def load_frame(doc: dict) -> MoebiusFrame:
     disk = build_disk(doc["mesh"]["faces"])
 
     def pts(key):
-        return [
-            p if isinstance((p := complex_from_json(o)), SpherePoint) else p
-            for o in doc[key]
-        ]
+        return [complex_from_json(o) for o in doc[key]]
 
     source = CirclePattern(disk, pts("source_positions"))
     target = CirclePattern(disk, pts("target_positions"))

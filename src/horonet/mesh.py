@@ -24,11 +24,54 @@ def _canon(i: int, j: int):
     return (i, j) if i < j else (j, i)
 
 
+def vertex_rings(faces, n_vertices: int):
+    """Counterclockwise neighbour ring and boundary flag of every vertex.
+
+    ``faces`` are counterclockwise polygons, no directed edge repeated.  An
+    interior ring is the link cycle started at the smallest neighbour; a
+    boundary ring runs along the link chain between the two boundary
+    neighbours.
+    """
+    succ = [dict() for _ in range(n_vertices)]
+    pred = [dict() for _ in range(n_vertices)]
+    for f in faces:
+        k = len(f)
+        for m, v in enumerate(f):
+            a, b = f[(m + 1) % k], f[m - 1]
+            succ[v][a] = b  # link arc a -> b, counterclockwise around v
+            pred[v][b] = a
+    rings = []
+    is_boundary = []
+    for v in range(n_vertices):
+        nbrs = set(succ[v]) | set(pred[v])
+        if not nbrs:
+            raise NotADisk(f"isolated vertex {v}")
+        starts = [a for a in nbrs if a not in pred[v]]
+        if len(starts) > 1:
+            raise NotADisk(f"pinched vertex {v} (multiple link components)")
+        start = starts[0] if starts else min(nbrs)
+        ring = [start]
+        cur = start
+        while cur in succ[v]:
+            cur = succ[v][cur]
+            if cur == start:
+                break
+            ring.append(cur)
+            if len(ring) > len(nbrs):
+                raise NotADisk(f"bad link at vertex {v}")
+        if len(ring) != len(nbrs):
+            raise NotADisk(f"pinched vertex {v} (link not a single chain)")
+        rings.append(tuple(ring))
+        is_boundary.append(bool(starts))
+    return tuple(rings), tuple(is_boundary)
+
+
 class TriangulatedDisk:
     """Combinatorial oriented triangulation of a disk with derived adjacency.
 
     Immutable after construction; all derived tables are built eagerly so
-    instances can be shared read-only.
+    instances can be shared read-only, except that dual trees are built and
+    cached on first request.
     """
 
     def __init__(self, faces):
@@ -81,57 +124,15 @@ class TriangulatedDisk:
         if self.n_vertices - len(self.edges) + self.n_faces != 1:
             raise NotADisk("Euler characteristic is not 1")
 
-        self._build_rings()
+        self._ring_ccw, self.is_boundary_vertex = vertex_rings(faces, n)
+        self.interior_vertices = tuple(
+            v for v in range(n) if not self.is_boundary_vertex[v]
+        )
         self._check_boundary_loop()
+        self._dual_trees: dict = {}
         self._build_dual()
 
     # -- derived structure ------------------------------------------------
-
-    def _build_rings(self):
-        succ = [dict() for _ in range(self.n_vertices)]
-        pred = [dict() for _ in range(self.n_vertices)]
-        for (i, j, k) in self.faces:
-            for (v, a, b) in ((i, j, k), (j, k, i), (k, i, j)):
-                succ[v][a] = b  # link arc a -> b, counterclockwise around v
-                pred[v][b] = a
-        ring_ccw = []
-        is_boundary = []
-        for v in range(self.n_vertices):
-            nbrs = set(succ[v]) | set(pred[v])
-            if not nbrs:
-                raise NotADisk(f"isolated vertex {v}")
-            starts = [a for a in nbrs if a not in pred[v]]
-            if len(starts) == 0:
-                start, boundary = min(nbrs), False
-            elif len(starts) == 1:
-                start, boundary = starts[0], True
-            else:
-                raise NotADisk(f"pinched vertex {v} (multiple link components)")
-            ring = [start]
-            cur = start
-            while cur in succ[v]:
-                cur = succ[v][cur]
-                if cur == start:
-                    break
-                ring.append(cur)
-                if len(ring) > len(nbrs):
-                    raise NotADisk(f"bad link at vertex {v}")
-            if len(ring) != len(nbrs):
-                raise NotADisk(f"pinched vertex {v} (link not a single chain)")
-            if not boundary:
-                # rotate the cycle to start at the smallest neighbor
-                m = ring.index(min(ring))
-                ring = ring[m:] + ring[:m]
-            ring_ccw.append(tuple(ring))
-            is_boundary.append(boundary)
-        self._ring_ccw = tuple(ring_ccw)
-        self.is_boundary_vertex = tuple(is_boundary)
-        self.interior_vertices = tuple(
-            v for v in range(self.n_vertices) if not is_boundary[v]
-        )
-        if all(is_boundary):
-            # legal: small disks (single triangle, fans) may lack interior vertices
-            pass
 
     def _check_boundary_loop(self):
         nxt = {}
@@ -164,18 +165,29 @@ class TriangulatedDisk:
             adj[fl].append((fr, (i, j)))
             adj[fr].append((fl, (j, i)))
         self.dual_adjacency = tuple(tuple(sorted(a)) for a in adj)
-        # face connectivity
-        seen = [False] * self.n_faces
-        stack = [0]
-        seen[0] = True
-        while stack:
-            f = stack.pop()
-            for (g, _) in self.dual_adjacency[f]:
-                if not seen[g]:
-                    seen[g] = True
-                    stack.append(g)
-        if not all(seen):
+        if len(self.dual_tree(0)) != self.n_faces - 1:
             raise NotADisk("dual graph is disconnected")
+
+    def dual_tree(self, root: int = 0):
+        """Breadth-first dual spanning tree from face ``root``, cached per root.
+
+        Entries ``(f, g, (i, j))`` come in visiting order: f is the root or an
+        earlier g and lies left of i -> j, and g is the new face on its right.
+        """
+        tree = self._dual_trees.get(root)
+        if tree is None:
+            reached = [False] * self.n_faces
+            reached[root] = True
+            order = [root]
+            tree = []
+            for f in order:
+                for (g, e) in self.dual_adjacency[f]:
+                    if not reached[g]:
+                        reached[g] = True
+                        order.append(g)
+                        tree.append((f, g, e))
+            tree = self._dual_trees[root] = tuple(tree)
+        return tree
 
     # -- queries -----------------------------------------------------------
 
@@ -342,9 +354,6 @@ def lattice_subcomplex(spec: LatticeSpec) -> LatticePatch:
     for f in faces_nm:
         for e in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
             adj.setdefault(frozenset(e), []).append(f)
-    comp = {}
-    for f in faces_nm:
-        comp.setdefault(f, None)
     labels = {}
     cur = 0
     for f in faces_nm:

@@ -17,12 +17,20 @@ from .errors import (
     BoundaryEdge,
     CriticalPoint,
     DegenerateFace,
+    EtaNotClosed,
     MeshMismatch,
     MonodromyObstruction,
     NotDelaunay,
 )
 from .mesh import TriangulatedDisk, _canon
-from .moebius import MoebiusMap, SpherePoint, det2, mobius_from_triples
+from .moebius import (
+    HermitianPoint,
+    MoebiusMap,
+    SpherePoint,
+    act_on_hermitian,
+    det2,
+    mobius_from_triples,
+)
 from .pattern import CirclePattern, CrossRatioSystem, cross_ratios_of
 
 TOL_TRANSITION = 1e-10
@@ -154,55 +162,38 @@ def coherent_lift(
         for e in disk.interior_edges
     }
 
-    signs = [0] * disk.n_faces
-    root = 0
-    signs[root] = 1
     maps = list(frame.maps)
     # root sign: (2,2) entry argument in (-pi/2, pi/2]
-    m = maps[root]
+    m = maps[0]
     anchor = m.d if abs(m.d) > 1e-14 else next(
         e for e in m.entries() if abs(e) > 1e-14
     )
     phi = cmath.phase(anchor)
     if phi <= -math.pi / 2 or phi > math.pi / 2:
-        maps[root] = m.negate()
+        maps[0] = m.negate()
 
-    queue = [root]
-    order = []
-    while queue:
-        f = queue.pop(0)
-        order.append(f)
-        for (g, (i, j)) in disk.dual_adjacency[f]:
-            if signs[g]:
-                continue
-            signs[g] = 1
-            t = maps[disk.right_face(i, j)].inverse().compose(
-                maps[disk.left_face(i, j)]
-            )
-            lam = _rayleigh(t, frame.source.z[i])
-            lam_star = target_lam[_canon(i, j)] if i < j else target_lam[_canon(i, j)]
-            if abs(lam - lam_star) > abs(lam + lam_star):
-                maps[g] = maps[g].negate()
-            queue.append(g)
+    z = frame.source.z
+    for (f, g, (i, j)) in disk.dual_tree():
+        lam = _rayleigh(maps[g].inverse().compose(maps[f]), z[i])
+        lam_star = target_lam[_canon(i, j)]
+        if abs(lam - lam_star) > abs(lam + lam_star):
+            maps[g] = maps[g].negate()
 
     # verify every interior edge carries the canonical branch
     lambdas = {}
-    worst = 0.0
     for (i, j) in disk.interior_edges:
         t = maps[disk.right_face(i, j)].inverse().compose(maps[disk.left_face(i, j)])
-        lam = _rayleigh(t, frame.source.z[i])
+        lam = _rayleigh(t, z[i])
         lam_star = target_lam[(i, j)]
         if abs(lam - lam_star) > abs(lam + lam_star):
             raise MonodromyObstruction(
                 f"sign propagation is inconsistent across edge ({i},{j}); "
                 "vertex monodromy is -I"
             )
-        worst = max(worst, abs(lam - lam_star))
         lambdas[(i, j)] = lam
-    lifted = MoebiusFrame(
+    return MoebiusFrame(
         frame.source, frame.target, tuple(maps), lift="coherent", lambdas=lambdas
     )
-    return lifted
 
 
 def vertex_monodromy(frame: MoebiusFrame, v: int) -> MoebiusMap:
@@ -227,6 +218,77 @@ def vertex_monodromy(frame: MoebiusFrame, v: int) -> MoebiusMap:
         t = transition_closed_form(frame.source.z[v], frame.source.z[w], lam)
         prod = t.inverse().compose(prod)
     return prod
+
+
+def integrate_eta(gauss: CirclePattern, f, lam, tol: float):
+    """Frame A with A A* = f from measured eigenvalues on the Gauss pattern.
+
+    ``lam`` maps each interior edge (i, j), i < j, to the eigenvalue of
+    eta_ij = transition_closed_form(z~_j, z~_i, lam), the transition from
+    the left face of i -> j to its right face.  eta must close around every
+    interior vertex; it is integrated over the dual tree from face 0, the
+    constant is the polar factor C C* = f[0], and A A* = f is checked before
+    z = A^{-1} z~ is read off.  Returns (source pattern, coherent frame).
+    """
+    disk = gauss.disk
+    z_t = gauss.z
+    etas = {
+        (i, j): transition_closed_form(z_t[j], z_t[i], lam[(i, j)])
+        for (i, j) in disk.interior_edges
+    }
+
+    def eta_for(i, j):
+        if i < j:
+            return etas[(i, j)]
+        return etas[(j, i)].inverse()
+
+    worst = 0.0
+    for v in disk.interior_vertices:
+        ring = disk.ring_ccw(v)
+        prod = MoebiusMap.identity()
+        for m in range(len(ring)):
+            w = ring[(m + 1) % len(ring)]
+            prod = eta_for(v, w).inverse().compose(prod)
+        worst = max(worst, prod.frobenius_distance(MoebiusMap.identity()))
+    if worst > tol:
+        raise EtaNotClosed(f"per-vertex eta product deviates from I by {worst:.2e}")
+
+    b_maps: list = [None] * disk.n_faces
+    b_maps[0] = MoebiusMap.identity()
+    for (fl, fr, (i, j)) in disk.dual_tree():
+        b_maps[fr] = eta_for(i, j).compose(b_maps[fl])
+
+    # right constant from C C* = f_root (principal PSD square root)
+    f0 = f[0]
+    s = math.sqrt(max(f0.det(), 0.0))
+    denom = math.sqrt(f0.trace() + 2.0 * s)
+    c = MoebiusMap(
+        (f0.a + s) / denom, f0.b / denom, f0.b.conjugate() / denom, (f0.d + s) / denom
+    )
+    a_maps = tuple(b.compose(c) for b in b_maps)
+
+    residual = 0.0
+    for a, fref in zip(a_maps, f):
+        rebuilt = act_on_hermitian(a, HermitianPoint.identity())
+        scale = max(fref.a, fref.d, 1.0)
+        residual = max(
+            residual,
+            max(
+                abs(rebuilt.a - fref.a),
+                abs(rebuilt.b - fref.b),
+                abs(rebuilt.d - fref.d),
+            )
+            / scale,
+        )
+    if residual > 100 * tol:
+        raise EtaNotClosed(f"integrated frame fails A A* = f by {residual:.2e}")
+
+    z = [
+        a_maps[disk.vertex_faces_ccw(v)[0]].inverse().apply(z_t[v])
+        for v in range(disk.n_vertices)
+    ]
+    source = CirclePattern(disk, z)
+    return source, MoebiusFrame(source, gauss, a_maps, lift="coherent")
 
 
 def compose_frames(f1: MoebiusFrame, f2: MoebiusFrame) -> MoebiusFrame:

@@ -154,7 +154,8 @@ def develop(
     """Integrate a closed cross ratio system to a realization.
 
     ``seed`` supplies the three vertex positions of ``seed_face`` in face
-    order.  Breadth-first propagation across dual edges; positions reached
+    order.  Faces are visited along the breadth-first dual tree from
+    ``seed_face`` and propagate across all their edges; positions reached
     along different dual paths must agree (tree independence), otherwise
     ClosureViolation is raised.
     """
@@ -175,29 +176,20 @@ def develop(
         raise DegenerateSeed("seed points are not pairwise distinct")
 
     z: list = [None] * disk.n_vertices
-    fv = disk.face_vertices(seed_face)
-    for v, p in zip(fv, seed_pts):
+    for v, p in zip(disk.face_vertices(seed_face), seed_pts):
         z[v] = p
-    placed_faces = [False] * disk.n_faces
-    placed_faces[seed_face] = True
-    queue = [seed_face]
     max_mismatch = 0.0
-    while queue:
-        f = queue.pop(0)
+    for f in [seed_face] + [g for (_, g, _) in disk.dual_tree(seed_face)]:
         i0, j0, k0 = disk.face_vertices(f)
         for (i, j) in ((i0, j0), (j0, k0), (k0, i0)):
             if not disk.is_interior_edge(i, j):
                 continue
-            g = disk.right_face(i, j)
             l = disk.apex(j, i)
             z_l = _propagate(z[i], z[j], z[disk.apex(i, j)], x.x(i, j))
             if z[l] is None:
                 z[l] = z_l
             else:
                 max_mismatch = max(max_mismatch, z[l].chordal(z_l))
-            if not placed_faces[g]:
-                placed_faces[g] = True
-                queue.append(g)
     if max_mismatch > tree_tol:
         raise ClosureViolation(
             f"tree-independence residual {max_mismatch:.2e} exceeds {tree_tol:.1e}"

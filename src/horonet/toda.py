@@ -10,8 +10,7 @@ feeding the CMC-1 and equidistant constructions.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cmc1 import HorosphericalNet, build_cmc1
 from .equidistant import EquidistantNet, build_equidistant
@@ -21,7 +20,7 @@ from .errors import (
     PoleInFamily,
     TooSmall,
 )
-from .mesh import TriangulatedDisk, _canon, build_disk
+from .mesh import TriangulatedDisk, _canon, build_disk, vertex_rings
 from .pattern import CirclePattern, CrossRatioSystem, cross_ratios_of, develop
 
 
@@ -45,39 +44,13 @@ class CellDecomposition:
             edge_count[_canon(u, v)] = edge_count.get(_canon(u, v), 0) + 1
         self.edges = tuple(sorted(edge_count))
         self.interior_edges = tuple(e for e in self.edges if edge_count[e] == 2)
-        # vertex rings via link arcs (successor-of-v -> predecessor-of-v)
-        succ = [dict() for _ in range(self.n_vertices)]
-        pred = [dict() for _ in range(self.n_vertices)]
-        for f in self.faces:
-            k = len(f)
-            for m in range(k):
-                v = f[m]
-                s = f[(m + 1) % k]
-                p = f[(m - 1) % k]
-                succ[v][s] = p
-                pred[v][p] = s
-        self._interior = []
-        self._ring = []
-        for v in range(self.n_vertices):
-            nbrs = set(succ[v]) | set(pred[v])
-            starts = [a for a in nbrs if a not in pred[v]]
-            interior = not starts
-            start = min(nbrs) if interior else starts[0]
-            ring = [start]
-            cur = start
-            while cur in succ[v]:
-                cur = succ[v][cur]
-                if cur == start:
-                    break
-                ring.append(cur)
-            self._interior.append(interior and len(ring) == len(nbrs))
-            self._ring.append(tuple(ring))
+        self._ring, self._boundary = vertex_rings(self.faces, self.n_vertices)
         self.interior_vertices = tuple(
-            v for v in range(self.n_vertices) if self._interior[v]
+            v for v in range(self.n_vertices) if not self._boundary[v]
         )
 
     def is_interior_vertex(self, v):
-        return self._interior[v]
+        return not self._boundary[v]
 
     def ring(self, v):
         return self._ring[v]
@@ -206,9 +179,8 @@ def labeling_from(cell: CellDecomposition, q, tol: float = 1e-10) -> Labeling:
         if root in alpha:
             continue
         alpha[root] = 0.0 + 0j
-        queue = [root]
-        while queue:
-            a = queue.pop(0)
+        order = [root]
+        for a in order:
             for (b, off) in constraints[a]:
                 val = alpha[a] - off  # off = alpha[a] - alpha[b]
                 if b in alpha:
@@ -218,7 +190,7 @@ def labeling_from(cell: CellDecomposition, q, tol: float = 1e-10) -> Labeling:
                         )
                 else:
                     alpha[b] = val
-                    queue.append(b)
+                    order.append(b)
     # boundary incidences not adjacent to any interior edge
     for fi, f in enumerate(cell.faces):
         for v in f:

@@ -26,3 +26,14 @@ def hex_pattern(hex_fan):
 def equilateral_patch():
     """Equilateral lattice disk on the unit square, eps = 0.35."""
     return lattice_subcomplex(LatticeSpec.equilateral(0.35, (0.0, 1.0, 0.0, 1.0)))
+
+
+@pytest.fixture
+def central_face(equilateral_patch):
+    """Face of the equilateral patch whose barycenter is nearest the centre."""
+    disk = equilateral_patch.disk
+    pos = equilateral_patch.positions
+    return min(
+        range(disk.n_faces),
+        key=lambda f: abs(sum(pos[v] for v in disk.faces[f]) / 3 - (0.5 + 0.5j)),
+    )

@@ -130,6 +130,12 @@ class TestMeasure:
             assert abs(s_theta) < 1e-10
             assert abs(s_lt) < 1e-10
 
+    def test_chart_residual_relative(self):
+        # radius gaps are relative to the arc radius, which reaches 1.5e3 here
+        cell, _, sol = square_grid_toda(12, 12)
+        net = cmc1_from_toda(cell, sol, 0.1)
+        assert net.chart_residual <= 1e-8
+
     def test_flat_patch(self, hex_fan):
         pts = [cmath.exp(1j * math.pi / 3 * k) for k in range(6)]
         net = flat_patch_net(hex_fan, pts)
@@ -268,7 +274,7 @@ class TestExtract:
         net = copy.deepcopy(toda_net)
         e = net.disk.interior_edges[len(net.disk.interior_edges) // 2]
         net.edge_measure[e].ell *= 1.05
-        with pytest.raises((EtaNotClosed, NotCMC1)):
+        with pytest.raises(EtaNotClosed, match="per-vertex"):
             extract_patterns(net)
 
     def test_perturbed_vertex_detected(self, toda_net):

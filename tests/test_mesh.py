@@ -71,6 +71,21 @@ class TestBuildDisk:
             )
             assert len(disk.dual_adjacency[f]) == n_int
 
+    def test_dual_tree(self, equilateral_patch, central_face):
+        disk = equilateral_patch.disk
+        assert central_face != 0
+        for root in (0, central_face):
+            tree = disk.dual_tree(root)
+            assert len(tree) == disk.n_faces - 1
+            reached = [root]
+            for (f, g, (i, j)) in tree:
+                assert f in reached and g not in reached
+                assert disk.left_face(i, j) == f
+                assert disk.right_face(i, j) == g
+                reached.append(g)
+            assert sorted(reached) == list(range(disk.n_faces))
+            assert disk.dual_tree(root) is tree
+
 
 class TestInteriorStar:
     def test_hex_fan_clockwise(self, hex_fan):

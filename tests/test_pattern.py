@@ -93,16 +93,18 @@ class TestDevelop:
         expect = SpherePoint.of((1 - math.sqrt(3) * 1j) / 2)
         assert pattern.z[l].chordal(expect) < 1e-12
 
-    def test_round_trip_from_pattern(self, lattice_pattern):
+    def test_round_trip_from_pattern(self, lattice_pattern, central_face):
         disk = lattice_pattern.disk
         x = cross_ratios_of(lattice_pattern)
-        seed = [lattice_pattern.z[v] for v in disk.face_vertices(0)]
-        rebuilt = develop(disk, x, seed)
-        for a, b in zip(rebuilt.z, lattice_pattern.z):
-            assert a.chordal(b) < 1e-10
-        x2 = cross_ratios_of(rebuilt)
-        for e in disk.interior_edges:
-            assert abs(x2.values[e] - x.values[e]) < 1e-9
+        assert central_face != 0
+        for seed_face in (0, central_face):
+            seed = [lattice_pattern.z[v] for v in disk.face_vertices(seed_face)]
+            rebuilt = develop(disk, x, seed, seed_face)
+            for a, b in zip(rebuilt.z, lattice_pattern.z):
+                assert a.chordal(b) < 1e-10
+            x2 = cross_ratios_of(rebuilt)
+            for e in disk.interior_edges:
+                assert abs(x2.values[e] - x.values[e]) < 1e-9
 
     def test_non_closed_system_raises(self, lattice_pattern):
         disk = lattice_pattern.disk

@@ -5,12 +5,14 @@ import pytest
 
 from horonet.errors import (
     InconsistentLabeling,
+    NotADisk,
     PoleInFamily,
     TooSmall,
 )
 from horonet.mesh import _canon
 from horonet.pattern import CirclePattern, cross_ratios_of, develop, verify_closure
 from horonet.toda import (
+    CellDecomposition,
     cmc1_from_toda,
     develop_family,
     family_xt,
@@ -37,6 +39,10 @@ class TestSquareGridToda:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             square_grid_toda(1, 5)
+
+    def test_unused_position_rejected(self):
+        with pytest.raises(NotADisk):
+            CellDecomposition([(0, 1, 2, 3)], [0, 1, 1 + 1j, 1j, 5])
 
     def test_flipped_q_detected(self):
         cell, z, sol = square_grid_toda(4, 4)
