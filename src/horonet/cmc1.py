@@ -58,7 +58,6 @@ class EdgeMeasure:
     ell: float = 0.0
     alpha: float = 0.0
     r_tilde: float = math.inf  # arc radius measured from the face points
-    radius_residual: float = 0.0  # |point radius - horosphere radius|
     degenerate: bool = False  # coincident endpoints (zero-length edge)
     flat: bool = False  # neighboring horospheres coincide
 
@@ -190,11 +189,10 @@ def _measure_edge(net: HorosphericalNet, chart: _Chart, j: int) -> EdgeMeasure:
         m.ell = abs(wr - wl)
         return m
     # arc length and radius come from the face points themselves; only the
-    # dihedral angle uses the horosphere diameter.  The two radii agreeing
-    # is what ties the measurement back to the horosphere geometry.
+    # dihedral angle uses the horosphere diameter.  measure_net checks that
+    # the two radii agree (chart_residual).
     r_points = 0.5 * (abs(wl - center) + abs(wr - center))
     m.r_tilde = r_points
-    m.radius_residual = abs(r_points - r_tilde)
     m.theta = -cmath.phase((wr - center) / (wl - center))
     m.ell = abs(m.theta) * r_points
     m.alpha = math.copysign(math.acos(max(-1.0, min(1.0, 1.0 - 2.0 / d))), m.theta)

@@ -475,15 +475,14 @@ def frame_convergence(
         patch = lattice_subcomplex(spec)
         lattice = CirclePattern(patch.disk, patch.positions)
         target = _pattern_for(jet, patch, pipeline)
-        frame = coherent_lift(osculating_frame(lattice, target))
+        x, xt = cross_ratios_of(lattice), cross_ratios_of(target)
+        frame = coherent_lift(osculating_frame(lattice, target), x, xt)
         row = ConvergenceRow(eps)
         row.frame_error = _aligned_frame_error(frame, patch, jet)
         row.solver_deviation = max(
             abs(p.value() - jet.f(w))
             for p, w in zip(target.z, patch.positions)
         )
-        x = cross_ratios_of(lattice)
-        xt = cross_ratios_of(target)
         if pipeline == "solved":
             s1 = discrete_schwarzian(x, xt, patch, 1)
             row.schwarzian_error = max(

@@ -331,17 +331,17 @@ def lattice_subcomplex(spec: LatticeSpec) -> LatticePatch:
     x0, x1, y0, y1 = spec.rect
     la = spec.eps * math.sin(spec.alpha)
     lb = spec.eps * math.sin(spec.gamma)
-    # conservative index bounds from the rectangle corners
-    span = max(x1 - x0, y1 - y0, 1e-30)
-    bound = int(math.ceil(3 * (span + abs(x0) + abs(x1) + abs(y0) + abs(y1)) / min(la, lb))) + 2
+    hx, hy = lb * math.cos(spec.beta), lb * math.sin(spec.beta)
+    # position(n, m) = (n la + m hx, m hy): row m needs y0 <= m hy <= y1, then
+    # x0 <= n la + m hx <= x1; one index of slack absorbs rounding.
     inside = {}
-    for n in range(-bound, bound + 1):
-        for m in range(-bound, bound + 1):
+    for m in range(math.floor(y0 / hy) - 1, math.ceil(y1 / hy) + 2):
+        for n in range(math.floor((x0 - m * hx) / la) - 1, math.ceil((x1 - m * hx) / la) + 2):
             z = spec.position(n, m)
             if spec.contains(z):
                 inside[(n, m)] = z
     faces_nm = []
-    for (n, m) in inside:
+    for (n, m) in sorted(inside):  # lexicographic: face 0 roots the dual tree
         if (n + 1, m) in inside and (n, m + 1) in inside:
             faces_nm.append(((n, m), (n + 1, m), (n, m + 1)))
         if (n + 1, m) in inside and (n + 1, m + 1) in inside and (n, m + 1) in inside:

@@ -34,7 +34,6 @@ from .moebius import (
 from .pattern import CirclePattern, CrossRatioSystem, cross_ratios_of
 
 TOL_TRANSITION = 1e-10
-TOL_MONODROMY = 1e-9
 
 
 @dataclass
@@ -139,7 +138,6 @@ def coherent_lift(
     frame: MoebiusFrame,
     x: CrossRatioSystem | None = None,
     x_target: CrossRatioSystem | None = None,
-    tol: float = TOL_MONODROMY,
 ) -> MoebiusFrame:
     """Fix per-face signs so Arg lambda lies in (-pi/2, pi/2] on every edge.
 
@@ -173,19 +171,24 @@ def coherent_lift(
         maps[0] = m.negate()
 
     z = frame.source.z
+    # tree-edge lambda on the canonical orientation; negating g negates it
+    lambdas = dict.fromkeys(disk.interior_edges)
     for (f, g, (i, j)) in disk.dual_tree():
-        lam = _rayleigh(maps[g].inverse().compose(maps[f]), z[i])
-        lam_star = target_lam[_canon(i, j)]
-        if abs(lam - lam_star) > abs(lam + lam_star):
+        t = maps[g].inverse().compose(maps[f]) if i < j else maps[f].inverse().compose(maps[g])
+        lam = _rayleigh(t, z[min(i, j)])
+        e = _canon(i, j)
+        if abs(lam - target_lam[e]) > abs(lam + target_lam[e]):
             maps[g] = maps[g].negate()
+            lam = -lam
+        lambdas[e] = lam
 
-    # verify every interior edge carries the canonical branch
-    lambdas = {}
-    for (i, j) in disk.interior_edges:
+    # verify every non-tree interior edge carries the canonical branch
+    for (i, j), lam in lambdas.items():
+        if lam is not None:
+            continue
         t = maps[disk.right_face(i, j)].inverse().compose(maps[disk.left_face(i, j)])
         lam = _rayleigh(t, z[i])
-        lam_star = target_lam[(i, j)]
-        if abs(lam - lam_star) > abs(lam + lam_star):
+        if abs(lam - target_lam[(i, j)]) > abs(lam + target_lam[(i, j)]):
             raise MonodromyObstruction(
                 f"sign propagation is inconsistent across edge ({i},{j}); "
                 "vertex monodromy is -I"

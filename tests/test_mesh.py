@@ -173,3 +173,92 @@ class TestLattice:
         spec = LatticeSpec(0.7, 1.0, math.pi - 1.7, 0.21, (0.0, 1.0, 0.0, 1.0))
         patch = lattice_subcomplex(spec)
         assert patch.disk.n_faces > 10
+
+    REFERENCE_SPECS = (
+        LatticeSpec.equilateral(0.1, (0, 1, 0, 1)),
+        LatticeSpec.equilateral(0.0371, (0, 1, 0, 1)),
+        LatticeSpec.equilateral(0.05, (-0.3, 0.7, -0.2, 0.9)),
+        LatticeSpec.equilateral(0.05, (-1, -0.2, -0.9, 0.4)),
+        LatticeSpec.equilateral(0.05, (0.05, 2.1, 0.3, 0.8)),
+        LatticeSpec(1.0, 0.9, math.pi - 1.9, 0.03, (0.1, 1.3, -0.4, 0.6)),
+    )
+
+    def test_matches_reference_scan(self):
+        for spec in self.REFERENCE_SPECS + (_corner_spec(0.063), _corner_spec(0.08)):
+            patch = lattice_subcomplex(spec)
+            faces, positions, nm_of_vertex, vertex_of_nm = _reference_scan(spec)
+            assert patch.disk.faces == faces, spec
+            assert patch.positions == positions, spec
+            assert patch.nm_of_vertex == nm_of_vertex, spec
+            assert patch.vertex_of_nm == vertex_of_nm, spec
+
+    def test_enumeration_stays_near_the_kept_points(self, monkeypatch):
+        calls = []
+        position = LatticeSpec.position
+
+        def counting(self, n, m):
+            calls.append((n, m))
+            return position(self, n, m)
+
+        monkeypatch.setattr(LatticeSpec, "position", counting)
+        patch = lattice_subcomplex(LatticeSpec.equilateral(0.1, (0, 1, 0, 1)))
+        # a square scan of the index plane made ~270 calls per point kept
+        assert len(calls) < 2 * len(patch.positions)
+
+
+def _reference_scan(spec):
+    """Lattice subcomplex by a square scan of (n, m) with bounds from the
+    rectangle corners: faces, positions, (n, m) per vertex, vertex per (n, m)."""
+    x0, x1, y0, y1 = spec.rect
+    la = spec.eps * math.sin(spec.alpha)
+    lb = spec.eps * math.sin(spec.gamma)
+    span = max(x1 - x0, y1 - y0, 1e-30)
+    bound = int(math.ceil(3 * (span + abs(x0) + abs(x1) + abs(y0) + abs(y1)) / min(la, lb))) + 2
+    inside = {}
+    for n in range(-bound, bound + 1):
+        for m in range(-bound, bound + 1):
+            z = spec.position(n, m)
+            if spec.contains(z):
+                inside[(n, m)] = z
+    faces_nm = []
+    for (n, m) in inside:
+        if (n + 1, m) in inside and (n, m + 1) in inside:
+            faces_nm.append(((n, m), (n + 1, m), (n, m + 1)))
+        if (n + 1, m) in inside and (n + 1, m + 1) in inside and (n, m + 1) in inside:
+            faces_nm.append(((n + 1, m), (n + 1, m + 1), (n, m + 1)))
+    # largest dual-connected component, the first one on a tie
+    adj = {}
+    for f in faces_nm:
+        for e in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            adj.setdefault(frozenset(e), []).append(f)
+    labels = {}
+    sizes = []
+    for f in faces_nm:
+        if f in labels:
+            continue
+        stack = [f]
+        labels[f] = len(sizes)
+        while stack:
+            g = stack.pop()
+            for e in ((g[0], g[1]), (g[1], g[2]), (g[2], g[0])):
+                for h in adj[frozenset(e)]:
+                    if h not in labels:
+                        labels[h] = len(sizes)
+                        stack.append(h)
+        sizes.append(sum(1 for lab in labels.values() if lab == len(sizes)))
+    keep = sizes.index(max(sizes))
+    faces_nm = [f for f in faces_nm if labels[f] == keep]
+    used = sorted({nm for f in faces_nm for nm in f})
+    vid = {nm: i for i, nm in enumerate(used)}
+    faces = tuple((vid[f[0]], vid[f[1]], vid[f[2]]) for f in faces_nm)
+    return faces, tuple(inside[nm] for nm in used), tuple(used), vid
+
+
+def _corner_spec(eps):
+    """Equilateral spec whose rectangle sides pass through lattice points, so
+    that rounding decides whether the boundary rows and columns are inside."""
+    s = LatticeSpec.equilateral(eps, (0, 1, 0, 1))
+    return LatticeSpec.equilateral(eps, (
+        s.position(-1, 0).real, s.position(7, 0).real,
+        s.position(0, -2).imag, s.position(0, 9).imag,
+    ))

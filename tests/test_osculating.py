@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from horonet.convergence import jet_exp, shear_preserving_solve
 from horonet.errors import MeshMismatch, NotDelaunay
 from horonet.mesh import LatticeSpec, lattice_subcomplex
 from horonet.moebius import MoebiusMap, SpherePoint
 from horonet.osculating import (
     SqrtBranch,
+    _rayleigh,
     coherent_lift,
     compose_frames,
     osculating_frame,
+    principal_sqrt_ratio,
     smooth_osculating,
     smooth_pair_frame,
     transition,
@@ -19,6 +22,7 @@ from horonet.osculating import (
     vertex_monodromy,
 )
 from horonet.pattern import CirclePattern, cross_ratios_of
+from horonet.toda import develop_family, family_xt, labeling_from, square_grid_toda, triangulate
 
 
 def jet(f, d1, d2, d3=None):
@@ -148,6 +152,28 @@ class TestCoherentLift:
             for a, b in zip(repaired.maps, golden.maps)
         )
         assert min(d_plus, d_minus) < 1e-12
+
+    def test_lambdas_exact(self):
+        # every stored lambda, tree edge or not, is the canonical edge's
+        # Rayleigh quotient of the final maps, on the branch nearest lambda*
+        cell, _, sol = square_grid_toda(6, 6)
+        tri = triangulate(cell)
+        lab = labeling_from(cell, sol)
+        toda = [develop_family(tri, family_xt(tri, lab, t)) for t in (0.05j, -0.05j)]
+        patch = lattice_subcomplex(LatticeSpec.equilateral(0.1, (0.0, 1.0, 0.0, 1.0)))
+        lattice = [CirclePattern(patch.disk, patch.positions),
+                   shear_preserving_solve(patch, jet_exp())]
+        for source, target in (toda, lattice):
+            frame = coherent_lift(osculating_frame(source, target))
+            x, xt = cross_ratios_of(source), cross_ratios_of(target)
+            disk, maps = frame.disk, frame.maps
+            assert set(frame.lambdas) == set(disk.interior_edges)
+            for (i, j) in disk.interior_edges:
+                t = maps[disk.right_face(i, j)].inverse().compose(maps[disk.left_face(i, j)])
+                lam = _rayleigh(t, source.z[i])
+                assert lam == frame.lambdas[(i, j)]
+                lam_star = principal_sqrt_ratio(x.values[(i, j)], xt.values[(i, j)])
+                assert abs(lam - lam_star) < abs(lam + lam_star)
 
     def test_non_delaunay_rejected(self, hex_fan):
         # reflect the center of the hexagon far outside: non-Delaunay edges
