@@ -15,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     DegenerateFace,
     FrameUnavailable,
@@ -36,7 +34,10 @@ from .moebius import (
     MoebiusMap,
     SpherePoint,
     act_on_hermitian,
+    from_upper_half_space,
     horosphere,
+    ideal_circle_normal,
+    inner,
 )
 from .osculating import (
     MoebiusFrame,
@@ -341,16 +342,25 @@ def integrated_mean_curvature(net: HorosphericalNet):
 # -- parallel surfaces ---------------------------------------------------
 
 
-def _minkowski_rows(points):
-    rows = []
-    for u in points:
-        x0, x1, x2, x3 = u.minkowski()
-        rows.append([x0, -x1, -x2, -x3])  # row v: -<x, u> = x0 u0 - x.u
-    return np.array(rows)
-
-
 def _offset_face_point(x: HermitianPoint, horos, t: float) -> HermitianPoint:
-    """Intersection of offset horospheres near the normal flow of x."""
+    """Point of the offset horospheres e^t U_m that continues the face point x.
+
+    Let P be the unit normal of the ideal circle through the three tangency
+    points: <P, U_m> = 0 and <P, P> = 1.  Every y = e^{-t} x + s P keeps the
+    offset incidences, -<y, e^t U_m> = -<x, U_m> = 1, so y moves along the
+    geodesic through x orthogonal to the plane of that circle.  With
+    c = <x, P>, the condition <y, y> = -1 reads
+
+        s^2 + 2 e^{-t} c s + (1 - e^{-2t}) = 0,
+
+    whose root vanishing at t = 0 is, written without cancellation,
+
+        s = expm1(-2t) / (e^{-t} c + sign(c) sqrt(disc)),
+        disc = e^{-2t} (c^2 + 1) - 1.
+
+    disc < 0, i.e. t > log(1 + c^2) / 2, means the offset horospheres no
+    longer meet.
+    """
     us = [h.u for h in horos]
     # coincident horospheres: exact normal flow
     tr0 = us[0].trace()
@@ -371,37 +381,16 @@ def _offset_face_point(x: HermitianPoint, horos, t: float) -> HermitianPoint:
         )
         return moved
 
-    scale = math.exp(t)
-    a_rows = _minkowski_rows([u.scale(scale) for u in us])
-    guess = np.array(x.minkowski())
-    # initial velocity: <v, u_m> constraints linearized at t = 0
-    vel_rows = np.vstack([a_rows / scale, _minkowski_rows([x])])
-    vel_rhs = np.array([1.0, 1.0, 1.0, 0.0])
-    v, *_ = np.linalg.lstsq(vel_rows, vel_rhs, rcond=None)
-    y = guess + t * v
-    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-    floor = 1e-13 * max(1.0, float(np.abs(a_rows).max())) * max(
-        1.0, float(np.abs(y).max())
-    )
-    best = math.inf
-    for _ in range(60):
-        res = np.concatenate(
-            [a_rows @ y - 1.0, [y @ eta @ y + 1.0]]
-        )
-        err = float(np.max(np.abs(res)))
-        if err < floor or (err < 1e-9 and err >= 0.5 * best):
-            break  # converged, or stalled at the roundoff floor
-        best = min(best, err)
-        jac = np.vstack([a_rows, 2.0 * (eta @ y)])
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        y = y + step
-    else:
+    p = ideal_circle_normal(us)
+    e = math.exp(-t)
+    c = inner(x, p)
+    disc = e * e * (c * c + 1.0) - 1.0
+    if disc < 0:
         raise OffsetTooLarge(
             f"offset horospheres no longer meet near the original vertex (t={t})"
         )
-    if y[0] <= 0:
-        raise OffsetTooLarge("offset intersection left the upper hyperboloid")
-    return HermitianPoint.from_minkowski(*y)
+    s = math.expm1(-2.0 * t) / (e * c + math.copysign(math.sqrt(disc), c))
+    return x.scale(e).add(p.scale(s))
 
 
 def parallel_net(net: HorosphericalNet, t: float) -> HorosphericalNet:
@@ -466,7 +455,6 @@ def flat_patch_net(disk: TriangulatedDisk, chart_points) -> HorosphericalNet:
     """
     if len(chart_points) != disk.n_faces:
         raise DegenerateFace("one chart point per face required")
-    from .moebius import from_upper_half_space
 
     plane = horosphere(SpherePoint.infinity(), 1.0)
     net = HorosphericalNet(

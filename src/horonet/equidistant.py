@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     LiftFailed,
     MonodromyObstruction,
@@ -24,6 +22,8 @@ from .moebius import (
     HermitianPoint,
     act_on_hermitian,
     horosphere,
+    ideal_circle_normal,
+    inner,
     mobius_from_triples,
     to_upper_half_space,
 )
@@ -61,34 +61,12 @@ class EquidistantReport:
         return max(self.eigenvalue_residual, self.cosphericity_residual) <= tol
 
 
-def _ideal_functional(points):
-    """Spacelike Hermitian P with <L, P> = 0 for the given light-cone points.
-
-    The null space of the three Minkowski pairings; P spans the 1-dim
-    orthogonal complement of the ideal circle through the tangencies.
-    """
-    rows = []
-    for u in points:
-        x0, x1, x2, x3 = u.minkowski()
-        rows.append([-x0, x1, x2, x3])
-    _, s, vt = np.linalg.svd(np.array(rows))
-    p = vt[-1]
-    u = HermitianPoint.from_minkowski(*p)
-    # normalize to unit spacelike Minkowski norm when possible
-    n2 = -u.det()
-    if n2 > 1e-20:
-        u = u.scale(1.0 / math.sqrt(n2))
-    return u
-
-
 def _fit_functionals(net: EquidistantNet):
     """Per face: (P, c) with <f, P> = c on the face point and its neighbors."""
-    from .moebius import inner
-
     disk = net.disk
     for fidx, (i, j, k) in enumerate(disk.faces):
         tang = [horosphere(net.gauss[v], 1.0).u for v in (i, j, k)]
-        p = _ideal_functional(tang)
+        p = ideal_circle_normal(tang)
         c = inner(net.f[fidx], p)
         net.functionals[fidx] = (p, c)
 
@@ -125,8 +103,6 @@ def build_equidistant(
 
 def verify_equidistant(net: EquidistantNet) -> EquidistantReport:
     """Reality of the transition eigenvalues and co-sphericity of vertex stars."""
-    from .moebius import inner
-
     eig = 0.0
     for e, lam in net.lambdas.items():
         eig = max(eig, abs(lam.imag) / abs(lam))

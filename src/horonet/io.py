@@ -80,7 +80,7 @@ def load_cross_ratios(disk: TriangulatedDisk, doc: dict) -> CrossRatioSystem:
     return CrossRatioSystem(disk, values)
 
 
-def save_toda(cell, q) -> dict:
+def save_toda(q) -> dict:
     return {
         "edges": [
             {"i": i, "j": j, "q_re": q[(i, j)].real, "q_im": q[(i, j)].imag}
@@ -167,35 +167,28 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def export_net_obj(net: HorosphericalNet, arc_samples: int = 16) -> str:
-    """OBJ with vertices in Poincare ball coordinates.
+def _sampled_geometry(net: HorosphericalNet, arc_samples: int):
+    """Ball-coordinate vertices, edge polylines and dual-face fan triangles.
 
-    Edges become ``l`` polylines sampled along their arcs; the dual face of
-    each interior primal vertex becomes a fan of triangles sampled in its
-    chart and mapped back.  Deterministic ordering throughout.
+    Indices are 0-based into the vertex list, whose first entries are the
+    face points in face order.  Edges are sampled along their arcs; the dual
+    face of each interior primal vertex becomes a fan of triangles sampled
+    in its chart and mapped back.  A degenerate net has only face points.
     """
     net.require_measured()
     disk = net.disk
-    lines = ["# horospherical net"]
-    vertex_count = 0
-    face_points = {}
-
-    def emit(x):
-        nonlocal vertex_count
-        bx, by, bz = to_poincare_ball(x)
-        lines.append(f"v {_fmt(bx)} {_fmt(by)} {_fmt(bz)}")
-        vertex_count += 1
-        return vertex_count
-
-    for fidx in range(disk.n_faces):
-        face_points[fidx] = emit(net.f[fidx])
-
-    if net.degenerate:
-        lines.append("# degenerate net: all dual vertices coincide")
-        return "\n".join(lines) + "\n"
-
+    vertices = [to_poincare_ball(x) for x in net.f]
     polylines = []
-    patches = []
+    triangles = []
+    if net.degenerate:
+        return vertices, polylines, triangles
+
+    def emit(inverse, w):
+        vertices.append(
+            to_poincare_ball(act_on_hermitian(inverse, from_upper_half_space(w, 1.0)))
+        )
+        return len(vertices) - 1
+
     for v in disk.interior_vertices:
         chart = _chart(net, v)
         inverse = chart.map.inverse()
@@ -208,21 +201,16 @@ def export_net_obj(net: HorosphericalNet, arc_samples: int = 16) -> str:
             w_b = chart.w_face[faces[(m + 1) % n]]
             j = ring[(m + 1) % n]
             samples = _arc_samples(net, chart, j, w_a, w_b, arc_samples)
-            ids = [face_points[faces[m]]]
-            for w in samples[1:-1]:
-                ids.append(emit(act_on_hermitian(inverse, from_upper_half_space(w, 1.0))))
-            ids.append(face_points[faces[(m + 1) % n]])
+            ids = [faces[m]]
+            ids += [emit(inverse, w) for w in samples[1:-1]]
+            ids.append(faces[(m + 1) % n])
             polylines.append(ids)
             boundary_ids.extend(ids[:-1])
         centroid = sum(chart.w_face[f] for f in faces) / n
-        cid = emit(act_on_hermitian(inverse, from_upper_half_space(centroid, 1.0)))
+        cid = emit(inverse, centroid)
         for a, b in zip(boundary_ids, boundary_ids[1:] + boundary_ids[:1]):
-            patches.append((cid, a, b))
-    for ids in polylines:
-        lines.append("l " + " ".join(str(i) for i in ids))
-    for (a, b, c) in patches:
-        lines.append(f"f {a} {b} {c}")
-    return "\n".join(lines) + "\n"
+            triangles.append((cid, a, b))
+    return vertices, polylines, triangles
 
 
 def _arc_samples(net, chart, j, w_a, w_b, count):
@@ -238,29 +226,39 @@ def _arc_samples(net, chart, j, w_a, w_b, count):
     ]
 
 
+def export_net_obj(net: HorosphericalNet, arc_samples: int = 16) -> str:
+    """OBJ with vertices in Poincare ball coordinates.
+
+    Edges become ``l`` polylines sampled along their arcs; the dual face of
+    each interior primal vertex becomes a fan of triangles sampled in its
+    chart and mapped back.  Deterministic ordering throughout.
+    """
+    vertices, polylines, triangles = _sampled_geometry(net, arc_samples)
+    lines = ["# horospherical net"]
+    lines += ["v " + " ".join(map(_fmt, v)) for v in vertices]
+    if net.degenerate:
+        lines.append("# degenerate net: all dual vertices coincide")
+    lines += ["l " + " ".join(str(i + 1) for i in ids) for ids in polylines]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for (a, b, c) in triangles]
+    return "\n".join(lines) + "\n"
+
+
 def export_net_ply(net: HorosphericalNet, arc_samples: int = 16) -> str:
     """ASCII PLY of the same sampled geometry as the OBJ exporter."""
-    obj = export_net_obj(net, arc_samples)
-    verts = []
-    tris = []
-    for line in obj.splitlines():
-        if line.startswith("v "):
-            verts.append(line.split()[1:])
-        elif line.startswith("f "):
-            tris.append([int(s) - 1 for s in line.split()[1:]])
+    vertices, _, triangles = _sampled_geometry(net, arc_samples)
     head = [
         "ply",
         "format ascii 1.0",
-        f"element vertex {len(verts)}",
+        f"element vertex {len(vertices)}",
         "property double x",
         "property double y",
         "property double z",
-        f"element face {len(tris)}",
+        f"element face {len(triangles)}",
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    body = [" ".join(v) for v in verts] + [
-        "3 " + " ".join(str(i) for i in t) for t in tris
+    body = [" ".join(map(_fmt, v)) for v in vertices] + [
+        "3 " + " ".join(str(i) for i in t) for t in triangles
     ]
     return "\n".join(head + body) + "\n"
 

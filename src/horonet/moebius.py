@@ -18,6 +18,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     CoincidentPoints,
     DegenerateTriple,
@@ -28,7 +30,6 @@ from .errors import (
 
 TOL_ALGEBRAIC = 1e-12
 TOL_GEOMETRIC = 1e-10
-TOL_HERMITIAN = 1e-13
 # det x = a d - |b|^2 and the pairing <x, y> of float Hermitian points are
 # known only to a few ulps of the terms they cancel; hyperboloid checks
 # allow this many of them on top of their absolute tolerance.
@@ -232,18 +233,6 @@ class HermitianPoint:
     d: float
 
     @staticmethod
-    def from_matrix(a, b, c, d, tol: float = TOL_HERMITIAN) -> "HermitianPoint":
-        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-        scale = max(abs(a), abs(b), abs(c), abs(d), 1.0)
-        if (
-            abs(a.imag) > tol * scale
-            or abs(d.imag) > tol * scale
-            or abs(b - c.conjugate()) > tol * scale
-        ):
-            raise NotInHyperboloid("matrix is not Hermitian within tolerance")
-        return HermitianPoint(a.real, (b + c.conjugate()) / 2.0, d.real)
-
-    @staticmethod
     def identity() -> "HermitianPoint":
         return HermitianPoint(1.0, 0.0j, 1.0)
 
@@ -275,14 +264,29 @@ class HermitianPoint:
         slack = tol + DET_ULPS * 2.0**-53 * (abs(self.a * self.d) + abs(self.b) ** 2)
         return abs(self.det() - 1.0) <= slack and self.trace() > 0
 
-    def is_light_cone(self, tol: float = TOL_GEOMETRIC) -> bool:
-        norm = max(abs(self.a), abs(self.b), abs(self.d), 1.0)
-        return abs(self.det()) <= tol * norm * norm and self.trace() > 0
-
 
 def inner(u: HermitianPoint, v: HermitianPoint) -> float:
     """Minkowski bilinear form <U, V> = -1/2 trace(U cof(V)); <U,U> = -det U."""
     return -(u.a * v.d + u.d * v.a - 2.0 * (u.b * v.b.conjugate()).real) / 2.0
+
+
+def ideal_circle_normal(points) -> HermitianPoint:
+    """Spacelike Hermitian P with <U, P> = 0 for the given light-cone points.
+
+    The null space of the three Minkowski pairings; P spans the 1-dim
+    orthogonal complement of the ideal circle through the points, and is
+    scaled to <P, P> = 1 when that norm is not negligible.
+    """
+    rows = []
+    for u in points:
+        x0, x1, x2, x3 = u.minkowski()
+        rows.append([-x0, x1, x2, x3])
+    _, _, vt = np.linalg.svd(np.array(rows))
+    p = HermitianPoint.from_minkowski(*vt[-1].tolist())
+    n2 = -p.det()
+    if n2 > 1e-20:
+        p = p.scale(1.0 / math.sqrt(n2))
+    return p
 
 
 def act_on_hermitian(m: MoebiusMap, u: HermitianPoint) -> HermitianPoint:

@@ -50,9 +50,6 @@ class MoebiusFrame:
     def disk(self) -> TriangulatedDisk:
         return self.source.disk
 
-    def map_of(self, face: int) -> MoebiusMap:
-        return self.maps[face]
-
     def inverse(self) -> "MoebiusFrame":
         """Frame from target to source (per-face inverse)."""
         inv = MoebiusFrame(

@@ -49,9 +49,6 @@ class CellDecomposition:
             v for v in range(self.n_vertices) if not self._boundary[v]
         )
 
-    def is_interior_vertex(self, v):
-        return not self._boundary[v]
-
     def ring(self, v):
         return self._ring[v]
 

@@ -202,6 +202,50 @@ class TestIntegratedMeanCurvature:
         assert worst > 1e-3
 
 
+def _newton_offset(x: HermitianPoint, horos, t: float) -> HermitianPoint:
+    """Newton/lstsq solve of the offset incidences, the former package path.
+
+    Kept as the reference for the closed form in ``parallel_net``; it covers
+    non-coincident horospheres only.
+    """
+
+    def minkowski_rows(points):
+        rows = []
+        for u in points:
+            x0, x1, x2, x3 = u.minkowski()
+            rows.append([x0, -x1, -x2, -x3])  # row v: -<x, u> = x0 u0 - x.u
+        return np.array(rows)
+
+    us = [h.u for h in horos]
+    scale = math.exp(t)
+    a_rows = minkowski_rows([u.scale(scale) for u in us])
+    guess = np.array(x.minkowski())
+    # initial velocity: <v, u_m> constraints linearized at t = 0
+    vel_rows = np.vstack([a_rows / scale, minkowski_rows([x])])
+    vel_rhs = np.array([1.0, 1.0, 1.0, 0.0])
+    v, *_ = np.linalg.lstsq(vel_rows, vel_rhs, rcond=None)
+    y = guess + t * v
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    floor = 1e-13 * max(1.0, float(np.abs(a_rows).max())) * max(
+        1.0, float(np.abs(y).max())
+    )
+    best = math.inf
+    for _ in range(60):
+        res = np.concatenate([a_rows @ y - 1.0, [y @ eta @ y + 1.0]])
+        err = float(np.max(np.abs(res)))
+        if err < floor or (err < 1e-9 and err >= 0.5 * best):
+            break  # converged, or stalled at the roundoff floor
+        best = min(best, err)
+        jac = np.vstack([a_rows, 2.0 * (eta @ y)])
+        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+        y = y + step
+    else:
+        raise OffsetTooLarge(f"Newton offset did not converge (t={t})")
+    if y[0] <= 0:
+        raise OffsetTooLarge("offset intersection left the upper hyperboloid")
+    return HermitianPoint.from_minkowski(*y)
+
+
 class TestParallel:
     def test_flat_exponential_law(self, hex_fan):
         pts = [cmath.exp(1j * math.pi / 3 * k) for k in range(6)]
@@ -211,9 +255,34 @@ class TestParallel:
             assert abs(off.area[0] - math.exp(-2 * t) * net.area[0]) < 1e-10
 
     def test_derivative_is_minus_two_h(self, toda_net):
-        table = parallel_area_derivative(toda_net)
-        for v, (deriv, ref) in table.items():
-            assert abs(deriv - ref) <= 1e-5 * abs(ref)
+        # the 12x12 net is where the Newton offset used to stall
+        cell, _, sol = square_grid_toda(12, 12)
+        for net in (toda_net, cmc1_from_toda(cell, sol, 0.05)):
+            table = parallel_area_derivative(net)
+            for v, (deriv, ref) in table.items():
+                assert abs(deriv - ref) <= 1e-5 * abs(ref)
+
+    def test_matches_newton_reference(self):
+        cell, _, sol = square_grid_toda(6, 6)
+        net = cmc1_from_toda(cell, sol, 0.05)
+
+        def reference_points(t):
+            return [
+                _newton_offset(x, [net.horospheres[v] for v in net.disk.faces[fidx]], t)
+                for fidx, x in enumerate(net.f)
+            ]
+
+        # the horospheres stop meeting at t = log(1.5) / 2 = 0.20273
+        for t in (0.01, -0.05, 0.2026):
+            off = parallel_net(net, t)
+            for y, ref in zip(off.f, reference_points(t)):
+                scale = max(abs(ref.a), abs(ref.b), abs(ref.d))
+                gap = max(abs(y.a - ref.a), abs(y.b - ref.b), abs(y.d - ref.d))
+                assert gap <= 1e-10 * scale
+        with pytest.raises(OffsetTooLarge):
+            parallel_net(net, 0.2028)
+        with pytest.raises(OffsetTooLarge):
+            reference_points(0.2028)
 
     def test_offset_too_large(self, toda_net):
         with pytest.raises(OffsetTooLarge):

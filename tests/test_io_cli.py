@@ -62,8 +62,8 @@ class TestJson:
             assert m.frobenius_distance(n) < 1e-12
 
     def test_toda_round_trip(self):
-        cell, _, sol = square_grid_toda(3, 3)
-        doc = hio.save_toda(cell, sol.q)
+        _, _, sol = square_grid_toda(3, 3)
+        doc = hio.save_toda(sol.q)
         q = hio.load_toda(doc)
         assert q == sol.q
 
