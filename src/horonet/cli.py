@@ -9,25 +9,23 @@ import math
 import sys
 
 from . import io as hio
-from .cmc1 import build_cmc1, dual_surface
+from .cmc1 import TOL_SHEAR, build_cmc1, dual_surface
 from .convergence import (
     JETS,
     frame_convergence,
     jet_identity,
     surface_convergence,
 )
-from .equidistant import build_equidistant, verify_equidistant
+from .equidistant import TOL_ANGLE, build_equidistant, verify_equidistant
 from .errors import HoronetError
 from .mesh import LatticeSpec
 from .minimal import minimal_surface, osculating_vector_field
-from .pattern import cross_ratios_of, verify_closure
+from .pattern import TOL_CLOSURE, cross_ratios_of, verify_closure
 from .toda import (
     cmc1_from_toda,
     equidistant_from_toda,
     square_grid_toda,
 )
-
-CLOSURE_TOL = 1e-10
 
 
 def _read_json(path):
@@ -192,7 +190,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="verify cross-ratio closure of a pattern")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--tol-closure", type=float, default=CLOSURE_TOL)
+    p.add_argument("--tol-closure", type=float, default=TOL_CLOSURE)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("cmc1", help="build a discrete CMC-1 net from two patterns")
@@ -202,7 +200,7 @@ def build_parser():
     p.add_argument("--report", default=None)
     p.add_argument("--frame-out", default=None)
     p.add_argument("--arc-samples", type=int, default=16)
-    p.add_argument("--tol-shear", type=float, default=1e-9)
+    p.add_argument("--tol-shear", type=float, default=TOL_SHEAR)
     p.set_defaults(func=cmd_cmc1)
 
     p = sub.add_parser("equidistant", help="build an equidistant net from two patterns")
@@ -210,7 +208,7 @@ def build_parser():
     p.add_argument("--b", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--frame-out", default=None)
-    p.add_argument("--tol-angle", type=float, default=1e-9)
+    p.add_argument("--tol-angle", type=float, default=TOL_ANGLE)
     p.set_defaults(func=cmd_equidistant)
 
     p = sub.add_parser("toda", help="nets from the square-grid Toda family")

@@ -48,9 +48,7 @@ from .osculating import (
 from .pattern import CirclePattern, cross_ratios_of, shear_match
 
 TOL_SHEAR = 1e-9
-TOL_NET = 1e-9
 TOL_DEGENERATE = 1e-12
-TOL_INVERSE = 1e-8
 
 
 @dataclass
@@ -477,7 +475,7 @@ def dual_surface(net: HorosphericalNet) -> HorosphericalNet:
     return _net_from_frame(net.frame.inverse(), check_consistency=False)
 
 
-def extract_patterns(net: HorosphericalNet, tol: float = TOL_INVERSE):
+def extract_patterns(net: HorosphericalNet):
     """Inverse direction: recover (z, z~, frame) from a measured CMC-1 net.
 
     Only measured geometry enters: lambda = exp(i (ell/2) tan(alpha/2)) per
@@ -506,5 +504,5 @@ def extract_patterns(net: HorosphericalNet, tol: float = TOL_INVERSE):
             )
         lam[(i, j)] = cmath.exp(0.5j * s)
 
-    source, frame = integrate_eta(gauss_pattern, net.f, lam, tol)
+    source, frame = integrate_eta(gauss_pattern, net.f, lam)
     return source, gauss_pattern, frame

@@ -42,6 +42,8 @@ from .osculating import (
 from .pattern import CirclePattern, cross_ratios_of
 
 GRAD_TOL = 1e-12
+NEWTON_MAX_ITER = 50
+TOL_SCHWARZIAN_SHEAR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -163,8 +165,6 @@ def _angle_defects(patch: LatticePatch, u, base_log_len, interior_index):
 def shear_preserving_solve(
     patch: LatticePatch,
     jet: Jet,
-    grad_tol: float = GRAD_TOL,
-    max_iter: int = 50,
 ) -> CirclePattern:
     """Delaunay pattern sharing the lattice's shear coordinates.
 
@@ -185,9 +185,9 @@ def shear_preserving_solve(
         f_val, (rows, cols, vals) = _angle_defects(
             patch, u, base_log_len, interior_index
         )
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             err = np.abs(f_val).max()
-            if err <= grad_tol:
+            if err <= GRAD_TOL:
                 break
             keep = [m for m, c in enumerate(cols) if c in interior_index]
             jac = sp.csr_matrix(
@@ -211,7 +211,7 @@ def shear_preserving_solve(
                 )
                 if np.abs(f_trial).max() < (1.0 - 0.25 * s) * err or np.abs(
                     f_trial
-                ).max() <= grad_tol:
+                ).max() <= GRAD_TOL:
                     u, f_val, (rows, cols, vals) = trial, f_trial, jac_trial
                     break
                 s /= 2.0
@@ -279,7 +279,6 @@ def discrete_schwarzian(
     x_target,
     patch: LatticePatch,
     k: int,
-    shear_tol: float = 1e-8,
 ):
     """Field s_k(v) = log(X~/X)(e) / (i eps^2), e the edge v -> shift_k(v)."""
     disk = patch.disk
@@ -290,7 +289,7 @@ def discrete_schwarzian(
         if w is None or not disk.is_interior_edge(v, w):
             continue
         ratio = cmath.log(x_target.x(v, w) / x.x(v, w))
-        if abs(ratio.real) > shear_tol:
+        if abs(ratio.real) > TOL_SCHWARZIAN_SHEAR:
             raise NotShearMatched(
                 f"|Re log (X~/X)| = {abs(ratio.real):.2e} on edge ({v},{w})"
             )

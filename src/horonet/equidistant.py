@@ -145,7 +145,7 @@ def _geometric_lambda(net: EquidistantNet, i: int, j: int):
     return math.sqrt(lam2), coll
 
 
-def extract_equidistant_patterns(net: EquidistantNet, tol: float = 1e-8):
+def extract_equidistant_patterns(net: EquidistantNet):
     """Recover (z, z~, frame) from an equidistant net by eta integration."""
     disk = net.disk
     gauss_pattern = CirclePattern(disk, net.gauss)
@@ -160,5 +160,5 @@ def extract_equidistant_patterns(net: EquidistantNet, tol: float = 1e-8):
                 f"through the tangencies (residual {coll:.2e})"
             )
         lam[(i, j)] = val
-    source, frame = integrate_eta(gauss_pattern, net.f, lam, tol)
+    source, frame = integrate_eta(gauss_pattern, net.f, lam)
     return source, gauss_pattern, frame

@@ -28,8 +28,8 @@ from .errors import (
     SingularMatrix,
 )
 
-TOL_ALGEBRAIC = 1e-12
 TOL_GEOMETRIC = 1e-10
+TOL_HYPERBOLOID = 1e-8
 # det x = a d - |b|^2 and the pairing <x, y> of float Hermitian points are
 # known only to a few ulps of the terms they cancel; hyperboloid checks
 # allow this many of them on top of their absolute tolerance.
@@ -353,14 +353,14 @@ def horosphere(z, r: float) -> Horosphere:
 
 def on_horosphere(x: HermitianPoint, h: Horosphere, tol: float = TOL_GEOMETRIC):
     """Incidence test -<x, U> = 1; returns (bool, residual)."""
-    if not x.is_hyperboloid(1e-8):
+    if not x.is_hyperboloid(TOL_HYPERBOLOID):
         raise NotInHyperboloid("incidence test requires a hyperboloid point")
     residual = abs(-inner(x, h.u) - 1.0)
     return residual <= tol, residual
 
 
 def hyperbolic_distance(x: HermitianPoint, y: HermitianPoint) -> float:
-    if not x.is_hyperboloid(1e-8) or not y.is_hyperboloid(1e-8):
+    if not x.is_hyperboloid(TOL_HYPERBOLOID) or not y.is_hyperboloid(TOL_HYPERBOLOID):
         raise NotInHyperboloid("distance requires hyperboloid points")
     c = -inner(x, y)
     roundoff = 2.0**-53 * (
@@ -372,7 +372,7 @@ def hyperbolic_distance(x: HermitianPoint, y: HermitianPoint) -> float:
 
 
 def to_poincare_ball(x: HermitianPoint):
-    if not x.is_hyperboloid(1e-8):
+    if not x.is_hyperboloid(TOL_HYPERBOLOID):
         raise NotInHyperboloid("ball coordinates require a hyperboloid point")
     x0, x1, x2, x3 = x.minkowski()
     s = 1.0 + x0

@@ -34,6 +34,8 @@ from .moebius import (
 from .pattern import CirclePattern, CrossRatioSystem, cross_ratios_of
 
 TOL_TRANSITION = 1e-10
+TOL_ANCHOR = 1e-14
+TOL_ETA = 1e-8
 
 
 @dataclass
@@ -160,8 +162,8 @@ def coherent_lift(
     maps = list(frame.maps)
     # root sign: (2,2) entry argument in (-pi/2, pi/2]
     m = maps[0]
-    anchor = m.d if abs(m.d) > 1e-14 else next(
-        e for e in m.entries() if abs(e) > 1e-14
+    anchor = m.d if abs(m.d) > TOL_ANCHOR else next(
+        e for e in m.entries() if abs(e) > TOL_ANCHOR
     )
     phi = cmath.phase(anchor)
     if phi <= -math.pi / 2 or phi > math.pi / 2:
@@ -220,7 +222,7 @@ def vertex_monodromy(frame: MoebiusFrame, v: int) -> MoebiusMap:
     return prod
 
 
-def integrate_eta(gauss: CirclePattern, f, lam, tol: float):
+def integrate_eta(gauss: CirclePattern, f, lam):
     """Frame A with A A* = f from measured eigenvalues on the Gauss pattern.
 
     ``lam`` maps each interior edge (i, j), i < j, to the eigenvalue of
@@ -250,7 +252,7 @@ def integrate_eta(gauss: CirclePattern, f, lam, tol: float):
             w = ring[(m + 1) % len(ring)]
             prod = eta_for(v, w).inverse().compose(prod)
         worst = max(worst, prod.frobenius_distance(MoebiusMap.identity()))
-    if worst > tol:
+    if worst > TOL_ETA:
         raise EtaNotClosed(f"per-vertex eta product deviates from I by {worst:.2e}")
 
     b_maps: list = [None] * disk.n_faces
@@ -280,7 +282,7 @@ def integrate_eta(gauss: CirclePattern, f, lam, tol: float):
             )
             / scale,
         )
-    if residual > 100 * tol:
+    if residual > 100 * TOL_ETA:
         raise EtaNotClosed(f"integrated frame fails A A* = f by {residual:.2e}")
 
     z = [
@@ -306,41 +308,16 @@ def compose_frames(f1: MoebiusFrame, f2: MoebiusFrame) -> MoebiusFrame:
     return MoebiusFrame(f1.source, f2.target, maps)
 
 
-class SqrtBranch:
-    """Continuation state for h'(z)^{3/2} along a caller-supplied path.
-
-    The branch is tracked relative to the principal value; it flips
-    whenever the continuous path of h'(z)^3 crosses the negative real
-    axis.  Callers step through nearby points (a polyline from the base
-    point); each step picks the candidate closest to the previous value.
-    """
-
-    def __init__(self):
-        self.prev: complex | None = None
-
-    def resolve(self, w_cubed: complex) -> complex:
-        """Square root of w_cubed continued from the previous call."""
-        principal = cmath.sqrt(w_cubed)
-        if self.prev is None:
-            self.prev = principal
-            return principal
-        if abs(principal - self.prev) <= abs(principal + self.prev):
-            self.prev = principal
-        else:
-            self.prev = -principal
-        return self.prev
-
-
-def smooth_osculating(h, h1, h2, z: complex, branch: SqrtBranch | None = None) -> MoebiusMap:
+def smooth_osculating(h, h1, h2, z: complex) -> MoebiusMap:
     """Moebius map matching the 2-jet of h at z (value, h', h'').
 
-    ``branch`` threads the square root of h'(z)^3 between successive calls;
-    omitted, the principal branch is used pointwise.
+    The square root of h'(z)^3 is the principal one, taken pointwise;
+    convergence._threaded_references continues its sign along a dual tree.
     """
     hv, d1, d2 = h(z), h1(z), h2(z)
     if d1 == 0:
         raise CriticalPoint(f"h'({z}) = 0")
-    denom = (branch or SqrtBranch()).resolve(d1 * d1 * d1)
+    denom = cmath.sqrt(d1 * d1 * d1)
     a = d1 * d1 - hv * d2 / 2.0
     b = z * hv * d2 / 2.0 + hv * d1 - z * d1 * d1
     c = -d2 / 2.0
@@ -352,10 +329,8 @@ def smooth_pair_frame(
     jet_g,
     jet_gt,
     z: complex,
-    branch_g: SqrtBranch | None = None,
-    branch_gt: SqrtBranch | None = None,
 ) -> MoebiusMap:
     """Osculating map A_g~ A_g^{-1} of a pair of locally univalent jets."""
-    ag = smooth_osculating(jet_g.f, jet_g.d1, jet_g.d2, z, branch_g)
-    agt = smooth_osculating(jet_gt.f, jet_gt.d1, jet_gt.d2, z, branch_gt)
+    ag = smooth_osculating(jet_g.f, jet_g.d1, jet_g.d2, z)
+    agt = smooth_osculating(jet_gt.f, jet_gt.d1, jet_gt.d2, z)
     return agt.compose(ag.inverse())

@@ -11,7 +11,8 @@ from .mesh import TriangulatedDisk, _canon, interior_star
 from .moebius import SpherePoint, det2, edge_cross_ratio
 
 TOL_CLOSURE_INPUT = 1e-8
-TOL_ROUNDTRIP = 1e-9
+# a closure report passes (ClosureReport.ok, ``horonet check``) within this
+TOL_CLOSURE = 1e-10
 TOL_TREE = 1e-6
 # edges with Arg X within this of the cocircular bound count as Delaunay;
 # developing accumulates O(1e-11) argument noise on exactly cocircular edges
@@ -49,14 +50,13 @@ class CrossRatioSystem:
 
     disk: TriangulatedDisk
     values: dict  # (i, j) canonical -> complex
-    args: dict = field(default_factory=dict, repr=False)
+    args: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         missing = [e for e in self.disk.interior_edges if e not in self.values]
         if missing:
             raise DegenerateFace(f"missing cross ratios on edges {missing[:4]}")
-        if not self.args:
-            self.args = {e: cmath.phase(x) for e, x in self.values.items()}
+        self.args = {e: cmath.phase(x) for e, x in self.values.items()}
 
     def x(self, i: int, j: int) -> complex:
         return self.values[_canon(i, j)]
@@ -95,7 +95,7 @@ class ClosureReport:
     branching_residual: float
     delaunay_violations: tuple
 
-    def ok(self, tol: float = 1e-10) -> bool:
+    def ok(self, tol: float = TOL_CLOSURE) -> bool:
         return (
             self.product_residual <= tol
             and self.sum_residual <= tol
@@ -148,8 +148,6 @@ def develop(
     x: CrossRatioSystem,
     seed,
     seed_face: int = 0,
-    closure_tol: float = TOL_CLOSURE_INPUT,
-    tree_tol: float = TOL_TREE,
 ) -> CirclePattern:
     """Integrate a closed cross ratio system to a realization.
 
@@ -160,10 +158,10 @@ def develop(
     ClosureViolation is raised.
     """
     report = verify_closure(x)
-    if max(report.product_residual, report.sum_residual) > closure_tol:
+    if max(report.product_residual, report.sum_residual) > TOL_CLOSURE_INPUT:
         raise ClosureViolation(
             f"closure residuals {report.product_residual:.2e}, "
-            f"{report.sum_residual:.2e} exceed {closure_tol:.1e}"
+            f"{report.sum_residual:.2e} exceed {TOL_CLOSURE_INPUT:.1e}"
         )
     seed_pts = [SpherePoint.of(p) for p in seed]
     if len(seed_pts) != 3:
@@ -190,9 +188,9 @@ def develop(
                 z[l] = z_l
             else:
                 max_mismatch = max(max_mismatch, z[l].chordal(z_l))
-    if max_mismatch > tree_tol:
+    if max_mismatch > TOL_TREE:
         raise ClosureViolation(
-            f"tree-independence residual {max_mismatch:.2e} exceeds {tree_tol:.1e}"
+            f"tree-independence residual {max_mismatch:.2e} exceeds {TOL_TREE:.1e}"
         )
     return CirclePattern(disk, z)
 

@@ -23,6 +23,10 @@ from .errors import (
 from .mesh import TriangulatedDisk, _canon, build_disk, vertex_rings
 from .pattern import CirclePattern, CrossRatioSystem, cross_ratios_of, develop
 
+TOL_LABELING = 1e-10
+POLE_MARGIN = 0.9
+TANGENT_STEPS = (1e-3, 5e-4)
+
 
 class CellDecomposition:
     """Oriented polygonal cell decomposition of a disk (faces counterclockwise)."""
@@ -145,12 +149,12 @@ class Labeling:
         return max((abs(v) for v in self.alpha.values()), default=0.0)
 
 
-def labeling_from(cell: CellDecomposition, q, tol: float = 1e-10) -> Labeling:
+def labeling_from(cell: CellDecomposition, q) -> Labeling:
     """Labeling alpha with q_ij = alpha_{ij+} - alpha_{ij-}, zero at the root.
 
     Propagates the quadrilateral constraints of the double mesh (opposite
     edges equal, differences across a primal edge equal q) breadth-first;
-    a closed loop disagreeing by more than ``tol`` raises
+    a closed loop disagreeing by more than ``TOL_LABELING`` raises
     InconsistentLabeling.  Only quads over interior primal edges constrain
     alpha; untouched boundary incidences default to zero.
     """
@@ -181,7 +185,7 @@ def labeling_from(cell: CellDecomposition, q, tol: float = 1e-10) -> Labeling:
             for (b, off) in constraints[a]:
                 val = alpha[a] - off  # off = alpha[a] - alpha[b]
                 if b in alpha:
-                    if abs(alpha[b] - val) > tol:
+                    if abs(alpha[b] - val) > TOL_LABELING:
                         raise InconsistentLabeling(
                             f"labeling loop mismatch {abs(alpha[b] - val):.2e} at {b}"
                         )
@@ -240,12 +244,11 @@ def family_xt(
     tri: TriangulatedCell,
     labeling: Labeling,
     t: complex,
-    pole_margin: float = 0.9,
 ) -> CrossRatioSystem:
     """Cross ratios X_t: scaled by (1 - t a_-)/(1 - t a_+) on primal edges."""
-    if abs(t) * labeling.max_abs() >= pole_margin:
+    if abs(t) * labeling.max_abs() >= POLE_MARGIN:
         raise PoleInFamily(
-            f"|t| max|alpha| = {abs(t) * labeling.max_abs():.3f} >= {pole_margin}"
+            f"|t| max|alpha| = {abs(t) * labeling.max_abs():.3f} >= {POLE_MARGIN}"
         )
     base = cross_ratios_of(CirclePattern(tri.disk, tri.positions))
     values = {}
@@ -271,13 +274,10 @@ def cmc1_from_toda(
     cell: CellDecomposition,
     labeling_or_q,
     t: float,
-    rule: str = "lex",
 ) -> HorosphericalNet:
     """Discrete CMC-1 net of the pair (z_{it}, z_{-it}) for real t > 0."""
-    labeling = _as_labeling(cell, labeling_or_q)
-    if max(abs(v.imag) for v in labeling.alpha.values()) > 1e-12:
-        raise InconsistentLabeling("CMC-1 production needs a real labeling")
-    tri = triangulate(cell, rule)
+    labeling = _real_labeling(cell, labeling_or_q, "CMC-1")
+    tri = triangulate(cell)
     x_plus = family_xt(tri, labeling, 1j * t)
     x_minus = family_xt(tri, labeling, -1j * t)
     for x in (x_plus, x_minus):
@@ -293,13 +293,10 @@ def equidistant_from_toda(
     cell: CellDecomposition,
     labeling_or_q,
     t: float,
-    rule: str = "lex",
 ) -> EquidistantNet:
     """Equidistant net of the angle-preserving pair (z, z_t) for real t."""
-    labeling = _as_labeling(cell, labeling_or_q)
-    if max(abs(v.imag) for v in labeling.alpha.values()) > 1e-12:
-        raise InconsistentLabeling("equidistant production needs a real labeling")
-    tri = triangulate(cell, rule)
+    labeling = _real_labeling(cell, labeling_or_q, "equidistant")
+    tri = triangulate(cell)
     x_t = family_xt(tri, labeling, t)
     bad = x_t.delaunay_violations()
     if bad:
@@ -315,19 +312,24 @@ def _as_labeling(cell, labeling_or_q) -> Labeling:
     return labeling_from(cell, labeling_or_q)
 
 
+def _real_labeling(cell, labeling_or_q, production: str) -> Labeling:
+    labeling = _as_labeling(cell, labeling_or_q)
+    if max(abs(v.imag) for v in labeling.alpha.values()) > 1e-12:
+        raise InconsistentLabeling(f"{production} production needs a real labeling")
+    return labeling
+
+
 def tangent_check(
     cell: CellDecomposition,
     q,
-    rule: str = "lex",
-    steps=(1e-3, 5e-4),
 ) -> float:
     """Residual of d/dt log X_t |_{t=0} against q (zero on diagonals)."""
     labeling = _as_labeling(cell, q)
     if isinstance(q, TodaSolution):
         q = q.q
-    tri = triangulate(cell, rule)
+    tri = triangulate(cell)
     derivs = []
-    for h in steps:
+    for h in TANGENT_STEPS:
         xp = family_xt(tri, labeling, h)
         xm = family_xt(tri, labeling, -h)
         derivs.append(
@@ -337,7 +339,7 @@ def tangent_check(
             }
         )
     # Richardson on the central differences (error O(h^2))
-    r = (steps[0] / steps[1]) ** 2
+    r = (TANGENT_STEPS[0] / TANGENT_STEPS[1]) ** 2
     worst = 0.0
     for e in tri.disk.interior_edges:
         d = (r * derivs[1][e] - derivs[0][e]) / (r - 1.0)

@@ -1,5 +1,5 @@
-"""Package modules carry no dead names: every import, parameter and
-definition is used."""
+"""Package modules carry no dead names: every import, parameter,
+definition and constant is used, and every default is overridden somewhere."""
 
 import ast
 from pathlib import Path
@@ -61,7 +61,7 @@ def referenced_names(source: str):
     """Names a module uses: loaded names, attributes and imported names."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -82,6 +82,96 @@ def unreferenced_definitions(source: str, used: set):
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in used
     )
+
+
+def unreferenced_constants(source: str, used: set):
+    """(line, name) of each module-level UPPER_CASE constant not in ``used``."""
+    found = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        )
+        found += [
+            (node.lineno, t.id)
+            for t in targets
+            if isinstance(t, ast.Name) and t.id.isupper() and t.id not in used
+        ]
+    return sorted(found)
+
+
+def _callee(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def call_bindings(source: str):
+    """Callee name -> list of (positional count, keyword names, starred).
+
+    ``partial(f, ...)`` counts as a call of ``f``; a call with ``*args`` or
+    ``**kw`` is marked starred, binding every parameter.
+    """
+    calls = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _callee(node.func), node.args
+        if name == "partial" and args:
+            name, args = _callee(args[0]), args[1:]
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in args) or any(
+            k.arg is None for k in node.keywords
+        )
+        calls.setdefault(name, []).append(
+            (len(args), {k.arg for k in node.keywords}, starred)
+        )
+    return calls
+
+
+def unbound_defaults(source: str, calls: dict):
+    """(line, function, parameter) for each defaulted parameter no call binds.
+
+    Methods skip ``self``/``cls`` when counting positional arguments, and
+    ``__init__`` is called by its class name.
+    """
+    tree = ast.parse(source)
+    owner = {
+        id(item): cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        static = any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list
+        )
+        offset = 1 if id(node) in owner and not static else 0
+        name = owner.get(id(node)) if node.name == "__init__" else node.name
+        positional = args.posonlyargs + args.args
+        defaulted = [
+            (a.arg, index - offset)
+            for index, a in enumerate(positional)
+            if index >= len(positional) - len(args.defaults)
+        ] + [
+            (a.arg, None)
+            for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None
+        ]
+        for param, index in defaulted:
+            if not any(
+                starred or param in keywords or (index is not None and n > index)
+                for n, keywords, starred in calls.get(name, ())
+            ):
+                found.append((node.lineno, node.name, param))
+    return sorted(found)
 
 
 def test_checker_flags_unused_names():
@@ -125,6 +215,53 @@ def test_checker_flags_unreferenced_definitions():
     assert unreferenced_definitions(source, used) == [(6, "dead"), (10, "orphan")]
 
 
+def test_checker_flags_unreferenced_constants():
+    source = (
+        "TOL_A = 1\n"
+        "TOL_B: float = 2\n"
+        "TOL_C = TOL_A\n"
+        "lower = 3\n"
+        "def f():\n"
+        "    TOL_D = 4\n"
+        "    return TOL_D\n"
+    )
+    used = referenced_names(source) | referenced_names("import m\nm.TOL_C\n")
+    assert unreferenced_constants(source, used) == [(2, "TOL_B")]
+
+
+def test_checker_flags_unbound_defaults():
+    source = (
+        "from functools import partial\n"
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0, y=0):\n"
+        "        pass\n"
+        "    def m(self, p=0, q=0):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def s(u=0, v=0):\n"
+        "        pass\n"
+        "def g(w=0):\n"
+        "    pass\n"
+        "def h(r=0, o=0):\n"
+        "    pass\n"
+        "f(0, 1, e=5)\n"
+        "K(1).m(2)\n"
+        "K.s(3)\n"
+        "partial(g, 1)\n"
+        "h(*[])\n"
+        "h(**{})\n"
+    )
+    assert unbound_defaults(source, call_bindings(source)) == [
+        (2, "f", "c"),
+        (2, "f", "d"),
+        (5, "__init__", "y"),
+        (7, "m", "q"),
+        (10, "s", "v"),
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -142,3 +279,23 @@ def test_no_unreferenced_definitions():
         for path in MODULES
     }
     assert {name: found for name, found in dead.items() if found} == {}
+
+
+def test_no_unreferenced_constants():
+    used = set().union(*(referenced_names(p.read_text()) for p in USERS))
+    dead = {
+        path.name: unreferenced_constants(path.read_text(), used)
+        for path in MODULES
+    }
+    assert {name: found for name, found in dead.items() if found} == {}
+
+
+def test_no_unbound_defaults():
+    calls = {}
+    for path in USERS:
+        for name, bindings in call_bindings(path.read_text()).items():
+            calls.setdefault(name, []).extend(bindings)
+    unbound = {
+        path.name: unbound_defaults(path.read_text(), calls) for path in MODULES
+    }
+    assert {name: found for name, found in unbound.items() if found} == {}

@@ -9,7 +9,6 @@ from horonet.errors import MeshMismatch, NotDelaunay
 from horonet.mesh import LatticeSpec, lattice_subcomplex
 from horonet.moebius import MoebiusMap, SpherePoint
 from horonet.osculating import (
-    SqrtBranch,
     _rayleigh,
     coherent_lift,
     compose_frames,
@@ -245,17 +244,6 @@ class TestSmoothOsculating:
         assert abs(val - cmath.exp(z0)) < 1e-12
         assert abs(d1 - cmath.exp(z0)) < 1e-6
         assert abs(d2 - cmath.exp(z0)) < 1e-6
-
-    def test_branch_threading_flips_once(self):
-        # h'(z)^3 = z^3 crosses the negative real axis along this path
-        branch = SqrtBranch()
-        path = [cmath.exp(1j * t) for t in np.linspace(0.0, 2.0 * math.pi / 3 + 0.2, 40)]
-        vals = [branch.resolve(z ** 3) for z in path]
-        # continuity along the path
-        for a, b in zip(vals, vals[1:]):
-            assert abs(a - b) < 0.3
-        # end value disagrees with the pointwise principal branch
-        assert abs(vals[-1] - cmath.sqrt(path[-1] ** 3)) > 0.5
 
     def test_composition_rule(self):
         # A_{h o g} = (A_h o g) A_g for g = z^2, h = exp at real positive z
