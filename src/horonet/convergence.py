@@ -24,6 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .cmc1 import build_cmc1
 from .errors import (
+    CriticalPoint,
     DelaunayViolated,
     DomainExhausted,
     FoldOver,
@@ -178,7 +179,12 @@ def shear_preserving_solve(
         e: math.log(abs(patch.positions[e[1]] - patch.positions[e[0]]))
         for e in disk.edges
     }
-    u = np.array([math.log(abs(jet.d1(p))) for p in patch.positions])
+    u = np.empty(n)
+    for v, p in enumerate(patch.positions):
+        d1 = abs(jet.d1(p))
+        if d1 == 0:
+            raise CriticalPoint(f"h' vanishes at lattice vertex {v}, z = {p}")
+        u[v] = math.log(d1)
     interior = [v for v in range(n) if not disk.is_boundary_vertex[v]]
     interior_index = {v: m for m, v in enumerate(interior)}
     if interior:

@@ -22,10 +22,6 @@ class NotADisk(HoronetError):
     exit_code = 10
 
 
-class NonManifoldEdge(HoronetError):
-    exit_code = 11
-
-
 class InconsistentOrientation(HoronetError):
     exit_code = 12
 

@@ -1,8 +1,10 @@
-"""Oriented triangulated-disk combinatorics, dual graphs, and triangular lattices.
+"""Oriented disks of polygons, dual graphs, and triangular lattices.
 
-Faces are stored counterclockwise; the left face of the directed edge
-i -> j is the face whose boundary contains i -> j.  Edges are canonical
-unordered pairs (min, max); orientation is supplied at call sites.
+One class, ``OrientedDisk``, indexes a disk cut into counterclockwise
+polygons: the triangulated disks that carry circle patterns and the cell
+decompositions that carry Toda solutions.  The left face of the directed
+edge i -> j is the face whose boundary contains i -> j.  Edges are
+canonical unordered pairs (min, max); orientation is supplied at call sites.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from .errors import (
     BoundaryVertex,
     EmptyRegion,
     InconsistentOrientation,
-    NonManifoldEdge,
     NotADisk,
 )
 
@@ -24,149 +25,88 @@ def _canon(i: int, j: int):
     return (i, j) if i < j else (j, i)
 
 
-def vertex_rings(faces, n_vertices: int):
-    """Counterclockwise neighbour ring and boundary flag of every vertex.
+class OrientedDisk:
+    """Combinatorial disk of counterclockwise polygons with derived adjacency.
 
-    ``faces`` are counterclockwise polygons, no directed edge repeated.  An
-    interior ring is the link cycle started at the smallest neighbour; a
-    boundary ring runs along the link chain between the two boundary
-    neighbours.
-    """
-    succ = [dict() for _ in range(n_vertices)]
-    pred = [dict() for _ in range(n_vertices)]
-    for f in faces:
-        k = len(f)
-        for m, v in enumerate(f):
-            a, b = f[(m + 1) % k], f[m - 1]
-            succ[v][a] = b  # link arc a -> b, counterclockwise around v
-            pred[v][b] = a
-    rings = []
-    is_boundary = []
-    for v in range(n_vertices):
-        nbrs = set(succ[v]) | set(pred[v])
-        if not nbrs:
-            raise NotADisk(f"isolated vertex {v}")
-        starts = [a for a in nbrs if a not in pred[v]]
-        if len(starts) > 1:
-            raise NotADisk(f"pinched vertex {v} (multiple link components)")
-        start = starts[0] if starts else min(nbrs)
-        ring = [start]
-        cur = start
-        while cur in succ[v]:
-            cur = succ[v][cur]
-            if cur == start:
-                break
-            ring.append(cur)
-            if len(ring) > len(nbrs):
-                raise NotADisk(f"bad link at vertex {v}")
-        if len(ring) != len(nbrs):
-            raise NotADisk(f"pinched vertex {v} (link not a single chain)")
-        rings.append(tuple(ring))
-        is_boundary.append(bool(starts))
-    return tuple(rings), tuple(is_boundary)
-
-
-class TriangulatedDisk:
-    """Combinatorial oriented triangulation of a disk with derived adjacency.
-
-    Immutable after construction; all derived tables are built eagerly so
-    instances can be shared read-only, except that dual trees are built and
-    cached on first request.
+    Everything is derived from one table, directed edge u -> v to (face on
+    its left, vertex before u in that face).  Immutable after construction;
+    all derived tables are built eagerly so instances can be shared
+    read-only, except that dual trees are built and cached on first request.
     """
 
     def __init__(self, faces):
-        faces = [tuple(int(v) for v in f) for f in faces]
+        faces = tuple(tuple(map(int, f)) for f in faces)
         if not faces:
             raise NotADisk("empty face list")
         for f in faces:
-            if len(f) != 3 or len(set(f)) != 3:
-                raise NotADisk(f"not a triangle: {f}")
-        self.faces = tuple(faces)
-        used = sorted({v for f in faces for v in f})
-        n = used[-1] + 1
-        if used[0] < 0:
-            raise NotADisk("negative vertex id")
-        if len(used) != n:
-            raise NotADisk("vertex ids are not dense (isolated vertices)")
-        self.n_vertices = n
+            if len(f) < 3 or len(set(f)) != len(f):
+                raise NotADisk(f"not a polygon: {f}")
+        self.faces = faces
+        used = {v for f in faces for v in f}
+        n = self.n_vertices = len(used)
+        if min(used) != 0 or max(used) != n - 1:
+            raise NotADisk("vertex ids are not 0..n-1 (isolated vertices)")
         self.n_faces = len(faces)
 
-        # directed edge -> face containing it
-        self._directed_face: dict = {}
-        self._apex: dict = {}
-        for fi, (i, j, k) in enumerate(faces):
-            for (u, v, w) in ((i, j, k), (j, k, i), (k, i, j)):
-                if (u, v) in self._directed_face:
+        left = self._left = {}
+        out = [0] * n  # some w with v -> w, to start the ring walk
+        for fi, f in enumerate(faces):
+            p, u = f[-2], f[-1]
+            for v in f:
+                if (u, v) in left:
                     raise InconsistentOrientation(
                         f"directed edge {u}->{v} appears in two faces"
                     )
-                self._directed_face[(u, v)] = fi
-                self._apex[(u, v)] = w
+                left[(u, v)] = (fi, p)
+                out[u] = v
+                p, u = u, v
 
-        # undirected edges, face counts
-        edge_faces: dict = {}
-        for (u, v) in self._directed_face:
-            edge_faces.setdefault(_canon(u, v), []).append((u, v))
-        for e, dirs in edge_faces.items():
-            if len(dirs) > 2:
-                raise NonManifoldEdge(f"edge {e} has more than two faces")
-        self.edges = tuple(sorted(edge_faces))
-        self.edge_index = {e: idx for idx, e in enumerate(self.edges)}
+        self.edges = tuple(sorted({_canon(u, v) for (u, v) in left}))
         self.interior_edges = tuple(
-            e for e in self.edges if len(edge_faces[e]) == 2
+            (i, j) for (i, j) in self.edges if (i, j) in left and (j, i) in left
         )
-        self.boundary_edges = tuple(
-            e for e in self.edges if len(edge_faces[e]) == 1
-        )
-        self._is_interior_edge = {e: len(edge_faces[e]) == 2 for e in self.edges}
+        # counterclockwise around v the neighbour after w is the vertex before
+        # v in the face left of v -> w; an interior ring starts at its
+        # smallest neighbour, a boundary ring at its boundary edge v -> w
+        nxt = {u: v for (u, v) in left if (v, u) not in left}
+        rings, vertex_faces = [], []
+        walked = 0
+        for v in range(n):
+            cur = start = nxt.get(v, out[v])
+            ring, ring_faces = [cur], []
+            while (v, cur) in left:
+                fi, cur = left[(v, cur)]
+                ring_faces.append(fi)
+                if cur == start:
+                    m = ring.index(min(ring))
+                    ring = ring[m:] + ring[:m]
+                    ring_faces = ring_faces[m:] + ring_faces[:m]
+                    break
+                ring.append(cur)
+            walked += len(ring_faces)
+            rings.append(tuple(ring))
+            vertex_faces.append(tuple(ring_faces))
+        # each walk covers one link component, so a shortfall is a pinched vertex
+        if walked != len(left):
+            raise NotADisk("pinched vertex (link not a single chain)")
+        self._ring_ccw = tuple(rings)
+        self._vertex_faces_ccw = tuple(vertex_faces)
+        self.is_boundary_vertex = tuple(v in nxt for v in range(n))
+        self.interior_vertices = tuple(v for v in range(n) if v not in nxt)
 
-        # Euler characteristic of a disk
-        if self.n_vertices - len(self.edges) + self.n_faces != 1:
-            raise NotADisk("Euler characteristic is not 1")
-
-        self._ring_ccw, self.is_boundary_vertex = vertex_rings(faces, n)
-        self.interior_vertices = tuple(
-            v for v in range(n) if not self.is_boundary_vertex[v]
-        )
-        self._check_boundary_loop()
-        self._dual_trees: dict = {}
-        self._build_dual()
-
-    # -- derived structure ------------------------------------------------
-
-    def _check_boundary_loop(self):
-        nxt = {}
-        for (u, v) in self._directed_face:
-            if (v, u) not in self._directed_face:
-                # boundary directed edge u->v has the face on its left;
-                # the boundary loop runs v->u ... keep orientation u->v
-                if u in nxt:
-                    raise NotADisk("boundary is not a single loop")
-                nxt[u] = v
-        if not nxt:
-            raise NotADisk("no boundary (closed surface)")
-        start = next(iter(nxt))
-        cur, count = start, 0
-        while True:
-            cur = nxt[cur]
-            count += 1
-            if cur == start:
-                break
-            if count > len(nxt):
-                raise NotADisk("boundary walk does not close")
-        if count != len(nxt):
-            raise NotADisk("multiple boundary loops")
-
-    def _build_dual(self):
         adj = [[] for _ in range(self.n_faces)]
         for (i, j) in self.interior_edges:
-            fl = self._directed_face[(i, j)]
-            fr = self._directed_face[(j, i)]
+            fl, fr = left[(i, j)][0], left[(j, i)][0]
             adj[fl].append((fr, (i, j)))
             adj[fr].append((fl, (j, i)))
         self.dual_adjacency = tuple(tuple(sorted(a)) for a in adj)
+        self._dual_trees: dict = {}
         if len(self.dual_tree(0)) != self.n_faces - 1:
             raise NotADisk("dual graph is disconnected")
+        # a connected surface with Euler characteristic 2 - 2 genus - loops
+        # equal to 1 has genus 0 and one boundary loop
+        if n - len(self.edges) + self.n_faces != 1:
+            raise NotADisk("Euler characteristic is not 1")
 
     def dual_tree(self, root: int = 0):
         """Breadth-first dual spanning tree from face ``root``, cached per root.
@@ -189,21 +129,15 @@ class TriangulatedDisk:
             tree = self._dual_trees[root] = tuple(tree)
         return tree
 
-    # -- queries -----------------------------------------------------------
-
     def is_interior_edge(self, i: int, j: int) -> bool:
-        return self._is_interior_edge.get(_canon(i, j), False)
+        return (i, j) in self._left and (j, i) in self._left
 
     def left_face(self, i: int, j: int) -> int:
         """Face containing the directed edge i -> j."""
-        return self._directed_face[(i, j)]
+        return self._left[(i, j)][0]
 
     def right_face(self, i: int, j: int) -> int:
-        return self._directed_face[(j, i)]
-
-    def apex(self, i: int, j: int) -> int:
-        """Third vertex of the face left of i -> j."""
-        return self._apex[(i, j)]
+        return self._left[(j, i)][0]
 
     def ring_ccw(self, v: int):
         """Neighbors of v in counterclockwise order (cycle if interior)."""
@@ -211,21 +145,30 @@ class TriangulatedDisk:
 
     def vertex_faces_ccw(self, v: int):
         """Faces around v in counterclockwise order."""
-        ring = self._ring_ccw[v]
-        if self.is_boundary_vertex[v]:
-            return tuple(
-                self._directed_face[(v, ring[m])] for m in range(len(ring) - 1)
-            )
-        return tuple(self._directed_face[(v, a)] for a in ring)
+        return self._vertex_faces_ccw[v]
 
     def face_vertices(self, f: int):
         return self.faces[f]
 
     def __repr__(self):
         return (
-            f"TriangulatedDisk(V={self.n_vertices}, E={len(self.edges)}, "
+            f"{type(self).__name__}(V={self.n_vertices}, E={len(self.edges)}, "
             f"F={self.n_faces})"
         )
+
+
+class TriangulatedDisk(OrientedDisk):
+    """Oriented disk whose faces are triangles."""
+
+    def __init__(self, faces):
+        super().__init__(faces)
+        for f in self.faces:
+            if len(f) != 3:
+                raise NotADisk(f"not a triangle: {f}")
+
+    def apex(self, i: int, j: int) -> int:
+        """Third vertex of the face left of i -> j."""
+        return self._left[(i, j)][1]
 
 
 def build_disk(faces) -> TriangulatedDisk:
@@ -349,32 +292,30 @@ def lattice_subcomplex(spec: LatticeSpec) -> LatticePatch:
     if not faces_nm:
         raise EmptyRegion("no lattice triangle fits in the region")
 
-    # largest dual-connected component
-    adj = {}
-    for f in faces_nm:
-        for e in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-            adj.setdefault(frozenset(e), []).append(f)
-    labels = {}
-    cur = 0
-    for f in faces_nm:
-        if f in labels:
+    # largest dual-connected component, the first one on a tie; the face
+    # across u -> v is the one owning v -> u
+    owner = {}
+    for fi, (a, b, c) in enumerate(faces_nm):
+        owner[(a, b)] = owner[(b, c)] = owner[(c, a)] = fi
+    label = [-1] * len(faces_nm)
+    sizes = []
+    for root in range(len(faces_nm)):
+        if label[root] >= 0:
             continue
-        stack = [f]
-        labels[f] = cur
+        label[root] = len(sizes)
+        stack = [root]
+        size = 0
         while stack:
-            g = stack.pop()
-            for e in ((g[0], g[1]), (g[1], g[2]), (g[2], g[0])):
-                for h in adj[frozenset(e)]:
-                    if h not in labels:
-                        labels[h] = cur
-                        stack.append(h)
-        cur += 1
-    if cur > 1:
-        sizes = [0] * cur
-        for f, lab in labels.items():
-            sizes[lab] += 1
+            a, b, c = faces_nm[stack.pop()]
+            size += 1
+            for g in (owner.get((b, a)), owner.get((c, b)), owner.get((a, c))):
+                if g is not None and label[g] < 0:
+                    label[g] = len(sizes)
+                    stack.append(g)
+        sizes.append(size)
+    if len(sizes) > 1:
         keep = sizes.index(max(sizes))
-        faces_nm = [f for f in faces_nm if labels[f] == keep]
+        faces_nm = [f for f, lab in zip(faces_nm, label) if lab == keep]
 
     used = sorted({nm for f in faces_nm for nm in f})
     vid = {nm: i for i, nm in enumerate(used)}

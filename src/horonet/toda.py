@@ -16,11 +16,12 @@ from .cmc1 import HorosphericalNet, build_cmc1
 from .equidistant import EquidistantNet, build_equidistant
 from .errors import (
     InconsistentLabeling,
+    NotADisk,
     NotDelaunayAtT,
     PoleInFamily,
     TooSmall,
 )
-from .mesh import TriangulatedDisk, _canon, build_disk, vertex_rings
+from .mesh import OrientedDisk, TriangulatedDisk, _canon, build_disk
 from .pattern import CirclePattern, CrossRatioSystem, cross_ratios_of, develop
 
 TOL_LABELING = 1e-10
@@ -28,39 +29,16 @@ POLE_MARGIN = 0.9
 TANGENT_STEPS = (1e-3, 5e-4)
 
 
-class CellDecomposition:
-    """Oriented polygonal cell decomposition of a disk (faces counterclockwise)."""
+class CellDecomposition(OrientedDisk):
+    """Oriented polygonal cell decomposition of a disk with its realization."""
 
     def __init__(self, faces, positions):
-        self.faces = tuple(tuple(int(v) for v in f) for f in faces)
+        super().__init__(faces)
         self.positions = tuple(complex(p) for p in positions)
-        self.n_vertices = len(self.positions)
-        self._directed_face = {}
-        for fi, f in enumerate(self.faces):
-            k = len(f)
-            for m in range(k):
-                u, v = f[m], f[(m + 1) % k]
-                if (u, v) in self._directed_face:
-                    raise TooSmall(f"directed edge {u}->{v} repeated")
-                self._directed_face[(u, v)] = fi
-        edge_count = {}
-        for (u, v) in self._directed_face:
-            edge_count[_canon(u, v)] = edge_count.get(_canon(u, v), 0) + 1
-        self.edges = tuple(sorted(edge_count))
-        self.interior_edges = tuple(e for e in self.edges if edge_count[e] == 2)
-        self._ring, self._boundary = vertex_rings(self.faces, self.n_vertices)
-        self.interior_vertices = tuple(
-            v for v in range(self.n_vertices) if not self._boundary[v]
-        )
-
-    def ring(self, v):
-        return self._ring[v]
-
-    def left_face(self, i, j):
-        return self._directed_face.get((i, j))
-
-    def right_face(self, i, j):
-        return self._directed_face.get((j, i))
+        if len(self.positions) != self.n_vertices:
+            raise NotADisk(
+                f"{len(self.positions)} positions for {self.n_vertices} vertices"
+            )
 
 
 def square_grid(n: int, m: int, stretch: complex = 1.0) -> CellDecomposition:
@@ -120,8 +98,8 @@ def verify_toda(cell: CellDecomposition, z, q) -> TodaReport:
     vs = 0.0
     ws = 0.0
     for v in cell.interior_vertices:
-        total = sum(q[_canon(v, w)] for w in cell.ring(v))
-        weighted = sum(q[_canon(v, w)] / (z[w] - z[v]) for w in cell.ring(v))
+        total = sum(q[_canon(v, w)] for w in cell.ring_ccw(v))
+        weighted = sum(q[_canon(v, w)] / (z[w] - z[v]) for w in cell.ring_ccw(v))
         vs = max(vs, abs(total))
         ws = max(ws, abs(weighted))
     fs = 0.0
@@ -206,7 +184,7 @@ class TriangulatedCell:
     cell: CellDecomposition
     disk: TriangulatedDisk
     positions: tuple
-    diagonal_edges: frozenset  # canonical pairs in E(TM) - E(M)
+    diagonal_edges: set  # canonical pairs in E(TM) - E(M)
 
 
 def triangulate(cell: CellDecomposition, rule: str = "lex") -> TriangulatedCell:
@@ -237,7 +215,7 @@ def triangulate(cell: CellDecomposition, rule: str = "lex") -> TriangulatedCell:
             faces.append((b, c, d))
             diagonals.add(d2)
     disk = build_disk(faces)
-    return TriangulatedCell(cell, disk, cell.positions, frozenset(diagonals))
+    return TriangulatedCell(cell, disk, cell.positions, diagonals)
 
 
 def family_xt(

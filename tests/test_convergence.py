@@ -16,7 +16,7 @@ from horonet.convergence import (
     shear_preserving_solve,
     surface_convergence,
 )
-from horonet.errors import DomainExhausted, FoldOver, NotShearMatched
+from horonet.errors import CriticalPoint, DomainExhausted, FoldOver, NotShearMatched
 from horonet.mesh import LatticeSpec, lattice_subcomplex
 from horonet.pattern import CirclePattern, cross_ratios_of, shear_match
 
@@ -190,6 +190,11 @@ class TestReports:
         errs = [r.frame_error for r in report.rows]
         assert errs[0] > errs[1]
         assert all(o >= 0.9 for o in report.orders("frame_error"))
+
+    def test_square_critical_point_in_patch(self):
+        # h'(0) = 0 at the patch's corner vertex
+        with pytest.raises(CriticalPoint, match="lattice vertex"):
+            frame_convergence(jet_square(), EQ(1.0, (0, 1, 0, 1)), [0.1, 0.05])
 
     def test_surface_report_and_hopf(self):
         report = surface_convergence(

@@ -1,5 +1,6 @@
 """Package modules carry no dead names: every import, parameter,
-definition and constant is used, and every default is overridden somewhere."""
+definition, constant and instance attribute is used, and every default is
+overridden somewhere."""
 
 import ast
 from pathlib import Path
@@ -97,6 +98,37 @@ def unreferenced_constants(source: str, used: set):
             if isinstance(t, ast.Name) and t.id.isupper() and t.id not in used
         ]
     return sorted(found)
+
+
+def read_attributes(source: str):
+    """Attribute names a module reads, directly or by a constant name given
+    to ``getattr``/``hasattr``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            names.add(node.args[1].value)
+    return names
+
+
+def unread_attributes(source: str, read: set):
+    """(line, name) of each ``self.name`` assignment whose name is not read."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr not in read
+    )
 
 
 def _callee(func):
@@ -229,6 +261,27 @@ def test_checker_flags_unreferenced_constants():
     assert unreferenced_constants(source, used) == [(2, "TOL_B")]
 
 
+def test_checker_flags_unread_attributes():
+    source = (
+        "class K:\n"
+        "    def __init__(self, name):\n"
+        "        self.a = self.b = 0\n"
+        "        self.c, self.d = 1, 2\n"
+        "        self.e: int = 3\n"
+        "        self.f = self.g = 4\n"
+        "        self.h = getattr(self, name)\n"
+        "    def m(self, other):\n"
+        "        return self.a + getattr(other, 'c') + hasattr(other, 'e')\n"
+    )
+    read = read_attributes(source) | read_attributes("k.f\n")
+    assert unread_attributes(source, read) == [
+        (3, "b"),
+        (4, "d"),
+        (6, "g"),
+        (7, "h"),
+    ]
+
+
 def test_checker_flags_unbound_defaults():
     source = (
         "from functools import partial\n"
@@ -299,3 +352,11 @@ def test_no_unbound_defaults():
         path.name: unbound_defaults(path.read_text(), calls) for path in MODULES
     }
     assert {name: found for name, found in unbound.items() if found} == {}
+
+
+def test_no_unread_attributes():
+    read = set().union(*(read_attributes(p.read_text()) for p in USERS))
+    unread = {
+        path.name: unread_attributes(path.read_text(), read) for path in MODULES
+    }
+    assert {name: found for name, found in unread.items() if found} == {}

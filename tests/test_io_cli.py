@@ -176,6 +176,16 @@ class TestCli:
         assert lines[0].startswith("eps,")
         assert len(lines) == 3
 
+    def test_converge_critical_point_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        code = main(
+            ["converge", "--case", "square", "--eps", "0.1", "--out", str(out)]
+        )
+        assert code == 42
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CriticalPoint"
+        assert not out.exists()
+
     def test_dual_subcommand(self, tmp_path, pattern_files):
         a, b = pattern_files
         frame = tmp_path / "frame.json"

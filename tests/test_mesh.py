@@ -53,6 +53,13 @@ class TestBuildDisk:
         with pytest.raises(NotADisk):
             build_disk(faces)
 
+    def test_closed_surface_rejected(self):
+        # octahedron: every edge interior, no boundary loop
+        top = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)]
+        bottom = [(5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4)]
+        with pytest.raises(NotADisk):
+            build_disk(top + bottom)
+
     def test_pinched_vertex_rejected(self):
         # two triangles sharing only vertex 0
         with pytest.raises(NotADisk):

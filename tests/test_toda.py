@@ -5,6 +5,7 @@ import pytest
 
 from horonet.errors import (
     InconsistentLabeling,
+    InconsistentOrientation,
     NotADisk,
     PoleInFamily,
     TooSmall,
@@ -43,6 +44,17 @@ class TestSquareGridToda:
     def test_unused_position_rejected(self):
         with pytest.raises(NotADisk):
             CellDecomposition([(0, 1, 2, 3)], [0, 1, 1 + 1j, 1j, 5])
+
+    def test_disjoint_cells_rejected(self):
+        square = [0, 1, 1 + 1j, 1j]
+        positions = square + [z + 3 for z in square]
+        with pytest.raises(NotADisk):
+            CellDecomposition([(0, 1, 2, 3), (4, 5, 6, 7)], positions)
+
+    def test_repeated_directed_edge_rejected(self):
+        positions = [0, 1, 1 + 1j, 1j, -1j, 1 - 1j]
+        with pytest.raises(InconsistentOrientation):
+            CellDecomposition([(0, 1, 2, 3), (0, 1, 4, 5)], positions)
 
     def test_flipped_q_detected(self):
         cell, z, sol = square_grid_toda(4, 4)
