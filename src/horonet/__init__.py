@@ -66,7 +66,6 @@ from .pattern import (
 from .toda import (
     CellDecomposition,
     Labeling,
-    TodaSolution,
     cmc1_from_toda,
     equidistant_from_toda,
     family_xt,

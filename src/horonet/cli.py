@@ -9,7 +9,7 @@ import math
 import sys
 
 from . import io as hio
-from .cmc1 import TOL_SHEAR, build_cmc1, dual_surface
+from .cmc1 import TOL_SHEAR, _net_from_frame, build_cmc1, dual_surface
 from .convergence import (
     JETS,
     frame_convergence,
@@ -62,6 +62,21 @@ def _emit_net(args, net, kind, manifest):
         _write_text(args.report, hio.dump_json(doc))
 
 
+def _emit_equidistant(args, net, manifest):
+    report = verify_equidistant(net)
+    doc = {
+        "kind": "equidistant",
+        "eigenvalue_residual": report.eigenvalue_residual,
+        "cosphericity_residual": report.cosphericity_residual,
+        "degenerate": net.degenerate,
+        "manifest": json.loads(manifest.to_json()),
+    }
+    if args.report:
+        _write_text(args.report, hio.dump_json(doc))
+    else:
+        sys.stdout.write(hio.dump_json(doc))
+
+
 def cmd_check(args):
     pattern = hio.load_pattern(_read_json(args.pattern))
     report = verify_closure(cross_ratios_of(pattern))
@@ -95,19 +110,8 @@ def cmd_equidistant(args):
     a = hio.load_pattern(_read_json(args.a))
     b = hio.load_pattern(_read_json(args.b))
     net = build_equidistant(a, b, angle_tol=args.tol_angle)
-    report = verify_equidistant(net)
-    doc = {
-        "kind": "equidistant",
-        "eigenvalue_residual": report.eigenvalue_residual,
-        "cosphericity_residual": report.cosphericity_residual,
-        "degenerate": net.degenerate,
-    }
     manifest = _manifest(args, "equidistant", [args.a, args.b], {"angle": args.tol_angle})
-    doc["manifest"] = json.loads(manifest.to_json())
-    if args.report:
-        _write_text(args.report, hio.dump_json(doc))
-    else:
-        sys.stdout.write(hio.dump_json(doc))
+    _emit_equidistant(args, net, manifest)
     if args.frame_out:
         _write_text(args.frame_out, hio.dump_json(hio.save_frame(net.frame)))
     return 0
@@ -115,24 +119,12 @@ def cmd_equidistant(args):
 
 def cmd_toda(args):
     n, m = (int(s) for s in args.grid.lower().split("x"))
-    cell, _, solution = square_grid_toda(n, m)
+    cell, _, q = square_grid_toda(n, m)
     manifest = _manifest(args, "toda", [], {"t": args.t}, seed_face=0)
     if args.mode == "cmc1":
-        net = cmc1_from_toda(cell, solution, args.t)
-        _emit_net(args, net, "cmc1", manifest)
+        _emit_net(args, cmc1_from_toda(cell, q, args.t), "cmc1", manifest)
     else:
-        net = equidistant_from_toda(cell, solution, args.t)
-        report = verify_equidistant(net)
-        doc = {
-            "kind": "equidistant",
-            "eigenvalue_residual": report.eigenvalue_residual,
-            "cosphericity_residual": report.cosphericity_residual,
-            "manifest": json.loads(manifest.to_json()),
-        }
-        if args.report:
-            _write_text(args.report, hio.dump_json(doc))
-        else:
-            sys.stdout.write(hio.dump_json(doc))
+        _emit_equidistant(args, equidistant_from_toda(cell, q, args.t), manifest)
     return 0
 
 
@@ -171,10 +163,7 @@ def cmd_converge(args):
 
 def cmd_dual(args):
     frame = hio.load_frame(_read_json(args.net_frame))
-    from .cmc1 import _net_from_frame
-
-    net = _net_from_frame(frame)
-    dual = dual_surface(net)
+    dual = dual_surface(_net_from_frame(frame))
     manifest = _manifest(args, "dual", [args.net_frame], {})
     _emit_net(args, dual, "cmc1-dual", manifest)
     return 0

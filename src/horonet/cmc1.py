@@ -18,13 +18,10 @@ from dataclasses import dataclass, field
 from .errors import (
     DegenerateFace,
     FrameUnavailable,
-    LiftFailed,
-    MonodromyObstruction,
     NonIntersectingHorospheres,
     NotCMC1,
     NotShearMatched,
     OffsetTooLarge,
-    UnmeasuredNet,
     ZeroArea,
 )
 from .mesh import TriangulatedDisk, _canon
@@ -39,12 +36,7 @@ from .moebius import (
     ideal_circle_normal,
     inner,
 )
-from .osculating import (
-    MoebiusFrame,
-    coherent_lift,
-    integrate_eta,
-    osculating_frame,
-)
+from .osculating import MoebiusFrame, coherent_frame, integrate_eta
 from .pattern import CirclePattern, cross_ratios_of, shear_match
 
 TOL_SHEAR = 1e-9
@@ -63,28 +55,29 @@ class EdgeMeasure:
 
 @dataclass
 class HorosphericalNet:
-    """Realization of the dual graph with one horosphere per primal vertex."""
+    """Realization of the dual graph with one horosphere per primal vertex.
+
+    It is measured when built; ``measure_net`` measures it again.
+    """
 
     disk: TriangulatedDisk
     f: tuple  # HermitianPoint per face
     horospheres: tuple  # Horosphere per primal vertex
     gauss: tuple  # SpherePoint per primal vertex
     frame: MoebiusFrame | None = None
-    edge_measure: dict = field(default_factory=dict, repr=False)
-    area: dict = field(default_factory=dict, repr=False)
-    mean_curvature: dict = field(default_factory=dict, repr=False)
-    ratio: dict = field(default_factory=dict, repr=False)
-    incidence_residual: float = 0.0
-    chart_residual: float = 0.0
-    degenerate: bool = False
-    measured: bool = False
+    incidence_residual: float = 0.0  # horosphere disagreement between faces
+    edge_measure: dict = field(init=False, repr=False)
+    area: dict = field(init=False, repr=False)
+    mean_curvature: dict = field(init=False, repr=False)
+    ratio: dict = field(init=False, repr=False)
+    chart_residual: float = field(init=False)
+    degenerate: bool = field(init=False)
+
+    def __post_init__(self):
+        measure_net(self)
 
     def measure_of(self, i: int, j: int) -> EdgeMeasure:
         return self.edge_measure[_canon(i, j)]
-
-    def require_measured(self):
-        if not self.measured:
-            raise UnmeasuredNet("net has not been measured yet")
 
 
 def _chart_map(net: HorosphericalNet, v: int) -> MoebiusMap:
@@ -262,7 +255,6 @@ def measure_net(net: HorosphericalNet) -> HorosphericalNet:
     net.degenerate = all(m.degenerate for m in net.edge_measure.values()) if (
         net.edge_measure
     ) else False
-    net.measured = True
     return net
 
 
@@ -284,47 +276,42 @@ def build_cmc1(
         raise NotShearMatched(
             f"shear mismatch {mismatch:.3e} exceeds {shear_tol:.1e}"
         )
-    try:
-        frame = coherent_lift(osculating_frame(source, target), x, xt)
-    except MonodromyObstruction as exc:
-        raise LiftFailed(str(exc)) from exc
-    return _net_from_frame(frame, check_consistency=True)
+    return _net_from_frame(coherent_frame(source, target, x, xt))
 
 
-def _net_from_frame(frame: MoebiusFrame, check_consistency: bool = True) -> HorosphericalNet:
+def _net_from_frame(frame: MoebiusFrame) -> HorosphericalNet:
+    """Net f = A A* with the horosphere at vertex v the image of N_{z_v, 1}.
+
+    Every incident face map carries N_{z_v, 1} to the same horosphere; the
+    worst relative disagreement is the net's incidence residual.
+    """
     disk = frame.disk
-    f = tuple(
-        act_on_hermitian(m, HermitianPoint.identity()) for m in frame.maps
-    )
     horos = []
     incidence = 0.0
     for v in range(disk.n_vertices):
-        faces = disk.vertex_faces_ccw(v)
         base = horosphere(frame.source.z[v], 1.0)
-        images = [act_on_hermitian(frame.maps[fi], base.u) for fi in faces]
-        u0 = images[0]
-        if check_consistency:
-            scale = max(abs(u0.a), abs(u0.b), abs(u0.d), 1e-30)
-            for u in images[1:]:
-                incidence = max(
-                    incidence,
-                    max(abs(u.a - u0.a), abs(u.b - u0.b), abs(u.d - u0.d)) / scale,
-                )
+        u0, *rest = (
+            act_on_hermitian(frame.maps[fi], base.u) for fi in disk.vertex_faces_ccw(v)
+        )
+        scale = max(abs(u0.a), abs(u0.b), abs(u0.d), 1e-30)
+        for u in rest:
+            incidence = max(
+                incidence,
+                max(abs(u.a - u0.a), abs(u.b - u0.b), abs(u.d - u0.d)) / scale,
+            )
         horos.append(Horosphere(u0))
-    net = HorosphericalNet(
+    return HorosphericalNet(
         disk=disk,
-        f=f,
+        f=frame.realization(),
         horospheres=tuple(horos),
         gauss=tuple(frame.target.z),
         frame=frame,
+        incidence_residual=incidence,
     )
-    net.incidence_residual = incidence
-    return measure_net(net)
 
 
 def integrated_mean_curvature(net: HorosphericalNet):
     """Per dual face: integrated mean curvature H and the ratio H / area."""
-    net.require_measured()
     out = {}
     for v in net.disk.interior_vertices:
         area = net.area[v]
@@ -393,29 +380,24 @@ def _offset_face_point(x: HermitianPoint, horos, t: float) -> HermitianPoint:
 
 def parallel_net(net: HorosphericalNet, t: float) -> HorosphericalNet:
     """Net of the parallel horospheres at signed distance t (toward tangency)."""
-    net.require_measured()
     disk = net.disk
-    new_horos = tuple(h.offset(t) for h in net.horospheres)
     new_f = []
     for fidx, (i, j, k) in enumerate(disk.faces):
         horos = (net.horospheres[i], net.horospheres[j], net.horospheres[k])
         new_f.append(_offset_face_point(net.f[fidx], horos, t))
-    offset = HorosphericalNet(
-        disk=disk,
-        f=tuple(new_f),
-        horospheres=new_horos,
-        gauss=net.gauss,
-        frame=None,
-    )
     try:
-        return measure_net(offset)
+        return HorosphericalNet(
+            disk=disk,
+            f=tuple(new_f),
+            horospheres=tuple(h.offset(t) for h in net.horospheres),
+            gauss=net.gauss,
+        )
     except NonIntersectingHorospheres as exc:
         raise OffsetTooLarge(str(exc)) from exc
 
 
 def parallel_area_derivative(net: HorosphericalNet, steps=(1e-2, 5e-3, 2.5e-3)):
     """Richardson-extrapolated d/dt area(f_t) per dual face, with -2H reference."""
-    net.require_measured()
     diffs = []
     for t in steps:
         offset = parallel_net(net, t)
@@ -455,14 +437,12 @@ def flat_patch_net(disk: TriangulatedDisk, chart_points) -> HorosphericalNet:
         raise DegenerateFace("one chart point per face required")
 
     plane = horosphere(SpherePoint.infinity(), 1.0)
-    net = HorosphericalNet(
+    return HorosphericalNet(
         disk=disk,
         f=tuple(from_upper_half_space(complex(w), 1.0) for w in chart_points),
         horospheres=tuple(plane for _ in range(disk.n_vertices)),
         gauss=tuple(SpherePoint.infinity() for _ in range(disk.n_vertices)),
-        frame=None,
     )
-    return measure_net(net)
 
 
 # -- duality and the inverse direction ------------------------------------
@@ -472,7 +452,7 @@ def dual_surface(net: HorosphericalNet) -> HorosphericalNet:
     """Dual CMC-1 surface f~ = A^{-1} (A^{-1})* with Gauss map the source pattern."""
     if net.frame is None:
         raise FrameUnavailable("dual surface needs the osculating frame")
-    return _net_from_frame(net.frame.inverse(), check_consistency=False)
+    return _net_from_frame(net.frame.inverse())
 
 
 def extract_patterns(net: HorosphericalNet):
@@ -483,7 +463,6 @@ def extract_patterns(net: HorosphericalNet):
     tree, and the integration constant is fixed by a polar factorization
     of the root face point.
     """
-    net.require_measured()
     disk = net.disk
     if net.degenerate:
         raise NotCMC1("degenerate (single-point) net carries no pattern pair")

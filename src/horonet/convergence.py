@@ -55,11 +55,9 @@ class Jet:
     f: object
     d1: object
     d2: object
-    d3: object = None
+    d3: object
 
     def schwarzian(self, z: complex) -> complex:
-        if self.d3 is None:
-            raise ValueError(f"jet {self.name} has no third derivative")
         r = self.d2(z) / self.d1(z)
         return self.d3(z) / self.d1(z) - 1.5 * r * r
 

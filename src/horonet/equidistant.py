@@ -11,15 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    LiftFailed,
-    MonodromyObstruction,
-    NotAngleMatched,
-    NotEquidistant,
-)
+from .errors import NotAngleMatched, NotEquidistant
 from .mesh import TriangulatedDisk
 from .moebius import (
-    HermitianPoint,
     act_on_hermitian,
     horosphere,
     ideal_circle_normal,
@@ -27,12 +21,7 @@ from .moebius import (
     mobius_from_triples,
     to_upper_half_space,
 )
-from .osculating import (
-    MoebiusFrame,
-    coherent_lift,
-    integrate_eta,
-    osculating_frame,
-)
+from .osculating import MoebiusFrame, coherent_frame, integrate_eta
 from .pattern import CirclePattern, cross_ratios_of, angle_match
 
 TOL_ANGLE = 1e-9
@@ -41,15 +30,17 @@ TOL_COSPHERICAL = 1e-8
 
 @dataclass
 class EquidistantNet:
-    """Realization f = A A* with per-face fitted umbilic functionals."""
+    """Realization f = A A* with per-face umbilic functionals, fitted when built."""
 
     disk: TriangulatedDisk
     f: tuple  # HermitianPoint per face
     gauss: tuple  # SpherePoint per vertex
-    frame: MoebiusFrame | None = None
-    functionals: dict = field(default_factory=dict, repr=False)  # face -> (P, c)
-    lambdas: dict = field(default_factory=dict, repr=False)  # edge -> complex
-    degenerate: bool = False
+    frame: MoebiusFrame  # coherent; frame.lambdas holds the edge eigenvalues
+    degenerate: bool  # every eigenvalue is 1
+    functionals: dict = field(init=False, repr=False)  # face -> (P, c)
+
+    def __post_init__(self):
+        _fit_functionals(self)
 
 
 @dataclass(frozen=True)
@@ -64,6 +55,7 @@ class EquidistantReport:
 def _fit_functionals(net: EquidistantNet):
     """Per face: (P, c) with <f, P> = c on the face point and its neighbors."""
     disk = net.disk
+    net.functionals = {}
     for fidx, (i, j, k) in enumerate(disk.faces):
         tang = [horosphere(net.gauss[v], 1.0).u for v in (i, j, k)]
         p = ideal_circle_normal(tang)
@@ -84,27 +76,20 @@ def build_equidistant(
         raise NotAngleMatched(
             f"intersection-angle mismatch {mismatch:.3e} exceeds {angle_tol:.1e}"
         )
-    try:
-        frame = coherent_lift(osculating_frame(source, target), x, xt)
-    except MonodromyObstruction as exc:
-        raise LiftFailed(str(exc)) from exc
-    f = tuple(act_on_hermitian(m, HermitianPoint.identity()) for m in frame.maps)
-    net = EquidistantNet(
+    frame = coherent_frame(source, target, x, xt)
+    return EquidistantNet(
         disk=source.disk,
-        f=f,
+        f=frame.realization(),
         gauss=tuple(target.z),
         frame=frame,
-        lambdas=dict(frame.lambdas),
+        degenerate=all(abs(l - 1.0) < 1e-12 for l in frame.lambdas.values()),
     )
-    net.degenerate = all(abs(l - 1.0) < 1e-12 for l in net.lambdas.values())
-    _fit_functionals(net)
-    return net
 
 
 def verify_equidistant(net: EquidistantNet) -> EquidistantReport:
     """Reality of the transition eigenvalues and co-sphericity of vertex stars."""
     eig = 0.0
-    for e, lam in net.lambdas.items():
+    for lam in net.frame.lambdas.values():
         eig = max(eig, abs(lam.imag) / abs(lam))
     cos = 0.0
     disk = net.disk

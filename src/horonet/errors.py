@@ -130,10 +130,6 @@ class NotEquidistant(HoronetError):
     exit_code = 59
 
 
-class UnmeasuredNet(HoronetError):
-    exit_code = 60
-
-
 # toda
 class TooSmall(HoronetError):
     exit_code = 70

@@ -129,7 +129,6 @@ def load_frame(doc: dict) -> MoebiusFrame:
 
 
 def net_report(net: HorosphericalNet, kind: str = "cmc1") -> dict:
-    net.require_measured()
     edges = []
     for (i, j) in sorted(net.edge_measure):
         m = net.edge_measure[(i, j)]
@@ -175,7 +174,6 @@ def _sampled_geometry(net: HorosphericalNet, arc_samples: int):
     face of each interior primal vertex becomes a fan of triangles sampled
     in its chart and mapped back.  A degenerate net has only face points.
     """
-    net.require_measured()
     disk = net.disk
     vertices = [to_poincare_ball(x) for x in net.f]
     polylines = []

@@ -18,6 +18,7 @@ from .errors import (
     CriticalPoint,
     DegenerateFace,
     EtaNotClosed,
+    LiftFailed,
     MeshMismatch,
     MonodromyObstruction,
     NotDelaunay,
@@ -53,16 +54,22 @@ class MoebiusFrame:
         return self.source.disk
 
     def inverse(self) -> "MoebiusFrame":
-        """Frame from target to source (per-face inverse)."""
-        inv = MoebiusFrame(
+        """Frame from target to source (per-face inverse).
+
+        Its eigenvalues 1/lambda are not cached; ``transition`` recomputes them.
+        """
+        return MoebiusFrame(
             self.target,
             self.source,
             tuple(m.inverse() for m in self.maps),
             lift=self.lift,
         )
-        if self.lambdas:
-            inv.lambdas = dict(self.lambdas)
-        return inv
+
+    def realization(self) -> tuple:
+        """Net f = A A* of the frame, one HermitianPoint per face."""
+        return tuple(
+            act_on_hermitian(m, HermitianPoint.identity()) for m in self.maps
+        )
 
 
 def osculating_frame(source: CirclePattern, target: CirclePattern) -> MoebiusFrame:
@@ -196,6 +203,19 @@ def coherent_lift(
     return MoebiusFrame(
         frame.source, frame.target, tuple(maps), lift="coherent", lambdas=lambdas
     )
+
+
+def coherent_frame(
+    source: CirclePattern,
+    target: CirclePattern,
+    x: CrossRatioSystem,
+    x_target: CrossRatioSystem,
+) -> MoebiusFrame:
+    """Coherently lifted osculating frame; an obstruction raises LiftFailed."""
+    try:
+        return coherent_lift(osculating_frame(source, target), x, x_target)
+    except MonodromyObstruction as exc:
+        raise LiftFailed(str(exc)) from exc
 
 
 def vertex_monodromy(frame: MoebiusFrame, v: int) -> MoebiusMap:

@@ -57,15 +57,6 @@ def square_grid(n: int, m: int, stretch: complex = 1.0) -> CellDecomposition:
     return CellDecomposition(faces, positions)
 
 
-@dataclass
-class TodaSolution:
-    cell: CellDecomposition
-    q: dict  # canonical edge -> complex
-
-    def q_of(self, i, j):
-        return self.q[_canon(i, j)]
-
-
 @dataclass(frozen=True)
 class TodaReport:
     vertex_sum: float
@@ -77,13 +68,16 @@ class TodaReport:
 
 
 def square_grid_toda(n: int, m: int, stretch: complex = 1.0):
-    """Square grid with the standard solution q = +1 horizontal, -1 vertical."""
+    """Square grid with the standard solution q = +1 horizontal, -1 vertical.
+
+    Returns (cell, positions, q) with q keyed by canonical edge.
+    """
     cell = square_grid(n, m, stretch)
     q = {}
     for (i, j) in cell.edges:
         horizontal = abs(cell.positions[i].imag - cell.positions[j].imag) < 1e-12
         q[(i, j)] = 1.0 + 0j if horizontal else -1.0 + 0j
-    return cell, cell.positions, TodaSolution(cell, q)
+    return cell, cell.positions, q
 
 
 def verify_toda(cell: CellDecomposition, z, q) -> TodaReport:
@@ -92,8 +86,6 @@ def verify_toda(cell: CellDecomposition, z, q) -> TodaReport:
     Vertex equations are imposed at interior vertices only (bounded
     decompositions); the face sum applies to every face.
     """
-    if isinstance(q, TodaSolution):
-        q = q.q
     z = [complex(p) for p in z]
     vs = 0.0
     ws = 0.0
@@ -136,8 +128,6 @@ def labeling_from(cell: CellDecomposition, q) -> Labeling:
     InconsistentLabeling.  Only quads over interior primal edges constrain
     alpha; untouched boundary incidences default to zero.
     """
-    if isinstance(q, TodaSolution):
-        q = q.q
     # constraint edges between incidence nodes: (node_a, node_b, offset)
     constraints = {}
 
@@ -248,22 +238,35 @@ def develop_family(tri: TriangulatedCell, x: CrossRatioSystem) -> CirclePattern:
     return develop(tri.disk, x, seed)
 
 
+def _family_patterns(cell: CellDecomposition, labeling_or_q, ts, production: str):
+    """Triangulation of ``cell`` and the developed pattern z_t for each t in ts.
+
+    The labeling must be real, and every X_t must lie in the Delaunay cone.
+    """
+    if isinstance(labeling_or_q, Labeling):
+        labeling = labeling_or_q
+    else:
+        labeling = labeling_from(cell, labeling_or_q)
+    if max(abs(v.imag) for v in labeling.alpha.values()) > 1e-12:
+        raise InconsistentLabeling(f"{production} production needs a real labeling")
+    tri = triangulate(cell)
+    xs = [family_xt(tri, labeling, t) for t in ts]
+    for x in xs:
+        bad = x.delaunay_violations()
+        if bad:
+            raise NotDelaunayAtT(f"family leaves the Delaunay cone at edges {bad[:4]}")
+    return tri, [develop_family(tri, x) for x in xs]
+
+
 def cmc1_from_toda(
     cell: CellDecomposition,
     labeling_or_q,
     t: float,
 ) -> HorosphericalNet:
     """Discrete CMC-1 net of the pair (z_{it}, z_{-it}) for real t > 0."""
-    labeling = _real_labeling(cell, labeling_or_q, "CMC-1")
-    tri = triangulate(cell)
-    x_plus = family_xt(tri, labeling, 1j * t)
-    x_minus = family_xt(tri, labeling, -1j * t)
-    for x in (x_plus, x_minus):
-        bad = x.delaunay_violations()
-        if bad:
-            raise NotDelaunayAtT(f"family leaves the Delaunay cone at edges {bad[:4]}")
-    z_plus = develop_family(tri, x_plus)
-    z_minus = develop_family(tri, x_minus)
+    _, (z_plus, z_minus) = _family_patterns(
+        cell, labeling_or_q, (1j * t, -1j * t), "CMC-1"
+    )
     return build_cmc1(z_plus, z_minus)
 
 
@@ -273,28 +276,8 @@ def equidistant_from_toda(
     t: float,
 ) -> EquidistantNet:
     """Equidistant net of the angle-preserving pair (z, z_t) for real t."""
-    labeling = _real_labeling(cell, labeling_or_q, "equidistant")
-    tri = triangulate(cell)
-    x_t = family_xt(tri, labeling, t)
-    bad = x_t.delaunay_violations()
-    if bad:
-        raise NotDelaunayAtT(f"family leaves the Delaunay cone at edges {bad[:4]}")
-    base = CirclePattern(tri.disk, tri.positions)
-    z_t = develop_family(tri, x_t)
-    return build_equidistant(base, z_t)
-
-
-def _as_labeling(cell, labeling_or_q) -> Labeling:
-    if isinstance(labeling_or_q, Labeling):
-        return labeling_or_q
-    return labeling_from(cell, labeling_or_q)
-
-
-def _real_labeling(cell, labeling_or_q, production: str) -> Labeling:
-    labeling = _as_labeling(cell, labeling_or_q)
-    if max(abs(v.imag) for v in labeling.alpha.values()) > 1e-12:
-        raise InconsistentLabeling(f"{production} production needs a real labeling")
-    return labeling
+    tri, (z_t,) = _family_patterns(cell, labeling_or_q, (t,), "equidistant")
+    return build_equidistant(CirclePattern(tri.disk, tri.positions), z_t)
 
 
 def tangent_check(
@@ -302,9 +285,7 @@ def tangent_check(
     q,
 ) -> float:
     """Residual of d/dt log X_t |_{t=0} against q (zero on diagonals)."""
-    labeling = _as_labeling(cell, q)
-    if isinstance(q, TodaSolution):
-        q = q.q
+    labeling = labeling_from(cell, q)
     tri = triangulate(cell)
     derivs = []
     for h in TANGENT_STEPS:

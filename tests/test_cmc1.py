@@ -317,6 +317,12 @@ class TestDual:
         for v in dual.disk.interior_vertices:
             assert abs(dual.ratio[v] - 1.0) <= 1e-9
 
+    def test_dual_measures_its_incidence(self, toda_net):
+        # the dual's horospheres come from its own face maps, so their
+        # disagreement is measured, not assumed zero
+        dual = dual_surface(toda_net)
+        assert 0 < dual.incidence_residual <= 10 * toda_net.incidence_residual
+
 
 class TestExtract:
     def test_round_trip(self, toda_net):

@@ -1,6 +1,6 @@
 """Package modules carry no dead names: every import, parameter,
 definition, constant and instance attribute is used, and every default is
-overridden somewhere."""
+overridden somewhere.  Imports sit at module level only."""
 
 import ast
 from pathlib import Path
@@ -33,6 +33,17 @@ def unused_imports(source: str):
         for name, line in imported.items()
         if name not in used and name != "annotations"
     )
+
+
+def function_local_imports(source: str):
+    """(line, function) of each import inside a function body, innermost."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):  # breadth-first: outer first
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for n in ast.walk(node):
+                if isinstance(n, (ast.Import, ast.ImportFrom)):
+                    found[n.lineno] = node.name
+    return sorted(found.items())
 
 
 def unread_parameters(source: str):
@@ -211,6 +222,22 @@ def test_checker_flags_unused_names():
     assert unused_imports(source) == [(2, "os"), (3, "c")]
 
 
+def test_checker_flags_function_local_imports():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    import math\n"
+        "    def inner():\n"
+        "        from os import path\n"
+        "    return math\n"
+        "class K:\n"
+        "    from sys import argv\n"
+        "    async def m(self):\n"
+        "        import json\n"
+    )
+    assert function_local_imports(source) == [(3, "f"), (5, "inner"), (10, "m")]
+
+
 def test_checker_flags_unread_parameters():
     source = (
         "def f(a, b, *args, c=1, **kw):\n"
@@ -318,6 +345,11 @@ def test_checker_flags_unbound_defaults():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert function_local_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -63,9 +63,9 @@ class TestJson:
 
     def test_toda_round_trip(self):
         _, _, sol = square_grid_toda(3, 3)
-        doc = hio.save_toda(sol.q)
+        doc = hio.save_toda(sol)
         q = hio.load_toda(doc)
-        assert q == sol.q
+        assert q == sol
 
     def test_manifest_round_trip(self):
         m = hio.RunManifest("check", {"a.json": "ff" * 32}, {"closure": 1e-10}, 0)
@@ -154,6 +154,7 @@ class TestCli:
         doc = json.loads(rep.read_text())
         assert doc["eigenvalue_residual"] <= 1e-8
         assert doc["cosphericity_residual"] <= 1e-8
+        assert "degenerate" in doc
 
     def test_minimal_subcommand(self, tmp_path, pattern_files):
         a, _ = pattern_files

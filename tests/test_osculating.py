@@ -21,7 +21,15 @@ from horonet.osculating import (
     vertex_monodromy,
 )
 from horonet.pattern import CirclePattern, cross_ratios_of
-from horonet.toda import develop_family, family_xt, labeling_from, square_grid_toda, triangulate
+from horonet.toda import (
+    cmc1_from_toda,
+    develop_family,
+    equidistant_from_toda,
+    family_xt,
+    labeling_from,
+    square_grid_toda,
+    triangulate,
+)
 
 
 def jet(f, d1, d2, d3=None):
@@ -173,6 +181,19 @@ class TestCoherentLift:
                 assert lam == frame.lambdas[(i, j)]
                 lam_star = principal_sqrt_ratio(x.values[(i, j)], xt.values[(i, j)])
                 assert abs(lam - lam_star) < abs(lam + lam_star)
+
+    def test_inverse_eigenvalues_reciprocal(self):
+        # across i -> j the inverse frame's transition fixes z~_i with
+        # eigenvalue 1 / lambda, whether cached or recomputed
+        cell, _, sol = square_grid_toda(6, 6)
+        for build in (cmc1_from_toda, equidistant_from_toda):
+            frame = build(cell, sol, 0.05).frame
+            inv = frame.inverse()
+            for (i, j), lam in frame.lambdas.items():
+                mu = inv.lambdas.get((i, j))
+                if mu is None:
+                    _, mu = transition(inv, i, j)
+                assert abs(mu * lam - 1.0) <= 1e-12
 
     def test_non_delaunay_rejected(self, hex_fan):
         # reflect the center of the hexagon far outside: non-Delaunay edges

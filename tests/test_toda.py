@@ -58,7 +58,7 @@ class TestSquareGridToda:
 
     def test_flipped_q_detected(self):
         cell, z, sol = square_grid_toda(4, 4)
-        q = dict(sol.q)
+        q = dict(sol)
         # flip one interior horizontal edge to +2
         for e in cell.interior_edges:
             if abs(q[e] - 1.0) < 1e-12:
@@ -89,7 +89,7 @@ class TestLabeling:
         cell, _, sol = square_grid_toda(4, 4)
         lab = labeling_from(cell, sol)
         for (i, j) in cell.interior_edges:
-            assert abs(lab.plus(i, j) - lab.minus(i, j) - sol.q_of(i, j)) < 1e-12
+            assert abs(lab.plus(i, j) - lab.minus(i, j) - sol[(i, j)]) < 1e-12
 
     def test_opposite_quad_edges_equal(self):
         cell, _, sol = square_grid_toda(4, 4)
@@ -107,7 +107,7 @@ class TestLabeling:
 
     def test_inconsistent_q_detected(self):
         cell, _, sol = square_grid_toda(4, 4)
-        q = dict(sol.q)
+        q = dict(sol)
         e = cell.interior_edges[len(cell.interior_edges) // 2]
         q[e] += 0.37
         with pytest.raises(InconsistentLabeling):
