@@ -9,7 +9,7 @@ import math
 import sys
 
 from . import io as hio
-from .cmc1 import TOL_SHEAR, _net_from_frame, build_cmc1, dual_surface
+from .cmc1 import TOL_SHEAR, _net_from_frame, build_cmc1
 from .convergence import (
     JETS,
     frame_convergence,
@@ -163,7 +163,7 @@ def cmd_converge(args):
 
 def cmd_dual(args):
     frame = hio.load_frame(_read_json(args.net_frame))
-    dual = dual_surface(_net_from_frame(frame))
+    dual = _net_from_frame(frame.inverse())
     manifest = _manifest(args, "dual", [args.net_frame], {})
     _emit_net(args, dual, "cmc1-dual", manifest)
     return 0

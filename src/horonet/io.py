@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field
 
 from .cmc1 import HorosphericalNet, _chart, _neighbor_circle
 from .errors import HoronetError
-from .mesh import TriangulatedDisk, build_disk
-from .moebius import MoebiusMap, SpherePoint, act_on_hermitian, from_upper_half_space, to_poincare_ball
+from .mesh import TriangulatedDisk, _canon, build_disk
+from .moebius import MoebiusMap, SpherePoint, chart_plane_to_ball, to_poincare_ball
 from .osculating import MoebiusFrame
 from .pattern import CirclePattern, CrossRatioSystem
 
@@ -162,17 +162,19 @@ def net_report(net: HorosphericalNet, kind: str = "cmc1") -> dict:
     }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _sampled_geometry(net: HorosphericalNet, arc_samples: int):
     """Ball-coordinate vertices, edge polylines and dual-face fan triangles.
 
-    Indices are 0-based into the vertex list, whose first entries are the
-    face points in face order.  Edges are sampled along their arcs; the dual
-    face of each interior primal vertex becomes a fan of triangles sampled
-    in its chart and mapped back.  A degenerate net has only face points.
+    Indices are 0-based into the vertex list of (x, y, z) tuples, whose
+    first entries are the face points in face order.  Each dual edge is
+    sampled once along its arc, in the chart of its first interior end
+    vertex; the chart of the other end reuses that polyline reversed.  The
+    arc lies on the plane x3 = 1 of both charts, where the angle is
+    proportional to hyperbolic arc length, so both charts place the same
+    points; an edge that ``measure_net`` calls degenerate is just its two
+    face points.  The dual face of each interior primal vertex becomes a
+    fan of triangles around its chart centroid.  A chart's new samples map
+    to the ball in one array step.  A degenerate net has only face points.
     """
     disk = net.disk
     vertices = [to_poincare_ball(x) for x in net.f]
@@ -181,63 +183,67 @@ def _sampled_geometry(net: HorosphericalNet, arc_samples: int):
     if net.degenerate:
         return vertices, polylines, triangles
 
-    def emit(inverse, w):
-        vertices.append(
-            to_poincare_ball(act_on_hermitian(inverse, from_upper_half_space(w, 1.0)))
-        )
-        return len(vertices) - 1
-
+    arcs = {}  # primal edge -> polyline, in the chart that sampled it
     for v in disk.interior_vertices:
         chart = _chart(net, v)
-        inverse = chart.map.inverse()
         ring = disk.ring_ccw(v)
         faces = disk.vertex_faces_ccw(v)
         n = len(ring)
+        new_w = []
         boundary_ids = []
         for m in range(n):
-            w_a = chart.w_face[faces[m]]
-            w_b = chart.w_face[faces[(m + 1) % n]]
             j = ring[(m + 1) % n]
-            samples = _arc_samples(net, chart, j, w_a, w_b, arc_samples)
-            ids = [faces[m]]
-            ids += [emit(inverse, w) for w in samples[1:-1]]
-            ids.append(faces[(m + 1) % n])
-            polylines.append(ids)
+            f_a, f_b = faces[m], faces[(m + 1) % n]
+            edge = _canon(v, j)
+            if edge in arcs:
+                ids = arcs[edge][::-1]
+            else:
+                first = len(vertices) + len(new_w)
+                if not net.edge_measure[edge].degenerate:
+                    w_a, w_b = chart.w_face[f_a], chart.w_face[f_b]
+                    new_w += _arc_interior(net, chart, j, w_a, w_b, arc_samples)
+                ids = [f_a, *range(first, len(vertices) + len(new_w)), f_b]
+                arcs[edge] = ids
+                polylines.append(ids)
             boundary_ids.extend(ids[:-1])
-        centroid = sum(chart.w_face[f] for f in faces) / n
-        cid = emit(inverse, centroid)
-        for a, b in zip(boundary_ids, boundary_ids[1:] + boundary_ids[:1]):
-            triangles.append((cid, a, b))
+        cid = len(vertices) + len(new_w)
+        new_w.append(sum(chart.w_face[f] for f in faces) / n)
+        vertices += map(tuple, chart_plane_to_ball(chart.map.inverse(), new_w).tolist())
+        triangles += [
+            (cid, a, b) for a, b in zip(boundary_ids, boundary_ids[1:] + boundary_ids[:1])
+        ]
     return vertices, polylines, triangles
 
 
-def _arc_samples(net, chart, j, w_a, w_b, count):
-    if count <= 1 or abs(w_a - w_b) < 1e-14:
-        return [w_a, w_b]
-    is_plane, center, r_tilde, _ = _neighbor_circle(net, chart, j)
+def _arc_interior(net, chart, j, w_a, w_b, count):
+    """Chart points that cut the arc from w_a to w_b into count equal parts."""
+    if count <= 1:
+        return []
+    is_plane, center, _, _ = _neighbor_circle(net, chart, j)
     if is_plane:
-        return [w_a + (w_b - w_a) * m / count for m in range(count + 1)]
+        return [w_a + (w_b - w_a) * m / count for m in range(1, count)]
     phi = cmath.phase((w_b - center) / (w_a - center))
     return [
         center + (w_a - center) * cmath.exp(1j * phi * m / count)
-        for m in range(count + 1)
+        for m in range(1, count)
     ]
 
 
 def export_net_obj(net: HorosphericalNet, arc_samples: int = 16) -> str:
     """OBJ with vertices in Poincare ball coordinates.
 
-    Edges become ``l`` polylines sampled along their arcs; the dual face of
-    each interior primal vertex becomes a fan of triangles sampled in its
-    chart and mapped back.  Deterministic ordering throughout.
+    Each dual edge is written once, as an ``l`` polyline sampled along its
+    arc; the dual face of each interior primal vertex becomes a fan of
+    triangles sampled in its chart and mapped back.  Deterministic ordering
+    throughout.
     """
     vertices, polylines, triangles = _sampled_geometry(net, arc_samples)
     lines = ["# horospherical net"]
-    lines += ["v " + " ".join(map(_fmt, v)) for v in vertices]
+    lines += ["v %.17g %.17g %.17g" % v for v in vertices]
     if net.degenerate:
         lines.append("# degenerate net: all dual vertices coincide")
     lines += ["l " + " ".join(str(i + 1) for i in ids) for ids in polylines]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for (a, b, c) in triangles]
+    lines += ["f %d %d %d" % (a + 1, b + 1, c + 1) for (a, b, c) in triangles]
     return "\n".join(lines) + "\n"
 
 
@@ -255,9 +261,8 @@ def export_net_ply(net: HorosphericalNet, arc_samples: int = 16) -> str:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    body = [" ".join(map(_fmt, v)) for v in vertices] + [
-        "3 " + " ".join(str(i) for i in t) for t in triangles
-    ]
+    body = ["%.17g %.17g %.17g" % v for v in vertices]
+    body += ["3 %d %d %d" % t for t in triangles]
     return "\n".join(head + body) + "\n"
 
 
@@ -265,7 +270,7 @@ def export_points_obj(points, edges=None) -> str:
     """OBJ of a point set in R^3 with optional straight edges."""
     lines = ["# trivalent surface"]
     for (x, y, z) in points:
-        lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
+        lines.append("v %.17g %.17g %.17g" % (x, y, z))
     for (a, b) in edges or []:
         lines.append(f"l {a + 1} {b + 1}")
     return "\n".join(lines) + "\n"

@@ -379,6 +379,30 @@ def to_poincare_ball(x: HermitianPoint):
     return (x1 / s, x2 / s, x3 / s)
 
 
+def chart_plane_to_ball(m: MoebiusMap, w) -> np.ndarray:
+    """Ball coordinates of the images under m of the points (w, 1), as (k, 3).
+
+    The array form of ``to_poincare_ball(act_on_hermitian(m,
+    from_upper_half_space(w, 1.0)))`` over a sequence w.  The point (w, 1)
+    is sigma sigma* + e1 e1* with sigma = (w, 1), so its image is
+    X = u u* + e e* with u = m sigma and e = m e1 = (a, c).  Every image
+    passes the hyperboloid check of ``to_poincare_ball``.
+    """
+    w = np.asarray(w, dtype=complex)
+    u1 = m.a * w + m.b
+    u2 = m.c * w + m.d
+    x11 = u1.real**2 + u1.imag**2 + abs(m.a) ** 2
+    x22 = u2.real**2 + u2.imag**2 + abs(m.c) ** 2
+    x12 = u1 * u2.conj() + m.a * m.c.conjugate()
+    ad = x11 * x22
+    b2 = x12.real**2 + x12.imag**2
+    slack = TOL_HYPERBOLOID + DET_ULPS * 2.0**-53 * (np.abs(ad) + b2)
+    if not np.all((np.abs(ad - b2 - 1.0) <= slack) & (x11 + x22 > 0)):
+        raise NotInHyperboloid("ball coordinates require a hyperboloid point")
+    s = 1.0 + 0.5 * (x11 + x22)
+    return np.column_stack((x12.real / s, x12.imag / s, 0.5 * (x11 - x22) / s))
+
+
 def from_poincare_ball(v) -> HermitianPoint:
     x1, x2, x3 = v
     r2 = x1 * x1 + x2 * x2 + x3 * x3

@@ -5,8 +5,9 @@ import pytest
 
 from horonet import io as hio
 from horonet.cli import main
+from horonet.cmc1 import _net_from_frame, dual_surface
 from horonet.mesh import build_disk
-from horonet.moebius import SpherePoint
+from horonet.moebius import SpherePoint, from_poincare_ball, on_horosphere
 from horonet.pattern import CirclePattern, cross_ratios_of
 from horonet.toda import cmc1_from_toda, square_grid_toda
 
@@ -88,6 +89,53 @@ class TestExport:
         polylines = [l for l in text.splitlines() if l.startswith("l ")]
         assert polylines
         assert all(len(l.split()) == 3 for l in polylines)
+
+    def test_polylines_lie_on_net(self, toda_net):
+        disk = toda_net.disk
+        text = hio.export_net_obj(toda_net)
+        vertices = [
+            tuple(float(s) for s in line.split()[1:])
+            for line in text.splitlines()
+            if line.startswith("v ")
+        ]
+        polylines = [
+            [int(s) - 1 for s in line.split()[1:]]
+            for line in text.splitlines()
+            if line.startswith("l ")
+        ]
+        edge_of = {
+            frozenset((disk.left_face(i, j), disk.right_face(i, j))): (i, j)
+            for (i, j) in disk.interior_edges
+        }
+        interior = set(disk.interior_vertices)
+        assert all(ids[0] < disk.n_faces and ids[-1] < disk.n_faces for ids in polylines)
+        ends = [frozenset((ids[0], ids[-1])) for ids in polylines]
+        assert len(set(ends)) == len(ends)
+        assert len(ends) == sum(1 for e in disk.edges if interior & set(e))
+        samples = 0
+        for ids, end in zip(polylines, ends):
+            i, j = edge_of[end]
+            for k in ids[1:-1]:
+                x = from_poincare_ball(vertices[k])
+                for v in (i, j):
+                    assert on_horosphere(x, toda_net.horospheres[v])[1] <= 1e-9
+                samples += 1
+        assert samples > 0
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_obj_and_ply_one_geometry(self, n):
+        cell, _, sol = square_grid_toda(n, n)
+        net = cmc1_from_toda(cell, sol, 0.05)
+        obj = hio.export_net_obj(net).splitlines()
+        ply = hio.export_net_ply(net).splitlines()
+        body = ply[ply.index("end_header") + 1:]
+        v_lines = [line[2:] for line in obj if line.startswith("v ")]
+        f_lines = [
+            [int(s) - 1 for s in line.split()[1:]] for line in obj if line.startswith("f ")
+        ]
+        assert body[: len(v_lines)] == v_lines
+        faces = [[int(s) for s in line.split()] for line in body[len(v_lines):]]
+        assert faces == [[3] + f for f in f_lines]
 
     def test_ply_header(self, toda_net):
         text = hio.export_net_ply(toda_net)
@@ -198,7 +246,15 @@ class TestCli:
              "--report", str(rep)]
         )
         assert code == 0
-        assert json.loads(rep.read_text())["kind"] == "cmc1-dual"
+        # the dual of the primal net built from the same frame file: the
+        # file's positions differ in the last bits from the pattern files'
+        dual = dual_surface(_net_from_frame(hio.load_frame(json.loads(frame.read_text()))))
+        assert out.read_text() == hio.export_net_obj(dual)
+        doc = hio.net_report(dual, "cmc1-dual")
+        doc["manifest"] = json.loads(
+            hio.RunManifest("dual", {str(frame): hio.file_hash(frame)}).to_json()
+        )
+        assert rep.read_text() == hio.dump_json(doc)
 
     def test_error_json_on_stderr(self, tmp_path, capsys, pattern_files):
         a, _ = pattern_files

@@ -16,6 +16,7 @@ from horonet.moebius import (
     MoebiusMap,
     SpherePoint,
     act_on_hermitian,
+    chart_plane_to_ball,
     edge_cross_ratio,
     from_poincare_ball,
     from_upper_half_space,
@@ -46,6 +47,15 @@ def random_sl2(values):
 
 
 sl2_maps = st.tuples(nonzero_complex, finite_complex, finite_complex).map(random_sl2)
+
+small_complex = st.builds(
+    complex,
+    st.floats(min_value=-4, max_value=4, allow_nan=False),
+    st.floats(min_value=-4, max_value=4, allow_nan=False),
+).filter(lambda z: abs(z) <= 4)
+chart_maps = st.tuples(
+    small_complex.filter(lambda z: abs(z) >= 0.05), small_complex, small_complex
+).map(random_sl2)
 
 
 class TestSpherePoint:
@@ -266,6 +276,20 @@ class TestDistanceAndCharts:
         terms = abs(mx.a * my.d) + abs(mx.d * my.a) + 2.0 * abs(mx.b) * abs(my.b)
         bound = 1e-9 * max(1.0, d0) + 8 * 2.0**-53 * terms / math.sinh(d0)
         assert abs(d0 - d1) < bound
+
+    @given(chart_maps, st.lists(small_complex, min_size=1, max_size=8))
+    def test_chart_plane_to_ball_matches_scalar_chain(self, m, ws):
+        ball = chart_plane_to_ball(m, ws)
+        for w, row in zip(ws, ball.tolist()):
+            ref = to_poincare_ball(act_on_hermitian(m, from_upper_half_space(w, 1.0)))
+            assert max(abs(p - q) for p, q in zip(row, ref)) <= 1e-12
+
+    def test_chart_plane_to_ball_rejects_det_off_one(self):
+        m = MoebiusMap(2.0 + 0j, 0j, 0j, 1.0 + 0j)
+        with pytest.raises(NotInHyperboloid):
+            to_poincare_ball(act_on_hermitian(m, from_upper_half_space(0.5, 1.0)))
+        with pytest.raises(NotInHyperboloid):
+            chart_plane_to_ball(m, [0.5])
 
     def test_ball_round_trip(self):
         x = HermitianPoint(2.0, 0.4 - 0.2j, (1 + abs(0.4 - 0.2j) ** 2) / 2.0)
