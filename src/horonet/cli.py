@@ -147,16 +147,12 @@ def cmd_converge(args):
     spec = LatticeSpec(a, b, g, 1.0, tuple(args.rect))
     eps_list = [float(s) for s in args.eps.split(",")]
     if args.case == "square-pair":
-        report = surface_convergence(
-            jet_identity(), JETS["square"](), spec, eps_list, args.pipeline
-        )
+        report = surface_convergence(jet_identity(), JETS["square"](), spec, eps_list)
     elif args.case == "exp-pair":
-        report = surface_convergence(
-            jet_identity(), JETS["exp"](), spec, eps_list, args.pipeline
-        )
+        report = surface_convergence(jet_identity(), JETS["exp"](), spec, eps_list)
     else:
         jet = JETS[args.case]()
-        report = frame_convergence(jet, spec, eps_list, args.pipeline)
+        report = frame_convergence(jet, spec, eps_list)
     _write_text(args.out, report.to_csv())
     return 0
 
@@ -217,7 +213,6 @@ def build_parser():
 
     p = sub.add_parser("converge", help="lattice convergence reports")
     p.add_argument("--case", choices=("exp", "square", "moebius", "exp-pair", "square-pair"), default="exp")
-    p.add_argument("--pipeline", choices=("sampled", "solved"), default="solved")
     p.add_argument("--eps", default="0.1,0.05,0.025")
     p.add_argument("--lattice", default=f"{math.pi/3},{math.pi/3},{math.pi/3}")
     p.add_argument("--rect", type=float, nargs=4, default=(0.0, 1.0, 0.0, 1.0))

@@ -36,7 +36,7 @@ from .moebius import (
     ideal_circle_normal,
     inner,
 )
-from .osculating import MoebiusFrame, coherent_frame, integrate_eta
+from .osculating import MoebiusFrame, coherent_lift, integrate_eta, osculating_frame
 from .pattern import CirclePattern, cross_ratios_of, shear_match
 
 TOL_SHEAR = 1e-9
@@ -276,7 +276,7 @@ def build_cmc1(
         raise NotShearMatched(
             f"shear mismatch {mismatch:.3e} exceeds {shear_tol:.1e}"
         )
-    return _net_from_frame(coherent_frame(source, target, x, xt))
+    return _net_from_frame(coherent_lift(osculating_frame(source, target), x, xt))
 
 
 def _net_from_frame(frame: MoebiusFrame) -> HorosphericalNet:
@@ -482,6 +482,4 @@ def extract_patterns(net: HorosphericalNet):
                 f"edge ({i},{j}): ell tan(alpha/2) + Arg X~ = {total} outside [0, pi)"
             )
         lam[(i, j)] = cmath.exp(0.5j * s)
-
-    source, frame = integrate_eta(gauss_pattern, net.f, lam)
-    return source, gauss_pattern, frame
+    return integrate_eta(gauss_pattern, net.f, lam)

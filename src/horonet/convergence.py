@@ -2,12 +2,12 @@
 empirical convergence of frames, Schwarzians, and CMC-1 nets to their
 smooth counterparts.
 
-Two pattern pipelines are exposed: plain pointwise sampling of a smooth
-map (cheap smoke test) and the shear-preserving solve, which finds vertex
-scale factors making the rescaled lattice flat at interior vertices with
-boundary factors log |h'|.  The solved pattern shares the lattice's shear
-coordinates exactly up to layout roundoff, which is what the CMC-1
-construction needs.
+The studies take the pattern of a smooth map from the shear-preserving
+solve, which finds vertex scale factors making the rescaled lattice flat at
+interior vertices with boundary factors log |h'|.  The solved pattern
+shares the lattice's shear coordinates exactly up to layout roundoff, which
+is what the CMC-1 construction needs; pointwise samples h(v)
+(``sampled_pattern``) do not.
 """
 
 from __future__ import annotations
@@ -346,7 +346,6 @@ class ConvergenceRow:
 @dataclass
 class ConvergenceReport:
     case: str
-    pipeline: str
     rows: list = field(default_factory=list)
 
     def orders(self, attr: str):
@@ -395,14 +394,6 @@ class ConvergenceReport:
                 ]
             )
         return buf.getvalue()
-
-
-def _pattern_for(jet: Jet, patch: LatticePatch, pipeline: str) -> CirclePattern:
-    if pipeline == "sampled":
-        return sampled_pattern(jet, patch)
-    if pipeline == "solved":
-        return shear_preserving_solve(patch, jet)
-    raise ValueError(f"unknown pipeline {pipeline!r}")
 
 
 def _face_barycenters(patch: LatticePatch):
@@ -469,15 +460,14 @@ def frame_convergence(
     jet: Jet,
     spec_template: LatticeSpec,
     eps_list,
-    pipeline: str = "solved",
 ) -> ConvergenceReport:
     """Frame and Schwarzian errors against the smooth osculating map."""
-    report = ConvergenceReport(jet.name, pipeline)
+    report = ConvergenceReport(jet.name)
     for eps in eps_list:
         spec = replace(spec_template, eps=eps)
         patch = lattice_subcomplex(spec)
         lattice = CirclePattern(patch.disk, patch.positions)
-        target = _pattern_for(jet, patch, pipeline)
+        target = shear_preserving_solve(patch, jet)
         x, xt = cross_ratios_of(lattice), cross_ratios_of(target)
         frame = coherent_lift(osculating_frame(lattice, target), x, xt)
         row = ConvergenceRow(eps)
@@ -486,21 +476,20 @@ def frame_convergence(
             abs(p.value() - jet.f(w))
             for p, w in zip(target.z, patch.positions)
         )
-        if pipeline == "solved":
-            s1 = discrete_schwarzian(x, xt, patch, 1)
-            row.schwarzian_error = max(
-                abs(
-                    s1[v]
-                    - 0.5
-                    * spec.length(1)
-                    * (
-                        spec.omega(2) * spec.omega(3) * jet.schwarzian(
-                            patch.positions[v]
-                        )
-                    ).real
-                )
-                for v in s1
+        s1 = discrete_schwarzian(x, xt, patch, 1)
+        row.schwarzian_error = max(
+            abs(
+                s1[v]
+                - 0.5
+                * spec.length(1)
+                * (
+                    spec.omega(2) * spec.omega(3) * jet.schwarzian(
+                        patch.positions[v]
+                    )
+                ).real
             )
+            for v in s1
+        )
         # C^1: forward difference of the frame field against dA_h
         vf = _vertex_frame_field(frame, patch)
         d1 = discrete_derivative(vf, patch, 1) if vf else {}
@@ -523,16 +512,15 @@ def surface_convergence(
     jet_gt: Jet,
     spec_template: LatticeSpec,
     eps_list,
-    pipeline: str = "solved",
 ) -> ConvergenceReport:
     """Net vertices against the smooth CMC-1 surface f = A A*, plus the
     Hopf-differential limit of (ell / eps^2) tan(alpha / 2) per direction 1."""
-    report = ConvergenceReport(f"{jet_g.name}->{jet_gt.name}", pipeline)
+    report = ConvergenceReport(f"{jet_g.name}->{jet_gt.name}")
     for eps in eps_list:
         spec = replace(spec_template, eps=eps)
         patch = lattice_subcomplex(spec)
-        pat_g = _pattern_for(jet_g, patch, pipeline)
-        pat_gt = _pattern_for(jet_gt, patch, pipeline)
+        pat_g = shear_preserving_solve(patch, jet_g)
+        pat_gt = shear_preserving_solve(patch, jet_gt)
         net = build_cmc1(pat_g, pat_gt)
         row = ConvergenceRow(eps)
         worst = 0.0

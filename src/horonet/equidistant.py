@@ -21,7 +21,7 @@ from .moebius import (
     mobius_from_triples,
     to_upper_half_space,
 )
-from .osculating import MoebiusFrame, coherent_frame, integrate_eta
+from .osculating import MoebiusFrame, coherent_lift, integrate_eta, osculating_frame
 from .pattern import CirclePattern, cross_ratios_of, angle_match
 
 TOL_ANGLE = 1e-9
@@ -30,17 +30,27 @@ TOL_COSPHERICAL = 1e-8
 
 @dataclass
 class EquidistantNet:
-    """Realization f = A A* with per-face umbilic functionals, fitted when built."""
+    """Realization f = A A* of a coherent frame with per-face umbilic
+    functionals; everything but the frame is derived when built."""
 
-    disk: TriangulatedDisk
-    f: tuple  # HermitianPoint per face
-    gauss: tuple  # SpherePoint per vertex
     frame: MoebiusFrame  # coherent; frame.lambdas holds the edge eigenvalues
-    degenerate: bool  # every eigenvalue is 1
+    disk: TriangulatedDisk = field(init=False)
+    f: tuple = field(init=False)  # HermitianPoint per face
+    gauss: tuple = field(init=False)  # SpherePoint per vertex: the target pattern
+    degenerate: bool = field(init=False)  # every eigenvalue is 1
     functionals: dict = field(init=False, repr=False)  # face -> (P, c)
 
     def __post_init__(self):
-        _fit_functionals(self)
+        frame = self.frame
+        self.disk = frame.disk
+        self.f = frame.realization()
+        self.gauss = tuple(frame.target.z)
+        self.degenerate = all(abs(l - 1.0) < 1e-12 for l in frame.lambdas.values())
+        # per face: (P, c) with <f, P> = c on the face point and its neighbors
+        self.functionals = {}
+        for fidx, face in enumerate(self.disk.faces):
+            p = ideal_circle_normal([horosphere(self.gauss[v], 1.0).u for v in face])
+            self.functionals[fidx] = (p, inner(self.f[fidx], p))
 
 
 @dataclass(frozen=True)
@@ -50,17 +60,6 @@ class EquidistantReport:
 
     def ok(self, tol: float = TOL_COSPHERICAL) -> bool:
         return max(self.eigenvalue_residual, self.cosphericity_residual) <= tol
-
-
-def _fit_functionals(net: EquidistantNet):
-    """Per face: (P, c) with <f, P> = c on the face point and its neighbors."""
-    disk = net.disk
-    net.functionals = {}
-    for fidx, (i, j, k) in enumerate(disk.faces):
-        tang = [horosphere(net.gauss[v], 1.0).u for v in (i, j, k)]
-        p = ideal_circle_normal(tang)
-        c = inner(net.f[fidx], p)
-        net.functionals[fidx] = (p, c)
 
 
 def build_equidistant(
@@ -76,14 +75,7 @@ def build_equidistant(
         raise NotAngleMatched(
             f"intersection-angle mismatch {mismatch:.3e} exceeds {angle_tol:.1e}"
         )
-    frame = coherent_frame(source, target, x, xt)
-    return EquidistantNet(
-        disk=source.disk,
-        f=frame.realization(),
-        gauss=tuple(target.z),
-        frame=frame,
-        degenerate=all(abs(l - 1.0) < 1e-12 for l in frame.lambdas.values()),
-    )
+    return EquidistantNet(coherent_lift(osculating_frame(source, target), x, xt))
 
 
 def verify_equidistant(net: EquidistantNet) -> EquidistantReport:
@@ -145,5 +137,4 @@ def extract_equidistant_patterns(net: EquidistantNet):
                 f"through the tangencies (residual {coll:.2e})"
             )
         lam[(i, j)] = val
-    source, frame = integrate_eta(gauss_pattern, net.f, lam)
-    return source, gauss_pattern, frame
+    return integrate_eta(gauss_pattern, net.f, lam)

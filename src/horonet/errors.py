@@ -98,10 +98,6 @@ class NotAngleMatched(HoronetError):
     exit_code = 51
 
 
-class LiftFailed(HoronetError):
-    exit_code = 52
-
-
 class NonIntersectingHorospheres(HoronetError):
     exit_code = 53
 

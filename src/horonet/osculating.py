@@ -5,6 +5,13 @@ of one pattern to the other.  Across an interior edge i -> j the transition
 A_right^{-1} A_left fixes z_i and z_j with eigenvalues lambda, 1/lambda and
 lambda^2 = X / X~.  A coherent lift chooses the SL(2,C) signs so that
 Arg lambda lies in (-pi/2, pi/2] on every edge.
+
+For any Delaunay pair a, b with the same combinatorics,
+``coherent_lift(osculating_frame(a, b)).realization()`` is the realization
+f = A A* in H^3.  Since 2 log |lambda| = log |X| - log |X~| and
+2 Arg lambda = Arg X - Arg X~, its two one-to-one cases are shear mismatch 0
+(|lambda| = 1: the CMC-1 net of ``cmc1.build_cmc1``) and angle mismatch 0
+(lambda > 0: the equidistant net of ``equidistant.build_equidistant``).
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from .errors import (
     CriticalPoint,
     DegenerateFace,
     EtaNotClosed,
-    LiftFailed,
     MeshMismatch,
     MonodromyObstruction,
     NotDelaunay,
@@ -66,7 +72,13 @@ class MoebiusFrame:
         )
 
     def realization(self) -> tuple:
-        """Net f = A A* of the frame, one HermitianPoint per face."""
+        """Net f = A A* of the frame, one HermitianPoint per face.
+
+        For the coherent lift of any Delaunay pair this is the pair's
+        realization in H^3: a CMC-1 net when the shear mismatch is 0
+        (|lambda| = 1), an equidistant net when the angle mismatch is 0
+        (lambda > 0).
+        """
         return tuple(
             act_on_hermitian(m, HermitianPoint.identity()) for m in self.maps
         )
@@ -110,7 +122,7 @@ def transition_closed_form(
     return MoebiusMap(a, b, c, dd)
 
 
-def transition(frame: MoebiusFrame, i: int, j: int, check: bool = True):
+def transition(frame: MoebiusFrame, i: int, j: int):
     """Transition A_right^{-1} A_left across the oriented edge i -> j.
 
     Returns (matrix, lambda) with lambda the eigenvalue at the tail z_i.
@@ -124,14 +136,13 @@ def transition(frame: MoebiusFrame, i: int, j: int, check: bool = True):
     fr = disk.right_face(i, j)
     t = frame.maps[fr].inverse().compose(frame.maps[fl])
     lam = _rayleigh(t, frame.source.z[i])
-    if check:
-        ref = transition_closed_form(frame.source.z[i], frame.source.z[j], lam)
-        if t.frobenius_distance(ref) > TOL_TRANSITION * max(
-            1.0, abs(lam), 1.0 / abs(lam)
-        ) * 10:
-            raise DegenerateFace(
-                f"transition on edge ({i},{j}) fails the eigen closed form"
-            )
+    ref = transition_closed_form(frame.source.z[i], frame.source.z[j], lam)
+    if t.frobenius_distance(ref) > TOL_TRANSITION * max(
+        1.0, abs(lam), 1.0 / abs(lam)
+    ) * 10:
+        raise DegenerateFace(
+            f"transition on edge ({i},{j}) fails the eigen closed form"
+        )
     return t, lam
 
 
@@ -205,19 +216,6 @@ def coherent_lift(
     )
 
 
-def coherent_frame(
-    source: CirclePattern,
-    target: CirclePattern,
-    x: CrossRatioSystem,
-    x_target: CrossRatioSystem,
-) -> MoebiusFrame:
-    """Coherently lifted osculating frame; an obstruction raises LiftFailed."""
-    try:
-        return coherent_lift(osculating_frame(source, target), x, x_target)
-    except MonodromyObstruction as exc:
-        raise LiftFailed(str(exc)) from exc
-
-
 def vertex_monodromy(frame: MoebiusFrame, v: int) -> MoebiusMap:
     """Product of the closed-form transitions around an interior vertex.
 
@@ -225,7 +223,7 @@ def vertex_monodromy(frame: MoebiusFrame, v: int) -> MoebiusMap:
     built from the cached branch of lambda, so a -I product detects a
     genuine obstruction rather than telescoping away.
     """
-    disk = frame.disk
+    disk, z = frame.disk, frame.source.z
     ring = disk.ring_ccw(v)
     n = len(ring)
     prod = MoebiusMap.identity()
@@ -233,11 +231,11 @@ def vertex_monodromy(frame: MoebiusFrame, v: int) -> MoebiusMap:
         w = ring[(m + 1) % n]
         # crossing from face (v, ring[m], w) to face (v, w, ring[m+2]):
         # right-to-left of the oriented edge v -> w
-        e = _canon(v, w)
-        lam = frame.lambdas.get(e)
-        if lam is None:
-            _, lam = transition(frame, v, w, check=False)
-        t = transition_closed_form(frame.source.z[v], frame.source.z[w], lam)
+        lam = frame.lambdas.get(_canon(v, w))
+        if lam is None:  # inverse or projective frame: no cached eigenvalues
+            fl, fr = disk.left_face(v, w), disk.right_face(v, w)
+            lam = _rayleigh(frame.maps[fr].inverse().compose(frame.maps[fl]), z[v])
+        t = transition_closed_form(z[v], z[w], lam)
         prod = t.inverse().compose(prod)
     return prod
 
@@ -250,7 +248,8 @@ def integrate_eta(gauss: CirclePattern, f, lam):
     the left face of i -> j to its right face.  eta must close around every
     interior vertex; it is integrated over the dual tree from face 0, the
     constant is the polar factor C C* = f[0], and A A* = f is checked before
-    z = A^{-1} z~ is read off.  Returns (source pattern, coherent frame).
+    z = A^{-1} z~ is read off.  Returns (source pattern, ``gauss``, coherent
+    frame), the result of both nets' extracts.
     """
     disk = gauss.disk
     z_t = gauss.z
@@ -310,7 +309,7 @@ def integrate_eta(gauss: CirclePattern, f, lam):
         for v in range(disk.n_vertices)
     ]
     source = CirclePattern(disk, z)
-    return source, MoebiusFrame(source, gauss, a_maps, lift="coherent")
+    return source, gauss, MoebiusFrame(source, gauss, a_maps, lift="coherent")
 
 
 def compose_frames(f1: MoebiusFrame, f2: MoebiusFrame) -> MoebiusFrame:

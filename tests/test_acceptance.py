@@ -307,8 +307,8 @@ def test_criterion_10_convergence():
     start = time.time()
     spec = LatticeSpec.equilateral(1.0, (0.0, 1.0, 0.0, 1.0))
     eps = [0.1, 0.05, 0.025]
-    frames = frame_convergence(jet_exp(), spec, eps, "solved")
-    surfaces = surface_convergence(jet_identity(), jet_exp(), spec, eps, "solved")
+    frames = frame_convergence(jet_exp(), spec, eps)
+    surfaces = surface_convergence(jet_identity(), jet_exp(), spec, eps)
     elapsed = time.time() - start
 
     s1_errs = [r.schwarzian_error for r in frames.rows]

@@ -1,11 +1,15 @@
 """Package modules carry no dead names: every import, parameter,
 definition, constant and instance attribute is used, and every default is
-overridden somewhere.  Imports sit at module level only."""
+overridden somewhere.  Imports sit at module level only, and every error
+class is raised somewhere under its own exit code."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from horonet import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -392,3 +396,19 @@ def test_no_unread_attributes():
         path.name: unread_attributes(path.read_text(), read) for path in MODULES
     }
     assert {name: found for name, found in unread.items() if found} == {}
+
+
+def test_error_classes_raised_with_distinct_exit_codes():
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.HoronetError)
+        and c is not errors.HoronetError
+    ]
+    codes = [c.exit_code for c in classes]
+    assert len(set(codes)) == len(codes)
+    source = "\n".join(p.read_text() for p in MODULES)
+    unraised = [
+        c.__name__ for c in classes
+        if not re.search(rf"raise {c.__name__}\b", source)
+    ]
+    assert unraised == []

@@ -217,8 +217,7 @@ class TestCli:
     def test_converge_subcommand(self, tmp_path):
         out = tmp_path / "report.csv"
         code = main(
-            ["converge", "--case", "exp", "--pipeline", "solved",
-             "--eps", "0.2,0.1", "--out", str(out)]
+            ["converge", "--case", "exp", "--eps", "0.2,0.1", "--out", str(out)]
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()

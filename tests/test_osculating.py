@@ -20,7 +20,7 @@ from horonet.osculating import (
     transition_closed_form,
     vertex_monodromy,
 )
-from horonet.pattern import CirclePattern, cross_ratios_of
+from horonet.pattern import CirclePattern, angle_match, cross_ratios_of, shear_match
 from horonet.toda import (
     cmc1_from_toda,
     develop_family,
@@ -202,6 +202,24 @@ class TestCoherentLift:
         pattern = CirclePattern(hex_fan, z)
         with pytest.raises(NotDelaunay):
             coherent_lift(osculating_frame(pattern, pattern))
+
+
+class TestRealization:
+    def test_general_pair(self, lattice_pattern):
+        # a Delaunay pair matching neither shears nor angles still has a
+        # realization; lambda^2 = X / X~ splits into the two mismatches
+        for h in (lambda z: cmath.exp(z / 2), lambda z: z + 0.2 * z * z):
+            target = smooth_image(lattice_pattern, h)
+            x, xt = cross_ratios_of(lattice_pattern), cross_ratios_of(target)
+            assert shear_match(x, xt) > 1e-3 and angle_match(x, xt) > 1e-3
+            frame = coherent_lift(osculating_frame(lattice_pattern, target), x, xt)
+            assert set(frame.lambdas) == set(lattice_pattern.disk.interior_edges)
+            for e, lam in frame.lambdas.items():
+                log_ratio = math.log(abs(x.values[e])) - math.log(abs(xt.values[e]))
+                assert abs(2 * math.log(abs(lam)) - log_ratio) <= 1e-12
+                assert abs(2 * cmath.phase(lam) - (x.args[e] - xt.args[e])) <= 1e-12
+            for p in frame.realization():
+                assert abs(p.det() - 1) <= 1e-12
 
 
 class TestComposeFrames:
