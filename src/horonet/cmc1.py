@@ -15,6 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     DegenerateFace,
     FrameUnavailable,
@@ -31,16 +33,21 @@ from .moebius import (
     MoebiusMap,
     SpherePoint,
     act_on_hermitian,
+    act_on_hermitian_rows,
+    cabs,
     from_upper_half_space,
     horosphere,
     ideal_circle_normal,
     inner,
+    unit_horosphere_rows,
 )
 from .osculating import MoebiusFrame, coherent_lift, integrate_eta, osculating_frame
 from .pattern import CirclePattern, cross_ratios_of, shear_match
 
 TOL_SHEAR = 1e-9
 TOL_DEGENERATE = 1e-12
+# floor of the horosphere scale that the incidence residual is relative to
+SCALE_FLOOR = 1e-30
 
 
 @dataclass
@@ -283,27 +290,26 @@ def _net_from_frame(frame: MoebiusFrame) -> HorosphericalNet:
     """Net f = A A* with the horosphere at vertex v the image of N_{z_v, 1}.
 
     Every incident face map carries N_{z_v, 1} to the same horosphere; the
-    worst relative disagreement is the net's incidence residual.
+    worst relative disagreement is the net's incidence residual.  The
+    horosphere kept at v is its image under the first face of
+    ``vertex_faces_ccw(v)``.
     """
-    disk = frame.disk
-    horos = []
+    disk, entries = frame.disk, frame.entries
+    n = disk.n_vertices
+    ua, ub, ud = unit_horosphere_rows(frame.source.zh)
+    first = [disk.vertex_faces_ccw(v)[0] for v in range(n)]
+    a0, b0, d0 = act_on_hermitian_rows(entries[first], ua, ub, ud)
+    scale = np.max([np.abs(a0), cabs(b0), np.abs(d0)], axis=0).clip(SCALE_FLOOR)
     incidence = 0.0
-    for v in range(disk.n_vertices):
-        base = horosphere(frame.source.z[v], 1.0)
-        u0, *rest = (
-            act_on_hermitian(frame.maps[fi], base.u) for fi in disk.vertex_faces_ccw(v)
-        )
-        scale = max(abs(u0.a), abs(u0.b), abs(u0.d), 1e-30)
-        for u in rest:
-            incidence = max(
-                incidence,
-                max(abs(u.a - u0.a), abs(u.b - u0.b), abs(u.d - u0.d)) / scale,
-            )
-        horos.append(Horosphere(u0))
+    for v in disk.face_array.T:  # the images of N_{z_v, 1} at each corner
+        a, b, d = act_on_hermitian_rows(entries, ua[v], ub[v], ud[v])
+        gap = np.max([np.abs(a - a0[v]), cabs(b - b0[v]), np.abs(d - d0[v])], axis=0)
+        incidence = max(incidence, float((gap / scale[v]).max()))
+    horos = map(HermitianPoint, a0.tolist(), b0.tolist(), d0.tolist())
     return HorosphericalNet(
         disk=disk,
         f=frame.realization(),
-        horospheres=tuple(horos),
+        horospheres=tuple(map(Horosphere, horos)),
         gauss=tuple(frame.target.z),
         frame=frame,
         incidence_residual=incidence,

@@ -44,6 +44,12 @@ from .pattern import CirclePattern, cross_ratios_of
 
 GRAD_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# the line search gives up below this step fraction
+MIN_LINE_STEP = 1e-8
+# angles within this of 0 or pi contribute no cotangent to the Jacobian
+COT_MARGIN = 1e-12
+# a solved pattern must be Delaunay to this tolerance
+TOL_SOLVED_DELAUNAY = 1e-12
 TOL_SCHWARZIAN_SHEAR = 1e-8
 
 
@@ -115,50 +121,61 @@ def sampled_pattern(jet: Jet, patch: LatticePatch) -> CirclePattern:
 # -- shear-preserving solve ------------------------------------------------
 
 
-def _face_angles(a, b, c):
-    """Angles opposite sides (a, b, c); degenerate triangles collapse to pi/0."""
-    if a >= b + c:
-        return math.pi, 0.0, 0.0
-    if b >= c + a:
-        return 0.0, math.pi, 0.0
-    if c >= a + b:
-        return 0.0, 0.0, math.pi
-    ca = max(-1.0, min(1.0, (b * b + c * c - a * a) / (2 * b * c)))
-    cb = max(-1.0, min(1.0, (c * c + a * a - b * b) / (2 * c * a)))
-    aa, ab = math.acos(ca), math.acos(cb)
-    return aa, ab, math.pi - aa - ab
+def _angle_defects(disk, log_len, interior_of):
+    """Map u -> (interior angle defects 2 pi - sum of angles, their Jacobian).
 
+    ``log_len`` (F, 3) holds the base log length of the side opposite each
+    corner of ``disk.face_array``; ``interior_of`` maps a vertex to its row
+    among the interior vertices, -1 on the boundary.  A triangle violating
+    the triangle inequality collapses to angles (pi, 0, 0), the pi at its
+    longest side's opposite corner, the first one on a tie.  The Jacobian is
+    the cotangent Laplacian: d defect_v / d u_w = -(cot a + cot a') / 2 over
+    the angles a, a' opposite the edge vw, and each diagonal entry is minus
+    the sum of its row's off-diagonal terms over all neighbours.
+    """
+    faces = disk.face_array
+    nxt, prv = faces[:, [1, 2, 0]], faces[:, [2, 0, 1]]
+    rows = interior_of >= 0
+    m = int(rows.sum())
+    k, i, l, j = disk.edge_quads.T
+    left, right = disk.edge_faces.T
+    # the corners at k and l, opposite each interior edge, as flat indices
+    opp_k = 3 * left + np.argmax(faces[left] == k[:, None], axis=1)
+    opp_l = 3 * right + np.argmax(faces[right] == l[:, None], axis=1)
+    # CSR entries: the diagonal, then both orders of each edge inside
+    inner_edge = rows[i] & rows[j]
+    ii, jj = interior_of[i[inner_edge]], interior_of[j[inner_edge]]
+    entry_rows = np.concatenate((np.arange(m), ii, jj))
+    entry_cols = np.concatenate((np.arange(m), jj, ii))
+    order = np.lexsort((entry_cols, entry_rows))
+    indices = entry_cols[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_rows, minlength=m))))
 
-def _angle_defects(patch: LatticePatch, u, base_log_len, interior_index):
-    disk = patch.disk
-    defects = np.full(len(interior_index), 2.0 * math.pi)
-    rows, cols, vals = [], [], []
-    for (i, j, k) in disk.faces:
-        lij = math.exp(base_log_len[(min(i, j), max(i, j))] + (u[i] + u[j]) / 2)
-        ljk = math.exp(base_log_len[(min(j, k), max(j, k))] + (u[j] + u[k]) / 2)
-        lki = math.exp(base_log_len[(min(k, i), max(k, i))] + (u[k] + u[i]) / 2)
-        ai, aj, ak = _face_angles(ljk, lki, lij)
-        for v, ang in ((i, ai), (j, aj), (k, ak)):
-            if v in interior_index:
-                defects[interior_index[v]] -= ang
-        # Jacobian of the defect: d angle_i / d u_i = -(cot aj + cot ak)/2 etc.
-        cots = {}
-        for v, ang in ((i, ai), (j, aj), (k, ak)):
-            cots[v] = 1.0 / math.tan(ang) if 1e-12 < ang < math.pi - 1e-12 else 0.0
-        for (v, w, opp) in ((i, j, k), (j, k, i), (k, i, j)):
-            # d defect_v / d u_v += (cot a_w + cot a_opp)/2
-            if v in interior_index:
-                rows.append(interior_index[v])
-                cols.append(v)
-                vals.append(0.5 * (cots[w] + cots[opp]))
-                # d defect_v / d u_w -= cot a_opp / 2 ; d/d u_opp -= cot a_w / 2
-                rows.append(interior_index[v])
-                cols.append(w)
-                vals.append(-0.5 * cots[opp])
-                rows.append(interior_index[v])
-                cols.append(opp)
-                vals.append(-0.5 * cots[w])
-    return defects, (rows, cols, vals)
+    def evaluate(u):
+        sides = np.exp(log_len + (u[nxt] + u[prv]) / 2)
+        a, b, c = sides.T
+        cos_a = np.clip((b * b + c * c - a * a) / (2 * b * c), -1.0, 1.0)
+        cos_b = np.clip((c * c + a * a - b * b) / (2 * c * a), -1.0, 1.0)
+        ang_a, ang_b = np.arccos(cos_a), np.arccos(cos_b)
+        angles = np.column_stack((ang_a, ang_b, math.pi - ang_a - ang_b))
+        flat = np.column_stack((a >= b + c, b >= c + a, c >= a + b))
+        collapsed = flat.any(axis=1)
+        angles[collapsed] = 0.0
+        angles[collapsed, np.argmax(flat[collapsed], axis=1)] = math.pi
+        total = np.bincount(faces.ravel(), angles.ravel(), minlength=len(rows))
+
+        inner = (angles > COT_MARGIN) & (angles < math.pi - COT_MARGIN)
+        cot = np.where(inner, 1.0 / np.tan(np.where(inner, angles, 1.0)), 0.0)
+        off = -0.5 * (cot.ravel()[opp_k] + cot.ravel()[opp_l])[inner_edge]
+        diag = np.bincount(
+            faces.ravel(), 0.5 * (cot[:, [1, 2, 0]] + cot[:, [2, 0, 1]]).ravel(),
+            minlength=len(rows),
+        )[rows]
+        data = np.concatenate((diag, off, off))[order]
+        jac = sp.csr_matrix((data, indices, indptr), shape=(m, m))
+        return 2.0 * math.pi - total[rows], jac
+
+    return evaluate
 
 
 def shear_preserving_solve(
@@ -183,40 +200,29 @@ def shear_preserving_solve(
         if d1 == 0:
             raise CriticalPoint(f"h' vanishes at lattice vertex {v}, z = {p}")
         u[v] = math.log(d1)
-    interior = [v for v in range(n) if not disk.is_boundary_vertex[v]]
-    interior_index = {v: m for m, v in enumerate(interior)}
-    if interior:
-        f_val, (rows, cols, vals) = _angle_defects(
-            patch, u, base_log_len, interior_index
-        )
+    faces = disk.face_array
+    pos = np.array(patch.positions)
+    log_len = np.log(np.abs(pos[faces[:, [2, 0, 1]]] - pos[faces[:, [1, 2, 0]]]))
+    interior = np.flatnonzero(~np.array(disk.is_boundary_vertex))
+    interior_of = np.full(n, -1)
+    interior_of[interior] = np.arange(len(interior))
+    if len(interior):
+        defects = _angle_defects(disk, log_len, interior_of)
+        f_val, jac = defects(u)
         for _ in range(NEWTON_MAX_ITER):
             err = np.abs(f_val).max()
             if err <= GRAD_TOL:
                 break
-            keep = [m for m, c in enumerate(cols) if c in interior_index]
-            jac = sp.csr_matrix(
-                (
-                    [vals[m] for m in keep],
-                    (
-                        [rows[m] for m in keep],
-                        [interior_index[cols[m]] for m in keep],
-                    ),
-                ),
-                shape=(len(interior), len(interior)),
-            )
             step = spla.spsolve(jac, -f_val)
             s = 1.0
-            while s > 1e-8:
+            while s > MIN_LINE_STEP:
                 trial = u.copy()
-                for v, m in interior_index.items():
-                    trial[v] += s * step[m]
-                f_trial, jac_trial = _angle_defects(
-                    patch, trial, base_log_len, interior_index
-                )
+                trial[interior] += s * step
+                f_trial, jac_trial = defects(trial)
                 if np.abs(f_trial).max() < (1.0 - 0.25 * s) * err or np.abs(
                     f_trial
                 ).max() <= GRAD_TOL:
-                    u, f_val, (rows, cols, vals) = trial, f_trial, jac_trial
+                    u, f_val, jac = trial, f_trial, jac_trial
                     break
                 s /= 2.0
             else:
@@ -229,7 +235,7 @@ def shear_preserving_solve(
     z = _layout(patch, u, base_log_len, jet)
     pattern = CirclePattern(disk, z)
     xt = cross_ratios_of(pattern)
-    bad = xt.delaunay_violations(1e-12)
+    bad = xt.delaunay_violations(TOL_SOLVED_DELAUNAY)
     if bad:
         worst = min(xt.args[e] for e in bad)
         raise DelaunayViolated(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NotAngleMatched, NotEquidistant
+from .errors import FrameUnavailable, NotAngleMatched, NotEquidistant
 from .mesh import TriangulatedDisk
 from .moebius import (
     act_on_hermitian,
@@ -26,12 +26,20 @@ from .pattern import CirclePattern, cross_ratios_of, angle_match
 
 TOL_ANGLE = 1e-9
 TOL_COSPHERICAL = 1e-8
+# the net is degenerate when every eigenvalue is this close to 1
+TOL_UNIT_LAMBDA = 1e-12
 
 
 @dataclass
 class EquidistantNet:
     """Realization f = A A* of a coherent frame with per-face umbilic
-    functionals; everything but the frame is derived when built."""
+    functionals; everything but the frame is derived when built.
+
+    The frame must cache an eigenvalue on every interior edge, as
+    ``coherent_lift`` does; ``degenerate`` and ``verify_equidistant`` read
+    them.  Any other frame, such as an inverse or a projective one, raises
+    FrameUnavailable.
+    """
 
     frame: MoebiusFrame  # coherent; frame.lambdas holds the edge eigenvalues
     disk: TriangulatedDisk = field(init=False)
@@ -43,9 +51,16 @@ class EquidistantNet:
     def __post_init__(self):
         frame = self.frame
         self.disk = frame.disk
+        if len(frame.lambdas) < len(self.disk.interior_edges):
+            raise FrameUnavailable(
+                "equidistant net needs a frame with cached edge eigenvalues, "
+                "as coherent_lift returns"
+            )
         self.f = frame.realization()
         self.gauss = tuple(frame.target.z)
-        self.degenerate = all(abs(l - 1.0) < 1e-12 for l in frame.lambdas.values())
+        self.degenerate = all(
+            abs(l - 1.0) < TOL_UNIT_LAMBDA for l in frame.lambdas.values()
+        )
         # per face: (P, c) with <f, P> = c on the face point and its neighbors
         self.functionals = {}
         for fidx, face in enumerate(self.disk.faces):

@@ -5,6 +5,11 @@ polygons: the triangulated disks that carry circle patterns and the cell
 decompositions that carry Toda solutions.  The left face of the directed
 edge i -> j is the face whose boundary contains i -> j.  Edges are
 canonical unordered pairs (min, max); orientation is supplied at call sites.
+
+``TriangulatedDisk`` also holds read-only integer index tables, built once
+at construction, on which the array kernels of patterns, frames and the
+lattice solve run: ``face_array`` (F, 3), ``edge_quads`` (E, 4) and
+``edge_faces`` (E, 2), whose rows follow ``interior_edges``.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     BoundaryVertex,
@@ -157,14 +164,59 @@ class OrientedDisk:
         )
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class TriangulatedDisk(OrientedDisk):
-    """Oriented disk whose faces are triangles."""
+    """Oriented disk whose faces are triangles, with index tables.
+
+    * ``face_array``, (F, 3): the vertices of each face, counterclockwise.
+    * ``edge_quads``, (E, 4): (k, i, l, j) per interior edge (i, j), i < j,
+      in the order of ``interior_edges``; k is the apex of the face left of
+      i -> j and l the apex of the face right of it, so a pattern's cross
+      ratio on row e reads its points at ``edge_quads[e]``.
+    * ``edge_faces``, (E, 2): the faces left and right of i -> j.
+    * ``edge_index``: interior edge (i, j), i < j, -> its row.
+    """
 
     def __init__(self, faces):
         super().__init__(faces)
         for f in self.faces:
             if len(f) != 3:
                 raise NotADisk(f"not a triangle: {f}")
+        left = self._left
+        self.face_array = _readonly(np.array(self.faces, dtype=np.intp))
+        ij = np.array(self.interior_edges, dtype=np.intp).reshape(-1, 2)
+        # per edge: left face, its apex k, right face, its apex l
+        sides = np.fromiter(
+            (v for (i, j) in self.interior_edges for v in left[(i, j)] + left[(j, i)]),
+            dtype=np.intp,
+            count=4 * len(ij),
+        ).reshape(-1, 4)
+        self.edge_quads = _readonly(
+            np.column_stack((sides[:, 1], ij[:, 0], sides[:, 3], ij[:, 1]))
+        )
+        self.edge_faces = _readonly(sides[:, [0, 2]])
+        self.edge_index = {e: n for n, e in enumerate(self.interior_edges)}
+        self._stars = None
+
+    def interior_stars(self):
+        """Rows of the edges around each interior vertex, clockwise from its
+        smallest neighbour as in ``interior_star``: (V_int, d) int with -1
+        past the end of a shorter star.  Built on first request."""
+        if self._stars is None:
+            stars = [
+                [self.edge_index[_canon(v, w)] for w in interior_star(self, v)]
+                for v in self.interior_vertices
+            ]
+            width = max(map(len, stars), default=0)
+            table = np.full((len(stars), width), -1, dtype=np.intp)
+            for row, star in zip(table, stars):
+                row[: len(star)] = star
+            self._stars = _readonly(table)
+        return self._stars
 
     def apex(self, i: int, j: int) -> int:
         """Third vertex of the face left of i -> j."""

@@ -10,6 +10,13 @@ Conventions fixed here and used everywhere downstream:
   <U, V> = -1/2 trace(U cof(V)).  Hyperbolic space is det = 1, trace > 0.
 * Horosphere incidence uses -<x, U> = 1 (the sign making the r = 1
   horospheres pass through the ball center I).
+
+The array kernels at the end of the module take V points as one (V, 2)
+complex array of homogeneous pairs (p, q), the rows of ``CirclePattern.zh``,
+and N maps as one (N, 4) complex array of entries (a, b, c, d), the rows of
+``MoebiusFrame.entries``.  They round exactly as the scalar API does, so an
+array result equals the scalar one bit for bit; the scalar classes stay the
+public API.
 """
 
 from __future__ import annotations
@@ -30,12 +37,18 @@ from .errors import (
 
 TOL_GEOMETRIC = 1e-10
 TOL_HYPERBOLOID = 1e-8
+# canonical_sign skips entries below this fraction of the largest one
+TOL_ZERO_ENTRY = 1e-14
+# a triple whose frame determinant is this small is projectively degenerate
+TOL_DEGENERATE_TRIPLE = 1e-28
 # det x = a d - |b|^2 and the pairing <x, y> of float Hermitian points are
 # known only to a few ulps of the terms they cancel; hyperboloid checks
 # allow this many of them on top of their absolute tolerance.
 DET_ULPS = 32.0
 
 _INF_TOKENS = ("inf", "Inf", "INF", "oo")
+DEGENERATE_TRIPLE = "triple is projectively degenerate"
+SINGULAR_MATRIX = "matrix is singular or non-finite"
 
 
 @dataclass(frozen=True)
@@ -112,7 +125,7 @@ class MoebiusMap:
         a, b, c, d = complex(a), complex(b), complex(c), complex(d)
         det = a * d - b * c
         if det == 0 or not math.isfinite(abs(det)):
-            raise SingularMatrix("matrix is singular or non-finite")
+            raise SingularMatrix(SINGULAR_MATRIX)
         s = cmath.sqrt(det)
         return MoebiusMap(a / s, b / s, c / s, d / s)
 
@@ -172,7 +185,7 @@ class MoebiusMap:
         """Fix +/-: first nonzero entry in row-major order gets Arg in (-pi/2, pi/2]."""
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
         for e in self.entries():
-            if abs(e) > 1e-14 * scale:
+            if abs(e) > TOL_ZERO_ENTRY * scale:
                 phi = cmath.phase(e)
                 if phi <= -math.pi / 2 or phi > math.pi / 2:
                     return self.negate()
@@ -190,8 +203,8 @@ def _projective_frame(z1: SpherePoint, z2: SpherePoint, z3: SpherePoint):
     b = c1 * z1.p
     d = c1 * z1.q
     det = a * d - b * c
-    if abs(det) <= 1e-28:
-        raise DegenerateTriple("triple is projectively degenerate")
+    if abs(det) <= TOL_DEGENERATE_TRIPLE:
+        raise DegenerateTriple(DEGENERATE_TRIPLE)
     return a, b, c, d
 
 
@@ -428,3 +441,165 @@ def from_upper_half_space(w: complex, t: float) -> HermitianPoint:
     if not (t > 0):
         raise NotInHyperboloid("height must be positive")
     return HermitianPoint((abs(w) ** 2 + t * t) / t, w / t, 1.0 / t)
+
+
+# -- array kernels -----------------------------------------------------------
+#
+# numpy's complex multiply and divide may fuse or reorder the floating-point
+# operations that CPython performs one by one, so the kernels spell complex
+# products and quotients out on real and imaginary parts.
+
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def cmul(x, y) -> np.ndarray:
+    """Elementwise x * y, rounded as CPython rounds a complex product."""
+    return _complex(
+        x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+    )
+
+
+def cdiv(x, y) -> np.ndarray:
+    """Elementwise x / y for nonzero y, rounded as CPython rounds it: both
+    parts are scaled by the larger of |Re y| and |Im y|."""
+    by_real = np.abs(y.real) >= np.abs(y.imag)
+    big = np.where(by_real, y.real, y.imag)
+    small = np.where(by_real, y.imag, y.real)
+    u = np.where(by_real, x.real, x.imag)
+    v = np.where(by_real, x.imag, x.real)
+    ratio = small / big
+    denom = big + small * ratio
+    return _complex(
+        (u + v * ratio) / denom,
+        np.where(by_real, v - u * ratio, u * ratio - v) / denom,
+    )
+
+
+def csqrt(z) -> np.ndarray:
+    """Elementwise principal square root, computed as ``cmath.sqrt`` does for
+    nonzero z of normal size."""
+    ax, ay = np.abs(z.real), np.abs(z.imag)
+    s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
+    d = ay / (2.0 * s)
+    right = z.real >= 0.0
+    return _complex(
+        np.where(right, s, d), np.copysign(np.where(right, d, s), z.imag)
+    )
+
+
+def det2_rows(a, b) -> np.ndarray:
+    """``det2`` of the pairs a[n], b[n], both (..., 2)."""
+    return cmul(a[..., 0], b[..., 1]) - cmul(a[..., 1], b[..., 0])
+
+
+def cabs(z) -> np.ndarray:
+    """Elementwise abs(z), as CPython forms it (numpy's abs may differ)."""
+    return np.hypot(z.real, z.imag)
+
+
+def sq_abs(z) -> np.ndarray:
+    """Elementwise abs(z) ** 2, as the scalar code forms it."""
+    return np.float_power(cabs(z), 2.0)
+
+
+def chordal_rows(a, b) -> np.ndarray:
+    """Chordal distance between the pairs a[n] and b[n], (..., 2) each."""
+    ma, mb = cabs(a), cabs(b)
+    na = np.hypot(ma[..., 0], ma[..., 1])
+    nb = np.hypot(mb[..., 0], mb[..., 1])
+    return cabs(det2_rows(a, b)) / (na * nb)
+
+
+def cross_ratio_rows(z, quads) -> np.ndarray:
+    """``edge_cross_ratio`` of the pairs z, (V, 2), at each row (k, i, l, j)
+    of ``quads``, (E, 4)."""
+    k, i, l, j = quads.T
+    num = cmul(det2_rows(z[k], z[i]), det2_rows(z[l], z[j]))
+    den = cmul(det2_rows(z[i], z[l]), det2_rows(z[j], z[k]))
+    if np.any((num == 0) | (den == 0)):
+        raise CoincidentPoints("cross ratio of a degenerate quadruple")
+    return cdiv(-num, den)
+
+
+def _projective_frame_rows(z, faces):
+    """``_projective_frame`` of the pairs z, (V, 2), at each row of ``faces``,
+    (N, 3), and the mask of degenerate triples."""
+    i, j, k = faces.T
+    z1, z3 = z[i], z[k]
+    c1 = det2_rows(z3, z[j])
+    c3 = det2_rows(z[j], z1)
+    a, c = cmul(c3, z3[:, 0]), cmul(c3, z3[:, 1])
+    b, d = cmul(c1, z1[:, 0]), cmul(c1, z1[:, 1])
+    det = cmul(a, d) - cmul(b, c)
+    return (a, b, c, d), cabs(det) <= TOL_DEGENERATE_TRIPLE
+
+
+def mobius_rows(z, w, faces) -> np.ndarray:
+    """Entries of ``mobius_from_triples`` per row (i, j, k) of ``faces``,
+    (N, 3), from z[i], z[j], z[k] to w[i], w[j], w[k]; z and w are (V, 2).
+
+    For the first row the scalar function rejects, raises its error with
+    ``row`` set to that row.
+    """
+    (fa, fb, fc, fd), f_bad = _projective_frame_rows(z, faces)
+    (ga, gb, gc, gd), g_bad = _projective_frame_rows(w, faces)
+    m = np.empty((len(faces), 4), dtype=complex)
+    # G @ adj(F)
+    m[:, 0] = cmul(ga, fd) + cmul(gb, -fc)
+    m[:, 1] = cmul(ga, -fb) + cmul(gb, fa)
+    m[:, 2] = cmul(gc, fd) + cmul(gd, -fc)
+    m[:, 3] = cmul(gc, -fb) + cmul(gd, fa)
+    del fa, fb, fc, fd, ga, gb, gc, gd  # a lower peak of live temporaries
+    det = cmul(m[:, 0], m[:, 3]) - cmul(m[:, 1], m[:, 2])
+    triple = f_bad | g_bad
+    singular = (det == 0) | ~np.isfinite(cabs(det))
+    if np.any(triple | singular):
+        row = int(np.argmax(triple | singular))
+        exc = (
+            DegenerateTriple(DEGENERATE_TRIPLE)
+            if triple[row]
+            else SingularMatrix(SINGULAR_MATRIX)
+        )
+        exc.row = row
+        raise exc
+    s = csqrt(det)
+    for col in range(4):
+        m[:, col] = cdiv(m[:, col], s)
+    # canonical sign: the first entry above TOL_ZERO_ENTRY of the largest
+    # gets Arg in (-pi/2, pi/2]; np.arctan2 may differ from cmath.phase in
+    # the last bit, which matters only within an ulp of +-pi/2
+    mag = cabs(m)
+    lead = np.argmax(mag > TOL_ZERO_ENTRY * mag.max(axis=1, keepdims=True), axis=1)
+    e = m[np.arange(len(m)), lead]
+    phi = np.arctan2(e.imag, e.real)
+    flip = (phi <= -math.pi / 2) | (phi > math.pi / 2)
+    return np.negative(m, out=m, where=flip[:, None])
+
+
+def act_on_hermitian_rows(m, a, b, d):
+    """``act_on_hermitian`` of the maps m, (N, 4), on the Hermitian points
+    with entries a, b, d, (N,) each; returns the image entries (a, b, d)."""
+    ma, mb, mc, md = m.T
+    bb = np.conj(b)
+    r11 = cmul(ma, a) + cmul(mb, bb)
+    r12 = cmul(ma, b) + cmul(mb, d)
+    r21 = cmul(mc, a) + cmul(md, bb)
+    r22 = cmul(mc, b) + cmul(md, d)
+    return (
+        (cmul(r11, np.conj(ma)) + cmul(r12, np.conj(mb))).real,
+        cmul(r11, np.conj(mc)) + cmul(r12, np.conj(md)),
+        (cmul(r21, np.conj(mc)) + cmul(r22, np.conj(md))).real,
+    )
+
+
+def unit_horosphere_rows(z):
+    """Entries (a, b, d) of ``horosphere(z[n], 1.0).u`` per pair of z, (V, 2)."""
+    p, q = z[:, 0], z[:, 1]
+    p2, q2 = sq_abs(p), sq_abs(q)
+    s = 2.0 / (p2 + q2)
+    return s * p2, cmul(cmul(s, p), np.conj(q)), s * q2

@@ -20,14 +20,18 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     BoundaryEdge,
     CriticalPoint,
     DegenerateFace,
+    DegenerateTriple,
     EtaNotClosed,
     MeshMismatch,
     MonodromyObstruction,
     NotDelaunay,
+    SingularMatrix,
 )
 from .mesh import TriangulatedDisk, _canon
 from .moebius import (
@@ -35,8 +39,12 @@ from .moebius import (
     MoebiusMap,
     SpherePoint,
     act_on_hermitian,
+    act_on_hermitian_rows,
+    cdiv,
+    cmul,
     det2,
-    mobius_from_triples,
+    mobius_rows,
+    sq_abs,
 )
 from .pattern import CirclePattern, CrossRatioSystem, cross_ratios_of
 
@@ -47,13 +55,25 @@ TOL_ETA = 1e-8
 
 @dataclass
 class MoebiusFrame:
-    """Per-face Moebius maps from ``source`` to ``target``."""
+    """Per-face Moebius maps from ``source`` to ``target``.
+
+    ``entries`` holds the maps as one read-only (F, 4) complex array of rows
+    (a, b, c, d); it is derived from ``maps`` when not given.
+    """
 
     source: CirclePattern
     target: CirclePattern
     maps: tuple  # MoebiusMap per face
     lift: str = "projective"  # or "coherent"
     lambdas: dict = field(default_factory=dict, repr=False)
+    entries: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.entries is None:
+            self.entries = np.array(
+                [m.entries() for m in self.maps], dtype=complex
+            ).reshape(-1, 4)
+        self.entries.setflags(write=False)
 
     @property
     def disk(self) -> TriangulatedDisk:
@@ -64,12 +84,9 @@ class MoebiusFrame:
 
         Its eigenvalues 1/lambda are not cached; ``transition`` recomputes them.
         """
-        return MoebiusFrame(
-            self.target,
-            self.source,
-            tuple(m.inverse() for m in self.maps),
-            lift=self.lift,
-        )
+        inv = self.entries[:, [3, 1, 2, 0]]  # adjugate, as MoebiusMap.inverse
+        inv[:, 1:3] = -inv[:, 1:3]
+        return _frame(self.target, self.source, inv, lift=self.lift)
 
     def realization(self) -> tuple:
         """Net f = A A* of the frame, one HermitianPoint per face.
@@ -79,26 +96,30 @@ class MoebiusFrame:
         (|lambda| = 1), an equidistant net when the angle mismatch is 0
         (lambda > 0).
         """
-        return tuple(
-            act_on_hermitian(m, HermitianPoint.identity()) for m in self.maps
+        n = len(self.entries)
+        # act_on_hermitian(m, HermitianPoint.identity()) on every row
+        a, b, d = act_on_hermitian_rows(
+            self.entries, np.ones(n), np.zeros(n, dtype=complex), np.ones(n)
         )
+        return tuple(map(HermitianPoint, a.tolist(), b.tolist(), d.tolist()))
+
+
+def _frame(source: CirclePattern, target: CirclePattern, entries, **kw):
+    """Frame whose maps are the rows of the (F, 4) array ``entries``."""
+    maps = tuple(map(MoebiusMap, *(column.tolist() for column in entries.T)))
+    return MoebiusFrame(source, target, maps, entries=entries, **kw)
 
 
 def osculating_frame(source: CirclePattern, target: CirclePattern) -> MoebiusFrame:
     """Per-face three-point Moebius maps z_i, z_j, z_k -> z~_i, z~_j, z~_k."""
     if source.disk is not target.disk and source.disk.faces != target.disk.faces:
         raise MeshMismatch("patterns live on different disks")
-    maps = []
-    for (i, j, k) in source.disk.faces:
-        try:
-            m = mobius_from_triples(
-                source.z[i], source.z[j], source.z[k],
-                target.z[i], target.z[j], target.z[k],
-            )
-        except Exception as exc:
-            raise DegenerateFace(f"face ({i},{j},{k}): {exc}") from exc
-        maps.append(m)
-    return MoebiusFrame(source, target, tuple(maps))
+    try:
+        entries = mobius_rows(source.zh, target.zh, source.disk.face_array)
+    except (DegenerateTriple, SingularMatrix) as exc:
+        i, j, k = source.disk.faces[exc.row]
+        raise DegenerateFace(f"face ({i},{j},{k}): {exc}") from exc
+    return _frame(source, target, entries)
 
 
 def _rayleigh(t: MoebiusMap, z: SpherePoint) -> complex:
@@ -107,6 +128,28 @@ def _rayleigh(t: MoebiusMap, z: SpherePoint) -> complex:
     uq = t.c * z.p + t.d * z.q
     den = abs(z.p) ** 2 + abs(z.q) ** 2
     return (up * z.p.conjugate() + uq * z.q.conjugate()) / den
+
+
+def _transition_rows(right, left):
+    """Columns (a, b, c, d) of right^{-1} left per row of two (N, 4) arrays,
+    as ``right.inverse().compose(left)`` forms them."""
+    ra, rb, rc, rd = right.T
+    la, lb, lc, ld = left.T
+    return (
+        cmul(rd, la) + cmul(-rb, lc),
+        cmul(rd, lb) + cmul(-rb, ld),
+        cmul(-rc, la) + cmul(ra, lc),
+        cmul(-rc, lb) + cmul(ra, ld),
+    )
+
+
+def _rayleigh_rows(t, z) -> np.ndarray:
+    """``_rayleigh`` per row: t the columns of (N, 4) maps, z (N, 2) pairs."""
+    ta, tb, tc, td = t
+    p, q = z[:, 0], z[:, 1]
+    up = cmul(ta, p) + cmul(tb, q)
+    uq = cmul(tc, p) + cmul(td, q)
+    return cdiv(cmul(up, np.conj(p)) + cmul(uq, np.conj(q)), sq_abs(p) + sq_abs(q))
 
 
 def transition_closed_form(
@@ -146,9 +189,9 @@ def transition(frame: MoebiusFrame, i: int, j: int):
     return t, lam
 
 
-def principal_sqrt_ratio(x: complex, y: complex) -> complex:
-    """Square root of x / y with argument in (-pi/2, pi/2]."""
-    return cmath.exp(0.5 * (cmath.log(x) - cmath.log(y)))
+def principal_sqrt_ratio(x, y):
+    """Square root of x / y with argument in (-pi/2, pi/2], elementwise."""
+    return np.exp(0.5 * (np.log(x) - np.log(y)))
 
 
 def coherent_lift(
@@ -158,9 +201,16 @@ def coherent_lift(
 ) -> MoebiusFrame:
     """Fix per-face signs so Arg lambda lies in (-pi/2, pi/2] on every edge.
 
-    Requires both patterns Delaunay (the paper's existence condition); a
-    residual branch mismatch on a non-tree dual edge means the vertex
-    monodromy is -I and raises MonodromyObstruction.
+    Requires both patterns Delaunay (the paper's existence condition).  Face
+    0 takes the sign that puts the argument of its (2,2) entry in
+    (-pi/2, pi/2].  Then every interior edge e gets at once its eigenvalue
+    lambda_e of A_right^{-1} A_left at the tail z_i, from the unsigned maps,
+    and the sign c_e that moves lambda_e to the branch nearest
+    lambda*_e = sqrt(X / X~).  One integer walk over the cached dual tree
+    gives each face g reached from f across e the sign s_g = s_f c_e, so the
+    signed eigenvalue s_left s_right lambda_e is on that branch on every
+    tree edge.  A non-tree edge off it means the vertex monodromy is -I and
+    raises MonodromyObstruction, naming the first such edge.
     """
     disk = frame.disk
     if x is None:
@@ -172,47 +222,47 @@ def coherent_lift(
     if not x_target.is_delaunay():
         raise NotDelaunay(f"target pattern: edges {x_target.delaunay_violations()[:4]}")
 
-    target_lam = {
-        e: principal_sqrt_ratio(x.values[e], x_target.values[e])
-        for e in disk.interior_edges
-    }
+    target_lam = principal_sqrt_ratio(x.array, x_target.array)
 
-    maps = list(frame.maps)
     # root sign: (2,2) entry argument in (-pi/2, pi/2]
-    m = maps[0]
+    m = frame.maps[0]
     anchor = m.d if abs(m.d) > TOL_ANCHOR else next(
         e for e in m.entries() if abs(e) > TOL_ANCHOR
     )
     phi = cmath.phase(anchor)
-    if phi <= -math.pi / 2 or phi > math.pi / 2:
-        maps[0] = m.negate()
+    root = phi <= -math.pi / 2 or phi > math.pi / 2
+    entries = frame.entries.copy()
+    if root:
+        entries[0] = -entries[0]
 
-    z = frame.source.z
-    # tree-edge lambda on the canonical orientation; negating g negates it
-    lambdas = dict.fromkeys(disk.interior_edges)
-    for (f, g, (i, j)) in disk.dual_tree():
-        t = maps[g].inverse().compose(maps[f]) if i < j else maps[f].inverse().compose(maps[g])
-        lam = _rayleigh(t, z[min(i, j)])
-        e = _canon(i, j)
-        if abs(lam - target_lam[e]) > abs(lam + target_lam[e]):
-            maps[g] = maps[g].negate()
-            lam = -lam
-        lambdas[e] = lam
-
-    # verify every non-tree interior edge carries the canonical branch
-    for (i, j), lam in lambdas.items():
-        if lam is not None:
-            continue
-        t = maps[disk.right_face(i, j)].inverse().compose(maps[disk.left_face(i, j)])
-        lam = _rayleigh(t, z[i])
-        if abs(lam - target_lam[(i, j)]) > abs(lam + target_lam[(i, j)]):
-            raise MonodromyObstruction(
-                f"sign propagation is inconsistent across edge ({i},{j}); "
-                "vertex monodromy is -I"
-            )
-        lambdas[(i, j)] = lam
+    left, right = disk.edge_faces.T
+    lam = _rayleigh_rows(
+        _transition_rows(entries[right], entries[left]),
+        frame.source.zh[disk.edge_quads[:, 1]],
+    )
+    flip = (np.abs(lam - target_lam) > np.abs(lam + target_lam)).tolist()
+    sign = [1] * disk.n_faces
+    for (f, g, e) in disk.dual_tree():
+        sign[g] = -sign[f] if flip[disk.edge_index[_canon(*e)]] else sign[f]
+    negated = np.array(sign) < 0
+    lam = np.where(negated[left] != negated[right], -lam, lam)
+    # tree edges are on the branch by construction
+    off = np.abs(lam - target_lam) > np.abs(lam + target_lam)
+    if off.any():
+        i, j = disk.interior_edges[np.argmax(off)]
+        raise MonodromyObstruction(
+            f"sign propagation is inconsistent across edge ({i},{j}); "
+            "vertex monodromy is -I"
+        )
+    np.negative(entries, out=entries, where=negated[:, None])
+    negated[0] = root  # face 0 roots the tree: only its root sign applies
     return MoebiusFrame(
-        frame.source, frame.target, tuple(maps), lift="coherent", lambdas=lambdas
+        frame.source,
+        frame.target,
+        tuple(m.negate() if n else m for m, n in zip(frame.maps, negated.tolist())),
+        lift="coherent",
+        lambdas=dict(zip(disk.interior_edges, lam.tolist())),
+        entries=entries,
     )
 
 

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ClosureViolation, DegenerateFace, DegenerateSeed
-from .mesh import TriangulatedDisk, _canon, interior_star
-from .moebius import SpherePoint, det2, edge_cross_ratio
+from .mesh import TriangulatedDisk, _canon
+from .moebius import (
+    SpherePoint,
+    cabs,
+    chordal_rows,
+    cmul,
+    cross_ratio_rows,
+    det2,
+)
 
 TOL_CLOSURE_INPUT = 1e-8
 # a closure report passes (ClosureReport.ok, ``horonet check``) within this
@@ -17,10 +25,16 @@ TOL_TREE = 1e-6
 # edges with Arg X within this of the cocircular bound count as Delaunay;
 # developing accumulates O(1e-11) argument noise on exactly cocircular edges
 TOL_DELAUNAY = 1e-9
+# vertices of a face closer than this chordal distance coincide
+TOL_COINCIDENT = 1e-14
 
 
 class CirclePattern:
-    """Realization of a triangulated disk in the Riemann sphere."""
+    """Realization of a triangulated disk in the Riemann sphere.
+
+    ``z`` holds one SpherePoint per vertex and ``zh`` the same points as one
+    read-only (V, 2) complex array of homogeneous pairs (p, q).
+    """
 
     def __init__(self, disk: TriangulatedDisk, z):
         if len(z) != disk.n_vertices:
@@ -29,13 +43,16 @@ class CirclePattern:
             )
         self.disk = disk
         self.z = tuple(SpherePoint.of(v) for v in z)
-        for (i, j, k) in disk.faces:
-            if (
-                self.z[i].chordal(self.z[j]) < 1e-14
-                or self.z[j].chordal(self.z[k]) < 1e-14
-                or self.z[k].chordal(self.z[i]) < 1e-14
-            ):
-                raise DegenerateFace(f"face ({i},{j},{k}) has coincident vertices")
+        self.zh = np.array([(p.p, p.q) for p in self.z], dtype=complex)
+        self.zh.setflags(write=False)
+        faces = disk.face_array
+        near = np.zeros(len(faces), dtype=bool)
+        for c in range(3):  # sides i-j, j-k, k-i
+            a, b = self.zh[faces[:, c]], self.zh[faces[:, c - 2]]
+            near |= chordal_rows(a, b) < TOL_COINCIDENT
+        if near.any():
+            i, j, k = disk.faces[np.argmax(near)]
+            raise DegenerateFace(f"face ({i},{j},{k}) has coincident vertices")
 
     def moebius_image(self, m) -> "CirclePattern":
         return CirclePattern(self.disk, [m.apply(p) for p in self.z])
@@ -46,17 +63,29 @@ class CirclePattern:
 
 @dataclass
 class CrossRatioSystem:
-    """Nonzero complex number per interior edge, keyed by (min, max) pairs."""
+    """Nonzero complex number per interior edge, keyed by (min, max) pairs.
+
+    ``array`` holds the values and ``arg_array`` their arguments, read-only,
+    in the order of ``disk.interior_edges``; ``args`` keys the arguments by
+    edge.  The arguments come from np.angle, within an ulp of cmath.phase.
+    """
 
     disk: TriangulatedDisk
     values: dict  # (i, j) canonical -> complex
+    array: np.ndarray = field(init=False, repr=False, compare=False)
+    arg_array: np.ndarray = field(init=False, repr=False, compare=False)
     args: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         missing = [e for e in self.disk.interior_edges if e not in self.values]
         if missing:
             raise DegenerateFace(f"missing cross ratios on edges {missing[:4]}")
-        self.args = {e: cmath.phase(x) for e, x in self.values.items()}
+        edges = self.disk.interior_edges
+        self.array = np.array([self.values[e] for e in edges], dtype=complex)
+        self.arg_array = np.angle(self.array)
+        self.array.setflags(write=False)
+        self.arg_array.setflags(write=False)
+        self.args = dict(zip(edges, self.arg_array.tolist()))
 
     def x(self, i: int, j: int) -> complex:
         return self.values[_canon(i, j)]
@@ -69,23 +98,16 @@ class CrossRatioSystem:
 
     def delaunay_violations(self, tol: float = TOL_DELAUNAY):
         """Edges whose Arg X falls outside [0, pi)."""
-        bad = []
-        for e, a in self.args.items():
-            if a < -tol or a >= math.pi - tol:
-                bad.append(e)
-        return bad
+        a = self.arg_array
+        bad = np.flatnonzero((a < -tol) | (a >= math.pi - tol))
+        return [self.disk.interior_edges[e] for e in bad]
 
 
 def cross_ratios_of(pattern: CirclePattern) -> CrossRatioSystem:
     """Cross ratio per interior edge, apexes taken from the left/right faces."""
     disk = pattern.disk
-    z = pattern.z
-    values = {}
-    for (i, j) in disk.interior_edges:
-        k = disk.apex(i, j)
-        l = disk.apex(j, i)
-        values[(i, j)] = edge_cross_ratio(z[k], z[i], z[l], z[j])
-    return CrossRatioSystem(disk, values)
+    x = cross_ratio_rows(pattern.zh, disk.edge_quads)
+    return CrossRatioSystem(disk, dict(zip(disk.interior_edges, x.tolist())))
 
 
 @dataclass(frozen=True)
@@ -109,24 +131,23 @@ def verify_closure(x: CrossRatioSystem) -> ClosureReport:
     Neighbors enter the telescoping sum in clockwise order, matching the
     orientation for which the sum vanishes on realized patterns.
     """
-    disk = x.disk
-    prod_res = 0.0
-    sum_res = 0.0
-    branch_res = 0.0
-    for v in disk.interior_vertices:
-        ring = interior_star(disk, v)
-        prod = 1.0 + 0.0j
-        tele = 0.0 + 0.0j
-        argsum = 0.0
-        for w in ring:
-            prod *= x.x(v, w)
-            tele += prod
-            argsum += x.arg(v, w)
-        prod_res = max(prod_res, abs(prod - 1.0))
-        sum_res = max(sum_res, abs(tele))
-        branch_res = max(branch_res, abs(argsum - 2.0 * math.pi))
+    stars = x.disk.interior_stars()
+    valid = stars >= 0
+    # past the end of a star: factor 1, argument 0, no telescoping term
+    xs = np.where(valid, x.array[stars], 1.0)
+    args = np.where(valid, x.arg_array[stars], 0.0)
+    prod = np.ones(len(stars), dtype=complex)
+    tele = np.zeros(len(stars), dtype=complex)
+    argsum = np.zeros(len(stars))
+    for col in range(stars.shape[1]):
+        prod = cmul(prod, xs[:, col])
+        tele = tele + np.where(valid[:, col], prod, 0.0)
+        argsum = argsum + args[:, col]
     return ClosureReport(
-        prod_res, sum_res, branch_res, tuple(x.delaunay_violations())
+        float(cabs(prod - 1.0).max(initial=0.0)),
+        float(cabs(tele).max(initial=0.0)),
+        float(np.abs(argsum - 2.0 * math.pi).max(initial=0.0)),
+        tuple(x.delaunay_violations()),
     )
 
 
@@ -203,13 +224,10 @@ def _check_same_disk(x: CrossRatioSystem, y: CrossRatioSystem):
 def shear_match(x: CrossRatioSystem, y: CrossRatioSystem) -> float:
     """sup |Re log X - Re log X~| over interior edges."""
     _check_same_disk(x, y)
-    return max(
-        abs(math.log(abs(x.values[e])) - math.log(abs(y.values[e])))
-        for e in x.disk.interior_edges
-    )
+    return float(np.abs(np.log(np.abs(x.array)) - np.log(np.abs(y.array))).max())
 
 
 def angle_match(x: CrossRatioSystem, y: CrossRatioSystem) -> float:
     """sup |Arg X - Arg X~| over interior edges."""
     _check_same_disk(x, y)
-    return max(abs(x.args[e] - y.args[e]) for e in x.disk.interior_edges)
+    return float(np.abs(x.arg_array - y.arg_array).max())

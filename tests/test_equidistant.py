@@ -4,11 +4,12 @@ import math
 import pytest
 
 from horonet.equidistant import (
+    EquidistantNet,
     build_equidistant,
     extract_equidistant_patterns,
     verify_equidistant,
 )
-from horonet.errors import NotAngleMatched, NotEquidistant
+from horonet.errors import FrameUnavailable, NotAngleMatched, NotEquidistant
 from horonet.moebius import (
     hyperbolic_distance,
     inner,
@@ -48,6 +49,15 @@ class TestBuild:
         )
         with pytest.raises(NotAngleMatched):
             build_equidistant(hex_pattern, warped)
+
+    def test_frame_without_eigenvalues_rejected(self):
+        # the inverse frame is angle-matched but caches no eigenvalues, so
+        # degenerate and the eigenvalue residual would hold vacuously
+        cell, _, sol = square_grid_toda(6, 6)
+        frame = equidistant_from_toda(cell, sol, 0.05).frame
+        with pytest.raises(FrameUnavailable) as info:
+            EquidistantNet(frame.inverse())
+        assert info.value.exit_code == 56
 
     def test_functional_is_spacelike(self, toda_equidistant):
         for fidx, (p, c) in toda_equidistant.functionals.items():

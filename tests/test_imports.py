@@ -1,10 +1,14 @@
 """Package modules carry no dead names: every import, parameter,
 definition, constant and instance attribute is used, and every default is
-overridden somewhere.  Imports sit at module level only, and every error
-class is raised somewhere under its own exit code."""
+overridden somewhere.  Imports sit at module level only, every error
+class is raised somewhere under its own exit code, and importing the
+package loads no scipy module."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -412,3 +416,18 @@ def test_error_classes_raised_with_distinct_exit_codes():
         if not re.search(rf"raise {c.__name__}\b", source)
     ]
     assert unraised == []
+
+
+def test_package_import_loads_no_scipy():
+    # scipy stays inside horonet.convergence: scipy.sparse.csgraph alone
+    # adds about 0.12 s to the package's import time
+    probe = "import sys, horonet; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout.strip() == "[]"
