@@ -4,9 +4,14 @@ The construction side maps a Delaunay, shear-matched pattern pair to the
 net f = A A* of its coherent osculating frame, with one horosphere per
 primal vertex.  The measurement side is purely geometric: each primal
 vertex chart sends its horosphere to the plane x3 = 1 of the upper half
-space (tangency to infinity); neighboring horospheres become spheres
-tangent to the ground plane, edges become circular arcs on the unit
-plane, and face areas are Euclidean areas of circular-arc polygons.
+space (tangency to infinity), recentred at its first face point (far from
+the origin, differences of chart positions lose relative precision);
+neighboring horospheres become spheres tangent to the ground plane, edges
+become circular arcs on the unit plane, and face areas are Euclidean areas
+of circular-arc polygons.  It runs as one array pass over the disk's
+``directed_edges`` (the edge c -> n read in the chart of c) and
+``interior_rings``, summing each ring in order, so it equals the
+vertex-by-vertex loop bit for bit.
 """
 
 from __future__ import annotations
@@ -30,15 +35,18 @@ from .mesh import TriangulatedDisk, _canon
 from .moebius import (
     HermitianPoint,
     Horosphere,
-    MoebiusMap,
     SpherePoint,
-    act_on_hermitian,
     act_on_hermitian_rows,
     cabs,
+    cdiv,
+    cmul,
+    compose_rows,
     from_upper_half_space,
     horosphere,
     ideal_circle_normal,
     inner,
+    norm_rows,
+    sq_abs,
     unit_horosphere_rows,
 )
 from .osculating import MoebiusFrame, coherent_lift, integrate_eta, osculating_frame
@@ -79,6 +87,11 @@ class HorosphericalNet:
     ratio: dict = field(init=False, repr=False)
     chart_residual: float = field(init=False)
     degenerate: bool = field(init=False)
+    # for the exporters: chart maps (V, 4), corner chart positions (F, 3) and
+    # circle centres per ``disk.directed_edges()`` row, nan for a plane
+    charts: np.ndarray = field(init=False, repr=False, compare=False)
+    chart_w: np.ndarray = field(init=False, repr=False, compare=False)
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         measure_net(self)
@@ -87,115 +100,9 @@ class HorosphericalNet:
         return self.edge_measure[_canon(i, j)]
 
 
-def _chart_map(net: HorosphericalNet, v: int) -> MoebiusMap:
-    """SL(2,C) map sending gauss[v] to infinity and H~_v to the plane x3 = 1.
-
-    The chart is recentered at one incident face point (a horizontal
-    translation fixes infinity and the plane); without it, differences of
-    chart positions far from the origin lose relative precision.
-    """
-    zp = net.gauss[v]
-    n = math.hypot(abs(zp.p), abs(zp.q))
-    m0 = MoebiusMap(
-        zp.p.conjugate() / n, zp.q.conjugate() / n, -zp.q / n, zp.p / n
-    )
-    u0 = act_on_hermitian(m0, net.horospheres[v].u)
-    # u0 should be c * [[1, 0], [0, 0]]
-    c = u0.a
-    if not c > 0:
-        raise NonIntersectingHorospheres(
-            f"horosphere at vertex {v} does not match its tangency point"
-        )
-    s = math.sqrt(2.0 / c)  # diag(s, 1/s) rescales the a-entry by s^2
-    m = MoebiusMap(s, 0j, 0j, 1.0 / s).compose(m0)
-    anchor = act_on_hermitian(m, net.f[net.disk.vertex_faces_ccw(v)[0]])
-    if anchor.d > 0:
-        w0 = anchor.b / anchor.d
-        m = MoebiusMap(1.0 + 0j, -w0, 0j, 1.0 + 0j).compose(m)
-    return m
-
-
-@dataclass
-class _Chart:
-    vertex: int
-    map: MoebiusMap
-    w_face: dict  # incident face -> complex chart position (on x3 = 1)
-    plane_residual: float
-
-
-def _chart(net: HorosphericalNet, v: int) -> _Chart:
-    m = _chart_map(net, v)
-    w_face = {}
-    residual = 0.0
-    for fidx in net.disk.vertex_faces_ccw(v):
-        x = act_on_hermitian(m, net.f[fidx])
-        if x.d <= 0:
-            raise NonIntersectingHorospheres(
-                f"face point {fidx} leaves the chart at vertex {v}"
-            )
-        w = x.b / x.d
-        t = 1.0 / x.d  # det x = det f = 1; computing det would cancel
-        residual = max(residual, abs(t - 1.0))
-        w_face[fidx] = w
-    return _Chart(v, m, w_face, residual)
-
-
-def _neighbor_circle(net: HorosphericalNet, chart: _Chart, j: int):
-    """Chart data of the neighbor horosphere H~_j: either a plane or a circle.
-
-    Returns (is_plane, center, r_tilde, diameter).  The circle is the
-    intersection of the neighbor sphere with the plane x3 = 1.  The chart
-    image of U_j = sigma sigma* is read from (P, Q) = chart.map sigma: the
-    sphere touches the ground at P/Q with Euclidean diameter 2/|Q|^2.
-    """
-    p, q = net.horospheres[j].factor
-    m = chart.map
-    big_p = m.a * p + m.b * q
-    big_q = m.c * p + m.d * q
-    q2 = abs(big_q) ** 2
-    n2 = abs(big_p) ** 2 + q2
-    if q2 <= 1e-13 * n2:
-        # neighbor horosphere is a horizontal plane x3 = n2 / 2
-        if abs(n2 / 2.0 - 1.0) > 1e-10:
-            raise NonIntersectingHorospheres(
-                f"parallel horospheres at distinct heights near vertex {chart.vertex}"
-            )
-        return True, 0j, math.inf, math.inf
-    center = big_p / big_q
-    d = 2.0 / q2
-    if d <= 1.0 + 1e-14:
-        raise NonIntersectingHorospheres(
-            f"horospheres across edge ({chart.vertex},{j}) do not intersect"
-        )
-    return False, center, math.sqrt(d - 1.0), d
-
-
-def _measure_edge(net: HorosphericalNet, chart: _Chart, j: int) -> EdgeMeasure:
-    i = chart.vertex
-    disk = net.disk
-    wl = chart.w_face[disk.left_face(i, j)]
-    wr = chart.w_face[disk.right_face(i, j)]
-    is_plane, center, r_tilde, d = _neighbor_circle(net, chart, j)
-    m = EdgeMeasure()
-    scale = max(1.0, abs(wl), abs(wr))
-    if abs(wl - wr) <= TOL_DEGENERATE * scale:
-        m.degenerate = True
-        m.r_tilde = r_tilde
-        m.flat = is_plane
-        return m
-    if is_plane:
-        m.flat = True
-        m.ell = abs(wr - wl)
-        return m
-    # arc length and radius come from the face points themselves; only the
-    # dihedral angle uses the horosphere diameter.  measure_net checks that
-    # the two radii agree (chart_residual).
-    r_points = 0.5 * (abs(wl - center) + abs(wr - center))
-    m.r_tilde = r_points
-    m.theta = -cmath.phase((wr - center) / (wl - center))
-    m.ell = abs(m.theta) * r_points
-    m.alpha = math.copysign(math.acos(max(-1.0, min(1.0, 1.0 - 2.0 / d))), m.theta)
-    return m
+def _atan2(z) -> np.ndarray:
+    """cmath.phase per entry of z (np.angle differs from libm's atan2)."""
+    return np.array(list(map(math.atan2, z.imag.tolist(), z.real.tolist())))
 
 
 def measure_net(net: HorosphericalNet) -> HorosphericalNet:
@@ -203,65 +110,123 @@ def measure_net(net: HorosphericalNet) -> HorosphericalNet:
 
     All quantities are read off vertex charts; nothing here touches cross
     ratios, so measurement is an independent path from the construction.
+    The neighbour H~_n of c -> n is read from (P, Q) = chart sigma with
+    U_n = sigma sigma*: a sphere touching the ground at P/Q with diameter
+    2/|Q|^2.  Arc length and radius come from the face points, the dihedral
+    angle from the diameter; ``chart_residual`` checks that the radii agree.
     """
     disk = net.disk
-    net.edge_measure = {}
-    net.area = {}
-    net.mean_curvature = {}
-    net.ratio = {}
-    charts = {}
-    chart_residual = 0.0
-
-    def chart_of(v):
-        if v not in charts:
-            charts[v] = _chart(net, v)
-        return charts[v]
-
-    for (i, j) in disk.interior_edges:
-        ch = chart_of(i)
-        net.edge_measure[(i, j)] = _measure_edge(net, ch, j)
-
-    for v in disk.interior_vertices:
-        ch = chart_of(v)
-        ring = disk.ring_ccw(v)
-        faces = disk.vertex_faces_ccw(v)
-        n = len(ring)
-        shoelace = 0.0
-        corrections = 0.0
-        for m in range(n):
-            w_a = ch.w_face[faces[m]]
-            w_b = ch.w_face[faces[(m + 1) % n]]
-            shoelace += 0.5 * (w_a.conjugate() * w_b).imag
-            j = ring[(m + 1) % n]
-            scale = max(1.0, abs(w_a), abs(w_b))
-            if abs(w_a - w_b) <= TOL_DEGENERATE * scale:
-                continue
-            is_plane, center, r_tilde, _ = _neighbor_circle(net, ch, j)
-            if is_plane:
-                continue
-            phi = cmath.phase((w_b - center) / (w_a - center))
-            r_pts = 0.5 * (abs(w_a - center) + abs(w_b - center))
-            chart_residual = max(
-                chart_residual,
-                abs(abs(w_a - center) - r_tilde) / max(1.0, r_tilde),
-                abs(abs(w_b - center) - r_tilde) / max(1.0, r_tilde),
+    n_e = len(disk.interior_edges)
+    c, n, left, right = disk.directed_edges().T
+    rings = disk.interior_rings()
+    charted = np.zeros(disk.n_vertices, dtype=bool)  # first ends and interior
+    charted[c[:n_e]] = charted[list(disk.interior_vertices)] = True
+    on_chart = charted[disk.face_array.ravel()]
+    gauss = np.array([(z.p, z.q) for z in net.gauss], dtype=complex)
+    p, q = gauss.T
+    ua, ub, ud = np.array([(h.u.a, h.u.b, h.u.d) for h in net.horospheres]).T
+    fa, fb, fd = np.array([(x.a, x.b, x.d) for x in net.f], dtype=complex).T
+    ua, ud, fa, fd = ua.real, ud.real, fa.real, fd.real
+    with np.errstate(divide="ignore", invalid="ignore"):  # uncharted rows
+        m = cdiv(np.array((np.conj(p), np.conj(q), -q, p)), norm_rows(gauss))
+        scale = act_on_hermitian_rows(m.T, ua, ub, ud)[0]
+        if (bad := charted & ~(scale > 0)).any():
+            raise NonIntersectingHorospheres(
+                f"horosphere at vertex {bad.argmax()} does not match its tangency point"
             )
-            corrections += 0.5 * r_pts * r_pts * (phi - math.sin(phi))
-        net.area[v] = abs(shoelace + corrections)
-        half_sum = 0.0
-        for j in ring:
-            em = net.measure_of(v, j)
-            half_sum += 0.5 * em.ell * math.tan(em.alpha / 2.0)
-        net.mean_curvature[v] = net.area[v] + half_sum
-        if net.area[v] > 0:
-            net.ratio[v] = net.mean_curvature[v] / net.area[v]
+        s = np.sqrt(2.0 / scale)
+        m = compose_rows((s, 0j, 0j, 1.0 / s), m)
+        f0 = disk.first_faces
+        _, ab, ad = act_on_hermitian_rows(m.T, fa[f0], fb[f0], fd[f0])
+        shift = compose_rows((1.0 + 0j, -cdiv(ab, ad), 0j, 1.0 + 0j), m)
+        charts = np.where(ad > 0, shift, m)  # (4, V)
 
-    for v in charts:
-        chart_residual = max(chart_residual, charts[v].plane_residual)
-    net.chart_residual = chart_residual
-    net.degenerate = all(m.degenerate for m in net.edge_measure.values()) if (
-        net.edge_measure
-    ) else False
+        f3 = np.repeat(np.arange(disk.n_faces), 3)
+        corner = charts[:, disk.face_array.ravel()].T
+        _, xb, xd = act_on_hermitian_rows(corner, fa[f3], fb[f3], fd[f3])
+        if (bad := on_chart & (xd <= 0)).any():
+            f, v = divmod(bad.argmax(), 3)
+            raise NonIntersectingHorospheres(
+                f"face point {f} leaves the chart at vertex {disk.faces[f][v]}"
+            )
+        w = cdiv(xb, xd)  # at height 1 / x.d: det x = 1, and forming it would cancel
+        plane_residual = np.abs(1.0 / xd[on_chart] - 1.0).max(initial=0.0)
+        del corner, xb, xd  # a lower peak of live temporaries
+
+        by_a = ua >= ud  # sigma as Horosphere.factor reads it
+        root = np.sqrt(np.where(by_a, ua, ud))
+        b_root, b_conj_root = cdiv(np.array((ub, np.conj(ub))), root)
+        sp, sq = np.where(by_a, root, b_root)[n], np.where(by_a, b_conj_root, root)[n]
+        ca, cb, cc, cd = charts[:, c]
+        big_p, big_q = cmul(ca, sp) + cmul(cb, sq), cmul(cc, sp) + cmul(cd, sq)
+        q2 = sq_abs(big_q)
+        n2 = sq_abs(big_p) + q2
+        plane = q2 <= 1e-13 * n2
+        diameter = 2.0 / q2
+        center = cdiv(big_p, big_q)
+        r_tilde = np.where(plane, math.inf, np.sqrt(diameter - 1.0))
+        del ca, cb, cc, cd, sp, sq, big_p, big_q, q2
+
+    wl, wr = w[left], w[right]
+    gap = cabs(wl - wr)
+    degenerate = gap <= TOL_DEGENERATE * np.maximum(np.maximum(1.0, cabs(wl)), cabs(wr))
+    # circles read: every edge in the chart of its first end, and the
+    # non-degenerate ring segments
+    star = (np.bincount(rings.ravel() + 1, minlength=2 * n_e + 1)[1:] > 0) & ~degenerate
+    used = star | (np.arange(2 * n_e) < n_e)
+    if (bad := used & plane & (np.abs(n2 / 2.0 - 1.0) > 1e-10)).any():
+        raise NonIntersectingHorospheres(
+            f"parallel horospheres at distinct heights near vertex {c[bad.argmax()]}"
+        )
+    if (bad := used & ~plane & (diameter <= 1.0 + 1e-14)).any():
+        k = bad.argmax()
+        raise NonIntersectingHorospheres(
+            f"horospheres across edge ({c[k]},{n[k]}) do not intersect"
+        )
+
+    arc = ~degenerate & ~plane
+    to_l, to_r = cabs(wl - center), cabs(wr - center)
+    r_points = 0.5 * (to_l + to_r)
+    e = np.flatnonzero(arc[:n_e])
+    theta, alpha = np.zeros((2, n_e))
+    theta[e] = -_atan2(cdiv(wr[e] - center[e], wl[e] - center[e]))
+    ell = np.where(plane & ~degenerate, gap, 0.0)[:n_e]
+    ell[e] = np.abs(theta[e]) * r_points[e]
+    cos_alpha = np.clip(1.0 - 2.0 / diameter[e], -1.0, 1.0).tolist()
+    alpha[e] = np.copysign(list(map(math.acos, cos_alpha)), theta[e])
+    half = np.zeros(2 * n_e + 1)  # (ell/2) tan(alpha/2) per row; a -1 entry reads 0
+    half[e] = (0.5 * ell[e]) * list(map(math.tan, (alpha[e] / 2.0).tolist()))
+    half[n_e:-1] = half[:n_e]
+
+    k = np.flatnonzero(star & ~plane)
+    phi = _atan2(cdiv(wl[k] - center[k], wr[k] - center[k]))
+    corrections = np.zeros(2 * n_e + 1)
+    corrections[k] = 0.5 * r_points[k] * r_points[k] * (phi - np.sin(phi))
+    radius_gap = np.maximum(np.abs(to_r[k] - r_tilde[k]), np.abs(to_l[k] - r_tilde[k]))
+    radius_gap /= np.maximum(1.0, r_tilde[k])
+    shoelace = np.append(0.5 * (wr.real * wl.imag - wr.imag * wl.real), 0.0)
+
+    # segment m of a ring joins faces m and m + 1 across v -> ring[m + 1]
+    area, corr, half_sum = np.zeros((3, len(rings)))
+    for col, seg in zip(rings.T, np.roll(rings, -1, axis=1).T):
+        area += shoelace[seg]
+        corr += corrections[seg]
+        half_sum += half[col]
+    area = np.abs(area + corr)
+    areas, curvatures = area.tolist(), (area + half_sum).tolist()
+
+    r_edge = np.where(arc, r_points, r_tilde)[:n_e]
+    columns = (theta, ell, alpha, r_edge, degenerate[:n_e], plane[:n_e])
+    measures = map(EdgeMeasure, *(a.tolist() for a in columns))
+    net.edge_measure = dict(zip(disk.interior_edges, measures))
+    vertices = disk.interior_vertices
+    net.area = dict(zip(vertices, areas))
+    net.mean_curvature = dict(zip(vertices, curvatures))
+    net.ratio = {v: h / a for v, a, h in zip(vertices, areas, curvatures) if a > 0}
+    net.chart_residual = float(max(plane_residual, radius_gap.max(initial=0.0)))
+    net.degenerate = bool(n_e) and bool(degenerate[:n_e].all())
+    net.charts, net.chart_w = charts.T, w.reshape(-1, 3)
+    net.centers = np.where(plane, complex(math.nan), center)
     return net
 
 
@@ -295,10 +260,8 @@ def _net_from_frame(frame: MoebiusFrame) -> HorosphericalNet:
     ``vertex_faces_ccw(v)``.
     """
     disk, entries = frame.disk, frame.entries
-    n = disk.n_vertices
     ua, ub, ud = unit_horosphere_rows(frame.source.zh)
-    first = [disk.vertex_faces_ccw(v)[0] for v in range(n)]
-    a0, b0, d0 = act_on_hermitian_rows(entries[first], ua, ub, ud)
+    a0, b0, d0 = act_on_hermitian_rows(entries[disk.first_faces], ua, ub, ud)
     scale = np.max([np.abs(a0), cabs(b0), np.abs(d0)], axis=0).clip(SCALE_FLOOR)
     incidence = 0.0
     for v in disk.face_array.T:  # the images of N_{z_v, 1} at each corner

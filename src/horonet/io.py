@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from .cmc1 import HorosphericalNet, _chart, _neighbor_circle
+from .cmc1 import HorosphericalNet
 from .errors import HoronetError
 from .mesh import TriangulatedDisk, _canon, build_disk
 from .moebius import MoebiusMap, SpherePoint, chart_plane_to_ball, to_poincare_ball
@@ -173,8 +173,9 @@ def _sampled_geometry(net: HorosphericalNet, arc_samples: int):
     proportional to hyperbolic arc length, so both charts place the same
     points; an edge that ``measure_net`` calls degenerate is just its two
     face points.  The dual face of each interior primal vertex becomes a
-    fan of triangles around its chart centroid.  A chart's new samples map
-    to the ball in one array step.  A degenerate net has only face points.
+    fan of triangles around its chart centroid.  Charts and circles are the
+    ones ``measure_net`` kept; a chart's new samples map to the ball in one
+    array step.  A degenerate net has only face points.
     """
     disk = net.disk
     vertices = [to_poincare_ball(x) for x in net.f]
@@ -183,44 +184,43 @@ def _sampled_geometry(net: HorosphericalNet, arc_samples: int):
     if net.degenerate:
         return vertices, polylines, triangles
 
+    _, nbr, left, right = disk.directed_edges().T.tolist()
+    w = net.chart_w.ravel().tolist()
+    centers = net.centers.tolist()
     arcs = {}  # primal edge -> polyline, in the chart that sampled it
-    for v in disk.interior_vertices:
-        chart = _chart(net, v)
-        ring = disk.ring_ccw(v)
-        faces = disk.vertex_faces_ccw(v)
-        n = len(ring)
+    for v, ring in zip(disk.interior_vertices, disk.interior_rings().tolist()):
+        ring = ring[: len(disk.ring_ccw(v))]
         new_w = []
         boundary_ids = []
-        for m in range(n):
-            j = ring[(m + 1) % n]
-            f_a, f_b = faces[m], faces[(m + 1) % n]
-            edge = _canon(v, j)
+        # segment m joins faces m and m + 1 across v -> ring[m + 1]
+        for row in ring[1:] + ring[:1]:
+            a, b = right[row], left[row]
+            edge = _canon(v, nbr[row])
             if edge in arcs:
                 ids = arcs[edge][::-1]
             else:
                 first = len(vertices) + len(new_w)
                 if not net.edge_measure[edge].degenerate:
-                    w_a, w_b = chart.w_face[f_a], chart.w_face[f_b]
-                    new_w += _arc_interior(net, chart, j, w_a, w_b, arc_samples)
-                ids = [f_a, *range(first, len(vertices) + len(new_w)), f_b]
+                    new_w += _arc_interior(centers[row], w[a], w[b], arc_samples)
+                ids = [a // 3, *range(first, len(vertices) + len(new_w)), b // 3]
                 arcs[edge] = ids
                 polylines.append(ids)
             boundary_ids.extend(ids[:-1])
         cid = len(vertices) + len(new_w)
-        new_w.append(sum(chart.w_face[f] for f in faces) / n)
-        vertices += map(tuple, chart_plane_to_ball(chart.map.inverse(), new_w).tolist())
+        new_w.append(sum(w[left[row]] for row in ring) / len(ring))
+        chart = MoebiusMap(*net.charts[v].tolist()).inverse()
+        vertices += map(tuple, chart_plane_to_ball(chart, new_w).tolist())
         triangles += [
             (cid, a, b) for a, b in zip(boundary_ids, boundary_ids[1:] + boundary_ids[:1])
         ]
     return vertices, polylines, triangles
 
 
-def _arc_interior(net, chart, j, w_a, w_b, count):
+def _arc_interior(center, w_a, w_b, count):
     """Chart points that cut the arc from w_a to w_b into count equal parts."""
     if count <= 1:
         return []
-    is_plane, center, _, _ = _neighbor_circle(net, chart, j)
-    if is_plane:
+    if cmath.isnan(center):  # the neighbour is a plane: a straight segment
         return [w_a + (w_b - w_a) * m / count for m in range(1, count)]
     phi = cmath.phase((w_b - center) / (w_a - center))
     return [

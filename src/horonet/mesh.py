@@ -9,12 +9,14 @@ canonical unordered pairs (min, max); orientation is supplied at call sites.
 ``TriangulatedDisk`` also holds read-only integer index tables, built once
 at construction, on which the array kernels of patterns, frames and the
 lattice solve run: ``face_array`` (F, 3), ``edge_quads`` (E, 4) and
-``edge_faces`` (E, 2), whose rows follow ``interior_edges``.
+``edge_faces`` (E, 2), whose rows follow ``interior_edges``, and the
+directed-edge and ring tables on which nets are measured.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -179,6 +181,7 @@ class TriangulatedDisk(OrientedDisk):
       ratio on row e reads its points at ``edge_quads[e]``.
     * ``edge_faces``, (E, 2): the faces left and right of i -> j.
     * ``edge_index``: interior edge (i, j), i < j, -> its row.
+    * ``first_faces``, (V,): the first face of ``vertex_faces_ccw(v)``.
     """
 
     def __init__(self, faces):
@@ -200,23 +203,51 @@ class TriangulatedDisk(OrientedDisk):
         )
         self.edge_faces = _readonly(sides[:, [0, 2]])
         self.edge_index = {e: n for n, e in enumerate(self.interior_edges)}
-        self._stars = None
+        self.first_faces = _readonly(np.array([f[0] for f in self._vertex_faces_ccw]))
+        self._directed = self._rings = None
 
     def interior_stars(self):
         """Rows of the edges around each interior vertex, clockwise from its
         smallest neighbour as in ``interior_star``: (V_int, d) int with -1
-        past the end of a shorter star.  Built on first request."""
-        if self._stars is None:
-            stars = [
-                [self.edge_index[_canon(v, w)] for w in interior_star(self, v)]
-                for v in self.interior_vertices
-            ]
-            width = max(map(len, stars), default=0)
-            table = np.full((len(stars), width), -1, dtype=np.intp)
-            for row, star in zip(table, stars):
-                row[: len(star)] = star
-            self._stars = _readonly(table)
-        return self._stars
+        past the end of a shorter star.  An interior ring starts at the
+        smallest neighbour, so the star is the ring read backwards."""
+        rings = self.interior_rings()
+        m = np.arange(rings.shape[1])
+        sizes = (rings >= 0).sum(axis=1, keepdims=True)
+        star = np.take_along_axis(rings, -m % np.maximum(sizes, 1), axis=1)
+        edge = star % max(len(self.interior_edges), 1)  # row e or E + e
+        return _readonly(np.where(m < sizes, edge, -1))
+
+    def directed_edges(self):
+        """Interior edges both ways as (2E, 4) int rows (c, n, l, r): row e is
+        ``interior_edges[e]`` as i -> j and row E + e is j -> i; l and r are
+        the flat corners 3 f + k of c in the faces f left and right of
+        c -> n.  Built on first request."""
+        if self._directed is None:
+            c, n = np.vstack((self.edge_quads[:, [1, 3]], self.edge_quads[:, [3, 1]])).T
+            sides = np.vstack((self.edge_faces, self.edge_faces[:, ::-1]))
+            at = (self.face_array[sides] == c[:, None, None]).argmax(axis=2)
+            table = np.column_stack((c, n, 3 * sides + at))
+            self._directed = _readonly(table)
+        return self._directed
+
+    def interior_rings(self):
+        """Rows of ``directed_edges()`` of v -> w for w in ``ring_ccw(v)``,
+        per interior vertex: (V_int, d) int with -1 past the end of a shorter
+        ring.  Built on first request."""
+        if self._rings is None:
+            row_of = np.empty(3 * self.n_faces, dtype=np.intp)
+            row_of[self.directed_edges()[:, 2]] = np.arange(2 * len(self.interior_edges))
+            fans = [self._vertex_faces_ccw[v] for v in self.interior_vertices]
+            sizes = np.fromiter(map(len, fans), np.intp, len(fans))
+            f = np.fromiter(itertools.chain.from_iterable(fans), np.intp, sizes.sum())
+            v = np.repeat(self.interior_vertices, sizes)[:, None]
+            corner = 3 * f + (self.face_array[f] == v).argmax(1)
+            table = np.full((len(fans), sizes.max(initial=0)), -1, dtype=np.intp)
+            # face m of the fan lies left of v -> ring_ccw(v)[m]
+            table[np.arange(table.shape[1]) < sizes[:, None]] = row_of[corner]
+            self._rings = _readonly(table)
+        return self._rings
 
     def apex(self, i: int, j: int) -> int:
         """Third vertex of the face left of i -> j."""

@@ -14,9 +14,17 @@ Conventions fixed here and used everywhere downstream:
 The array kernels at the end of the module take V points as one (V, 2)
 complex array of homogeneous pairs (p, q), the rows of ``CirclePattern.zh``,
 and N maps as one (N, 4) complex array of entries (a, b, c, d), the rows of
-``MoebiusFrame.entries``.  They round exactly as the scalar API does, so an
-array result equals the scalar one bit for bit; the scalar classes stay the
-public API.
+``MoebiusFrame.entries``; the scalar classes stay the public API.  An array
+result equals the scalar one bit for bit, by these rounding rules:
+
+* numpy's complex * and / may fuse or reorder CPython's operations, so
+  ``cmul`` and ``cdiv`` spell them out on parts and, as CPython does,
+  promote a real operand to complex.
+* ``cabs`` (np.hypot) rounds as abs(complex), but math.hypot has its own
+  algorithm, so ``norm_rows`` maps it over lists.
+* np.arctan2 (so np.angle), np.arccos and np.tan differ from libm on some
+  inputs: map math.atan2, math.acos and math.tan over ``.tolist()``.
+  np.sin and np.sqrt agree.  Sums accumulate term by term in scalar order.
 """
 
 from __future__ import annotations
@@ -443,11 +451,7 @@ def from_upper_half_space(w: complex, t: float) -> HermitianPoint:
     return HermitianPoint((abs(w) ** 2 + t * t) / t, w / t, 1.0 / t)
 
 
-# -- array kernels -----------------------------------------------------------
-#
-# numpy's complex multiply and divide may fuse or reorder the floating-point
-# operations that CPython performs one by one, so the kernels spell complex
-# products and quotients out on real and imaginary parts.
+# -- array kernels (rounding rules in the module docstring) -------------------
 
 
 def _complex(re, im) -> np.ndarray:
@@ -507,12 +511,17 @@ def sq_abs(z) -> np.ndarray:
     return np.float_power(cabs(z), 2.0)
 
 
-def chordal_rows(a, b) -> np.ndarray:
-    """Chordal distance between the pairs a[n] and b[n], (..., 2) each."""
-    ma, mb = cabs(a), cabs(b)
-    na = np.hypot(ma[..., 0], ma[..., 1])
-    nb = np.hypot(mb[..., 0], mb[..., 1])
-    return cabs(det2_rows(a, b)) / (na * nb)
+def norm_rows(z) -> np.ndarray:
+    """Norm ``math.hypot(abs(p), abs(q))`` of each pair of z, (..., 2)."""
+    m = cabs(z).reshape(-1, 2).T.tolist()
+    return np.reshape(list(map(math.hypot, *m)), np.shape(z)[:-1])
+
+
+def chordal_rows(z, pairs) -> np.ndarray:
+    """``SpherePoint.chordal`` between z[i] and z[j] of the pairs z, (V, 2),
+    per row (..., i, j) of ``pairs``."""
+    i, j, norm = pairs[..., 0], pairs[..., 1], norm_rows(z)
+    return cabs(det2_rows(z[i], z[j])) / (norm[i] * norm[j])
 
 
 def cross_ratio_rows(z, quads) -> np.ndarray:
@@ -579,6 +588,16 @@ def mobius_rows(z, w, faces) -> np.ndarray:
     phi = np.arctan2(e.imag, e.real)
     flip = (phi <= -math.pi / 2) | (phi > math.pi / 2)
     return np.negative(m, out=m, where=flip[:, None])
+
+
+def compose_rows(left, right) -> np.ndarray:
+    """Entries of left @ right, as ``MoebiusMap.compose`` forms them, from
+    the entries (a, b, c, d) of both: arrays of rows, or scalars."""
+    (la, lb, lc, ld), (ra, rb, rc, rd) = left, right
+    return np.array(
+        (cmul(la, ra) + cmul(lb, rc), cmul(la, rb) + cmul(lb, rd),
+         cmul(lc, ra) + cmul(ld, rc), cmul(lc, rb) + cmul(ld, rd))
+    )
 
 
 def act_on_hermitian_rows(m, a, b, d):

@@ -42,6 +42,7 @@ from .moebius import (
     act_on_hermitian_rows,
     cdiv,
     cmul,
+    compose_rows,
     det2,
     mobius_rows,
     sq_abs,
@@ -128,19 +129,6 @@ def _rayleigh(t: MoebiusMap, z: SpherePoint) -> complex:
     uq = t.c * z.p + t.d * z.q
     den = abs(z.p) ** 2 + abs(z.q) ** 2
     return (up * z.p.conjugate() + uq * z.q.conjugate()) / den
-
-
-def _transition_rows(right, left):
-    """Columns (a, b, c, d) of right^{-1} left per row of two (N, 4) arrays,
-    as ``right.inverse().compose(left)`` forms them."""
-    ra, rb, rc, rd = right.T
-    la, lb, lc, ld = left.T
-    return (
-        cmul(rd, la) + cmul(-rb, lc),
-        cmul(rd, lb) + cmul(-rb, ld),
-        cmul(-rc, la) + cmul(ra, lc),
-        cmul(-rc, lb) + cmul(ra, ld),
-    )
 
 
 def _rayleigh_rows(t, z) -> np.ndarray:
@@ -236,8 +224,9 @@ def coherent_lift(
         entries[0] = -entries[0]
 
     left, right = disk.edge_faces.T
+    ra, rb, rc, rd = entries[right].T  # right^{-1} left, as the scalar code forms it
     lam = _rayleigh_rows(
-        _transition_rows(entries[right], entries[left]),
+        compose_rows((rd, -rb, -rc, ra), entries[left].T),
         frame.source.zh[disk.edge_quads[:, 1]],
     )
     flip = (np.abs(lam - target_lam) > np.abs(lam + target_lam)).tolist()

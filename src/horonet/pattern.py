@@ -45,11 +45,8 @@ class CirclePattern:
         self.z = tuple(SpherePoint.of(v) for v in z)
         self.zh = np.array([(p.p, p.q) for p in self.z], dtype=complex)
         self.zh.setflags(write=False)
-        faces = disk.face_array
-        near = np.zeros(len(faces), dtype=bool)
-        for c in range(3):  # sides i-j, j-k, k-i
-            a, b = self.zh[faces[:, c]], self.zh[faces[:, c - 2]]
-            near |= chordal_rows(a, b) < TOL_COINCIDENT
+        sides = disk.face_array[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2)
+        near = (chordal_rows(self.zh, sides) < TOL_COINCIDENT).any(axis=1)
         if near.any():
             i, j, k = disk.faces[np.argmax(near)]
             raise DegenerateFace(f"face ({i},{j},{k}) has coincident vertices")

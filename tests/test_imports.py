@@ -1,8 +1,9 @@
 """Package modules carry no dead names: every import, parameter,
 definition, constant and instance attribute is used, and every default is
 overridden somewhere.  Imports sit at module level only, every error
-class is raised somewhere under its own exit code, and importing the
-package loads no scipy module."""
+class is raised somewhere under its own exit code, importing the package
+loads no scipy module, and numpy functions that round unlike libm and
+CPython appear only where listed."""
 
 import ast
 import os
@@ -225,6 +226,42 @@ def unbound_defaults(source: str, calls: dict):
     return sorted(found)
 
 
+# numpy functions whose rounding differs from the libm function CPython
+# calls (or, for np.hypot, from math.hypot); each use is listed with the
+# module and the function or class around it
+UNLIKE_LIBM = {"hypot", "arctan2", "angle", "arccos", "tan"}
+UNLIKE_LIBM_ALLOWED = {
+    ("moebius.py", "cabs", "hypot"),  # libm hypot, as abs(complex) is
+    ("moebius.py", "csqrt", "hypot"),  # as cmath.sqrt forms it
+    ("moebius.py", "mobius_rows", "arctan2"),  # sign choice, away from +-pi/2
+    ("pattern.py", "CrossRatioSystem", "angle"),  # within an ulp of cmath.phase
+    ("convergence.py", "_angle_defects", "arccos"),  # inside the Newton solve
+    ("convergence.py", "_angle_defects", "tan"),
+}
+
+
+def unlike_libm_calls(source: str):
+    """(line, enclosing function and class names, name) of each ``np.<name>``
+    or ``numpy.<name>`` with a name in ``UNLIKE_LIBM``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+            and node.attr in UNLIKE_LIBM
+        ):
+            found.append((node.lineno, scope, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
 def test_checker_flags_unused_names():
     source = "from __future__ import annotations\nimport os, math\nimport a.b as c\nmath.pi\n"
     assert unused_imports(source) == [(2, "os"), (3, "c")]
@@ -348,6 +385,35 @@ def test_checker_flags_unbound_defaults():
         (7, "m", "q"),
         (10, "s", "v"),
     ]
+
+
+def test_checker_flags_unlike_libm_calls():
+    source = (
+        "import numpy as np\n"
+        "def f(x):\n"
+        "    def g():\n"
+        "        return np.tan(x) + np.sin(x)\n"
+        "    return np.hypot(x, x)\n"
+        "class K:\n"
+        "    y = numpy.angle(1j)\n"
+        "z = np.arctan2(1, 2)\n"
+    )
+    assert unlike_libm_calls(source) == [
+        (4, ("f", "g"), "tan"),
+        (5, ("f",), "hypot"),
+        (7, ("K",), "angle"),
+        (8, (), "arctan2"),
+    ]
+
+
+def test_unlike_libm_calls_only_where_listed():
+    unlisted = [
+        (path.name, line, name)
+        for path in MODULES
+        for line, scope, name in unlike_libm_calls(path.read_text())
+        if not any((path.name, s, name) in UNLIKE_LIBM_ALLOWED for s in scope)
+    ]
+    assert unlisted == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

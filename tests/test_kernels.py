@@ -1,28 +1,47 @@
 """Array kernels against the scalar code they replace: index tables, the
 coincident-vertex check, cross ratios, closure, frame maps, the coherent
-lift, the realization and horospheres, and the lattice angle defects."""
+lift, the realization and horospheres, the lattice angle defects, and the
+net measurement and the exporters that reuse its charts."""
 
 import cmath
+import hashlib
 import math
 import re
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from test_acceptance import _random_delaunay_pair
 
-from horonet.cmc1 import build_cmc1
-from horonet.convergence import _angle_defects
-from horonet.errors import DegenerateFace
-from horonet.mesh import LatticeSpec, interior_star, lattice_subcomplex
+from horonet.cmc1 import (
+    EdgeMeasure,
+    HorosphericalNet,
+    build_cmc1,
+    flat_patch_net,
+    measure_net,
+)
+from horonet.convergence import (
+    _angle_defects,
+    jet_exp,
+    jet_identity,
+    shear_preserving_solve,
+)
+from horonet.errors import DegenerateFace, NonIntersectingHorospheres
+from horonet.io import export_net_obj, export_net_ply
+from horonet.mesh import LatticeSpec, build_disk, interior_star, lattice_subcomplex
 from horonet.moebius import (
     HermitianPoint,
+    MoebiusMap,
     SpherePoint,
     act_on_hermitian,
     cdiv,
+    chordal_rows,
     cmul,
     csqrt,
     edge_cross_ratio,
+    from_upper_half_space,
     horosphere,
     mobius_from_triples,
 )
@@ -34,6 +53,7 @@ from horonet.osculating import (
 )
 from horonet.pattern import CirclePattern, cross_ratios_of, verify_closure
 from horonet.toda import (
+    cmc1_from_toda,
     develop_family,
     family_xt,
     labeling_from,
@@ -86,6 +106,25 @@ def test_complex_kernels_round_as_cpython():
     for kernel, scalar in ((cmul, complex.__mul__), (cdiv, complex.__truediv__)):
         assert kernel(x, y).tolist() == list(map(scalar, x.tolist(), y.tolist()))
     assert csqrt(y).tolist() == list(map(cmath.sqrt, y.tolist()))
+
+
+def test_chordal_rows_equal_sphere_point_chordal():
+    rng = np.random.default_rng(11)
+    n = 20000
+    a, b = (
+        (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+        * np.exp(rng.uniform(-3, 3, (n, 1)))
+        for _ in range(2)
+    )
+    scalar = [
+        SpherePoint.from_homogeneous(*u).chordal(SpherePoint.from_homogeneous(*v))
+        for u, v in zip(a.tolist(), b.tolist())
+    ]
+    z = np.array(
+        [(p.p, p.q) for p in map(SpherePoint.from_homogeneous, *np.vstack((a, b)).T)]
+    )
+    pairs = np.column_stack((np.arange(n), n + np.arange(n)))
+    assert chordal_rows(z, pairs).tolist() == scalar
 
 
 def test_index_tables(toda_pair):
@@ -283,3 +322,236 @@ def test_angle_defect_jacobian_matches_finite_differences(solve_data):
         minus, _ = defects(u - step)
         column = jac[:, [interior_of[v]]].toarray().ravel()
         assert np.abs((plus - minus) / (2 * h) - column).max() <= 1e-7
+
+
+# -- net measurement ---------------------------------------------------------
+#
+# The vertex-by-vertex measurement that ``measure_net`` replaced, kept as its
+# reference: one chart per vertex, one neighbour circle per edge and star pair.
+
+
+def _chart_map(net, v):
+    zp = net.gauss[v]
+    n = math.hypot(abs(zp.p), abs(zp.q))
+    m0 = MoebiusMap(zp.p.conjugate() / n, zp.q.conjugate() / n, -zp.q / n, zp.p / n)
+    c = act_on_hermitian(m0, net.horospheres[v].u).a
+    if not c > 0:
+        raise NonIntersectingHorospheres(f"horosphere at vertex {v}")
+    s = math.sqrt(2.0 / c)
+    m = MoebiusMap(s, 0j, 0j, 1.0 / s).compose(m0)
+    anchor = act_on_hermitian(m, net.f[net.disk.vertex_faces_ccw(v)[0]])
+    if anchor.d > 0:
+        m = MoebiusMap(1.0 + 0j, -(anchor.b / anchor.d), 0j, 1.0 + 0j).compose(m)
+    return m
+
+
+def _chart(net, v):
+    """(map, face -> chart position, plane residual) of vertex v."""
+    m = _chart_map(net, v)
+    w_face, residual = {}, 0.0
+    for fidx in net.disk.vertex_faces_ccw(v):
+        x = act_on_hermitian(m, net.f[fidx])
+        if x.d <= 0:
+            raise NonIntersectingHorospheres(f"face point {fidx} at vertex {v}")
+        w_face[fidx] = x.b / x.d
+        residual = max(residual, abs(1.0 / x.d - 1.0))
+    return m, w_face, residual
+
+
+def _neighbor_circle(net, m, v, j):
+    """(is_plane, center, r_tilde, diameter) of H~_j in the chart m of v."""
+    p, q = net.horospheres[j].factor
+    big_p, big_q = m.a * p + m.b * q, m.c * p + m.d * q
+    q2 = abs(big_q) ** 2
+    n2 = abs(big_p) ** 2 + q2
+    if q2 <= 1e-13 * n2:
+        if abs(n2 / 2.0 - 1.0) > 1e-10:
+            raise NonIntersectingHorospheres(f"parallel near vertex {v}")
+        return True, 0j, math.inf, math.inf
+    d = 2.0 / q2
+    if d <= 1.0 + 1e-14:
+        raise NonIntersectingHorospheres(f"edge ({v},{j})")
+    return False, big_p / big_q, math.sqrt(d - 1.0), d
+
+
+def _scalar_measure(net):
+    """(edge_measure, area, mean_curvature, ratio, chart_residual,
+    degenerate, chart maps, chart positions, star circle centres)."""
+    disk = net.disk
+    charts, edge_measure, area, mean_curvature, ratio, centers = {}, {}, {}, {}, {}, {}
+
+    def chart_of(v):
+        if v not in charts:
+            charts[v] = _chart(net, v)
+        return charts[v]
+
+    for (i, j) in disk.interior_edges:
+        m, w_face, _ = chart_of(i)
+        wl, wr = w_face[disk.left_face(i, j)], w_face[disk.right_face(i, j)]
+        is_plane, center, r_tilde, d = _neighbor_circle(net, m, i, j)
+        em = EdgeMeasure()
+        if abs(wl - wr) <= 1e-12 * max(1.0, abs(wl), abs(wr)):
+            em.degenerate, em.r_tilde, em.flat = True, r_tilde, is_plane
+        elif is_plane:
+            em.flat, em.ell = True, abs(wr - wl)
+        else:
+            em.r_tilde = 0.5 * (abs(wl - center) + abs(wr - center))
+            em.theta = -cmath.phase((wr - center) / (wl - center))
+            em.ell = abs(em.theta) * em.r_tilde
+            cos_alpha = max(-1.0, min(1.0, 1.0 - 2.0 / d))
+            em.alpha = math.copysign(math.acos(cos_alpha), em.theta)
+        edge_measure[(i, j)] = em
+
+    chart_residual = 0.0
+    for v in disk.interior_vertices:
+        m, w_face, _ = chart_of(v)
+        ring, faces = disk.ring_ccw(v), disk.vertex_faces_ccw(v)
+        n = len(ring)
+        shoelace = corrections = 0.0
+        for k in range(n):
+            w_a, w_b = w_face[faces[k]], w_face[faces[(k + 1) % n]]
+            shoelace += 0.5 * (w_a.conjugate() * w_b).imag
+            j = ring[(k + 1) % n]
+            if abs(w_a - w_b) <= 1e-12 * max(1.0, abs(w_a), abs(w_b)):
+                continue
+            is_plane, center, r_tilde, _ = _neighbor_circle(net, m, v, j)
+            centers[(v, j)] = complex(math.nan) if is_plane else center
+            if is_plane:
+                continue
+            phi = cmath.phase((w_b - center) / (w_a - center))
+            r_pts = 0.5 * (abs(w_a - center) + abs(w_b - center))
+            chart_residual = max(
+                chart_residual,
+                abs(abs(w_a - center) - r_tilde) / max(1.0, r_tilde),
+                abs(abs(w_b - center) - r_tilde) / max(1.0, r_tilde),
+            )
+            corrections += 0.5 * r_pts * r_pts * (phi - math.sin(phi))
+        area[v] = abs(shoelace + corrections)
+        half_sum = 0.0
+        for j in ring:
+            em = edge_measure[(min(v, j), max(v, j))]
+            half_sum += 0.5 * em.ell * math.tan(em.alpha / 2.0)
+        mean_curvature[v] = area[v] + half_sum
+        if area[v] > 0:
+            ratio[v] = mean_curvature[v] / area[v]
+    for _, _, residual in charts.values():
+        chart_residual = max(chart_residual, residual)
+    degenerate = bool(edge_measure) and all(em.degenerate for em in edge_measure.values())
+    maps = {v: c[0] for v, c in charts.items()}
+    w = {(v, f): x for v, c in charts.items() for f, x in c[1].items()}
+    return (
+        edge_measure, area, mean_curvature, ratio, chart_residual, degenerate,
+        maps, w, centers,
+    )
+
+
+def _toy_net(ball_size):
+    """Fields of two faces in the plane x3 = 1 and, at vertex 1, a ball of
+    diameter 1 / ball_size tangent at 0."""
+    plane = horosphere(SpherePoint.infinity(), 1.0)
+    inf = SpherePoint.infinity()
+    return dict(
+        disk=build_disk([(0, 1, 2), (1, 0, 3)]),
+        f=(
+            from_upper_half_space(1.0 + 0j, 1.0),
+            from_upper_half_space(cmath.exp(-0.5j), 1.0),
+        ),
+        horospheres=(plane, horosphere(SpherePoint.of(0), ball_size), plane, plane),
+        gauss=(inf, SpherePoint.of(0), inf, inf),
+    )
+
+
+def _lattice_net(eps):
+    patch = lattice_subcomplex(EQ(eps, (0.0, 1.0, 0.0, 1.0)))
+    return build_cmc1(
+        shear_preserving_solve(patch, jet_identity()),
+        shear_preserving_solve(patch, jet_exp()),
+    )
+
+
+def _hex_fan_net(hex_pattern, **changes):
+    """The flat hexagon net of ``hex_pattern``'s fan, with fields replaced."""
+    ring = [p.value() for p in hex_pattern.z[1:]]
+    net = flat_patch_net(hex_pattern.disk, ring)
+    fields = dict(disk=net.disk, f=net.f, horospheres=net.horospheres, gauss=net.gauss)
+    for name, (index, value) in changes.items():
+        values = list(fields[name])
+        values[index] = value
+        fields[name] = tuple(values)
+    return fields
+
+
+@pytest.mark.parametrize("case", ["toda6", "toda12", "lattice", "toy", "hex", "flat"])
+def test_measure_net_equals_the_vertex_loop(case, toda_pair, hex_pattern):
+    net = {
+        "toda6": lambda: build_cmc1(*toda_pair),
+        "toda12": lambda: build_cmc1(*_toda_pair(12)),
+        "lattice": lambda: _lattice_net(0.1),
+        "toy": lambda: HorosphericalNet(**_toy_net(0.5)),
+        "hex": lambda: build_cmc1(hex_pattern, hex_pattern),
+        "flat": lambda: HorosphericalNet(**_hex_fan_net(hex_pattern)),
+    }[case]()
+    measure, area, h, ratio, residual, degenerate, maps, w, centers = _scalar_measure(net)
+    assert net.edge_measure == measure
+    assert (net.area, net.mean_curvature, net.ratio) == (area, h, ratio)
+    assert (net.chart_residual, net.degenerate) == (residual, degenerate)
+    assert degenerate == (case == "hex")
+    # the charts, corner positions and circle centres the exporters reuse
+    disk = net.disk
+    for v, m in maps.items():
+        assert tuple(net.charts[v]) == m.entries()
+    for (v, f), x in w.items():
+        assert net.chart_w[f, disk.faces[f].index(v)] == x
+    row_of = {(c, n): r for r, (c, n, _, _) in enumerate(disk.directed_edges().tolist())}
+    for pair, center in centers.items():
+        kept = net.centers[row_of[pair]]
+        assert kept == center or (cmath.isnan(kept) and cmath.isnan(center))
+
+
+# sha256 of the exports of the 10 x 10 Toda net at t = 0.05, from the
+# vertex-by-vertex charts
+OBJ_SHA256 = "fb762a1d961a676b71d03d5dca428ecf0e22a382e4fa4aa1520149bb917b6893"
+PLY_SHA256 = "7464cf52641692ad8c4fe3adfbb098d8f3d1910234fde1a8a641b34810ab3f39"
+
+
+def test_exports_are_pinned():
+    cell, _, sol = square_grid_toda(10, 10)
+    net = cmc1_from_toda(cell, sol, 0.05)
+    for export, digest in ((export_net_obj, OBJ_SHA256), (export_net_ply, PLY_SHA256)):
+        assert hashlib.sha256(export(net).encode()).hexdigest() == digest
+
+
+def _raises_as_the_loop(fields, message):
+    with pytest.raises(NonIntersectingHorospheres, match=message):
+        HorosphericalNet(**fields)
+    with pytest.raises(NonIntersectingHorospheres):
+        _scalar_measure(SimpleNamespace(**fields))
+
+
+def test_horosphere_off_its_gauss_point_raises(hex_pattern):
+    # at the antipode of the tangency point the chart scale is 0
+    zero = SpherePoint.of(0)
+    message = "horosphere at vertex 0 does not match its tangency point"
+    _raises_as_the_loop(_hex_fan_net(hex_pattern, gauss=(0, zero)), message)
+    # boundary vertex 3 ends no interior edge first: it is not charted
+    net = HorosphericalNet(**_hex_fan_net(hex_pattern, gauss=(3, zero)))
+    assert net.edge_measure == _scalar_measure(net)[0]
+
+
+def test_face_point_leaving_its_chart_raises(hex_pattern):
+    x = HermitianPoint.identity()
+    flipped = HermitianPoint(-x.a, -x.b, -x.d)
+    message = "face point 2 leaves the chart at vertex 0"
+    _raises_as_the_loop(_hex_fan_net(hex_pattern, f=(2, flipped)), message)
+
+
+def test_parallel_planes_at_distinct_heights_raise(hex_pattern):
+    higher = horosphere(SpherePoint.infinity(), 2.0)
+    message = "parallel horospheres at distinct heights near vertex 0"
+    _raises_as_the_loop(_hex_fan_net(hex_pattern, horospheres=(4, higher)), message)
+
+
+def test_spheres_that_do_not_meet_raise():
+    # a ball of diameter 0.5 stays below the plane x3 = 1
+    message = re.escape("horospheres across edge (0,1) do not intersect")
+    _raises_as_the_loop(_toy_net(2.0), message)
