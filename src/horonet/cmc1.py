@@ -441,14 +441,14 @@ def extract_patterns(net: HorosphericalNet):
         r = net.ratio.get(v)
         if r is None or abs(r - 1.0) > 1e-6:
             raise NotCMC1(f"H/area at vertex {v} is {r}, not 1")
-    lam = {}
-    for (i, j) in disk.interior_edges:
+    lam = []
+    for (i, j), arg in zip(disk.interior_edges, xt.arg_array.tolist()):
         em = net.edge_measure[(i, j)]
         s = em.ell * math.tan(em.alpha / 2.0) if not em.degenerate else 0.0
-        total = s + xt.arg(i, j)
+        total = s + arg
         if total < -1e-9 or total >= math.pi - 1e-12:
             raise NotCMC1(
                 f"edge ({i},{j}): ell tan(alpha/2) + Arg X~ = {total} outside [0, pi)"
             )
-        lam[(i, j)] = cmath.exp(0.5j * s)
+        lam.append(cmath.exp(0.5j * s))
     return integrate_eta(gauss_pattern, net.f, lam)

@@ -237,7 +237,7 @@ def shear_preserving_solve(
     xt = cross_ratios_of(pattern)
     bad = xt.delaunay_violations(TOL_SOLVED_DELAUNAY)
     if bad:
-        worst = min(xt.args[e] for e in bad)
+        worst = min(xt.arg(*e) for e in bad)
         raise DelaunayViolated(
             f"solved pattern is not Delaunay at edges {bad[:4]} (worst Arg {worst:.3e}); "
             "eps is not small enough"
@@ -455,10 +455,7 @@ def _vertex_frame_field(frame: MoebiusFrame, patch: LatticePatch):
         except KeyError:
             continue
         if disk.face_vertices(fidx) in ((v, a, b), (a, b, v), (b, v, a)):
-            out[v] = np.array(
-                [[frame.maps[fidx].a, frame.maps[fidx].b],
-                 [frame.maps[fidx].c, frame.maps[fidx].d]]
-            )
+            out[v] = frame.entries[fidx].reshape(2, 2)
     return out
 
 

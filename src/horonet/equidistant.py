@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import FrameUnavailable, NotAngleMatched, NotEquidistant
 from .mesh import TriangulatedDisk
 from .moebius import (
     act_on_hermitian,
+    cabs,
     horosphere,
     ideal_circle_normal,
     inner,
@@ -51,16 +54,14 @@ class EquidistantNet:
     def __post_init__(self):
         frame = self.frame
         self.disk = frame.disk
-        if len(frame.lambdas) < len(self.disk.interior_edges):
+        if frame.lambdas is None:
             raise FrameUnavailable(
                 "equidistant net needs a frame with cached edge eigenvalues, "
                 "as coherent_lift returns"
             )
         self.f = frame.realization()
         self.gauss = tuple(frame.target.z)
-        self.degenerate = all(
-            abs(l - 1.0) < TOL_UNIT_LAMBDA for l in frame.lambdas.values()
-        )
+        self.degenerate = bool((cabs(frame.lambdas - 1.0) < TOL_UNIT_LAMBDA).all())
         # per face: (P, c) with <f, P> = c on the face point and its neighbors
         self.functionals = {}
         for fidx, face in enumerate(self.disk.faces):
@@ -95,9 +96,8 @@ def build_equidistant(
 
 def verify_equidistant(net: EquidistantNet) -> EquidistantReport:
     """Reality of the transition eigenvalues and co-sphericity of vertex stars."""
-    eig = 0.0
-    for lam in net.frame.lambdas.values():
-        eig = max(eig, abs(lam.imag) / abs(lam))
+    lam = net.frame.lambdas
+    eig = float((np.abs(lam.imag) / cabs(lam)).max(initial=0.0))
     cos = 0.0
     disk = net.disk
     for fidx in range(disk.n_faces):
@@ -143,7 +143,7 @@ def extract_equidistant_patterns(net: EquidistantNet):
     gauss_pattern = CirclePattern(disk, net.gauss)
     if net.degenerate:
         raise NotEquidistant("degenerate net carries no pattern pair")
-    lam = {}
+    lam = []
     for (i, j) in disk.interior_edges:
         val, coll = _geometric_lambda(net, i, j)
         if coll > 1e-6:
@@ -151,5 +151,5 @@ def extract_equidistant_patterns(net: EquidistantNet):
                 f"face points across edge ({i},{j}) are not on a common ray "
                 f"through the tangencies (residual {coll:.2e})"
             )
-        lam[(i, j)] = val
+        lam.append(val)
     return integrate_eta(gauss_pattern, net.f, lam)

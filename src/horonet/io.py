@@ -14,8 +14,10 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .cmc1 import HorosphericalNet
-from .errors import HoronetError
+from .errors import DegenerateFace, HoronetError
 from .mesh import TriangulatedDisk, _canon, build_disk
 from .moebius import MoebiusMap, SpherePoint, chart_plane_to_ball, to_poincare_ball
 from .osculating import MoebiusFrame
@@ -67,8 +69,8 @@ def load_pattern(doc: dict) -> CirclePattern:
 def save_cross_ratios(x: CrossRatioSystem) -> dict:
     return {
         "edges": [
-            {"i": i, "j": j, "re": x.values[(i, j)].real, "im": x.values[(i, j)].imag}
-            for (i, j) in sorted(x.values)
+            {"i": i, "j": j, "re": v.real, "im": v.imag}
+            for (i, j), v in zip(x.disk.interior_edges, x.array.tolist())
         ]
     }
 
@@ -77,7 +79,10 @@ def load_cross_ratios(disk: TriangulatedDisk, doc: dict) -> CrossRatioSystem:
     values = {
         (e["i"], e["j"]): complex(e["re"], e["im"]) for e in doc["edges"]
     }
-    return CrossRatioSystem(disk, values)
+    missing = [e for e in disk.interior_edges if e not in values]
+    if missing:
+        raise DegenerateFace(f"missing cross ratios on edges {missing[:4]}")
+    return CrossRatioSystem(disk, [values[e] for e in disk.interior_edges])
 
 
 def save_toda(q) -> dict:
@@ -101,11 +106,8 @@ def save_frame(frame: MoebiusFrame) -> dict:
         "source_positions": [complex_to_json(p) for p in frame.source.z],
         "target_positions": [complex_to_json(p) for p in frame.target.z],
         "matrices": [
-            [
-                [complex_to_json(m.a), complex_to_json(m.b)],
-                [complex_to_json(m.c), complex_to_json(m.d)],
-            ]
-            for m in frame.maps
+            [[complex_to_json(a), complex_to_json(b)], [complex_to_json(c), complex_to_json(d)]]
+            for a, b, c, d in frame.entries.tolist()
         ],
         "lift": frame.lift,
     }
@@ -119,13 +121,11 @@ def load_frame(doc: dict) -> MoebiusFrame:
 
     source = CirclePattern(disk, pts("source_positions"))
     target = CirclePattern(disk, pts("target_positions"))
-    maps = []
-    for m in doc["matrices"]:
-        entries = [complex_from_json(e) for row in m for e in row]
-        if any(isinstance(e, SpherePoint) for e in entries):
-            raise HoronetError("matrix entries cannot be infinite")
-        maps.append(MoebiusMap(*entries))
-    return MoebiusFrame(source, target, tuple(maps), lift=doc.get("lift", "projective"))
+    rows = [[complex_from_json(e) for row in m for e in row] for m in doc["matrices"]]
+    if any(isinstance(e, SpherePoint) for r in rows for e in r):
+        raise HoronetError("matrix entries cannot be infinite")
+    entries = np.array(rows, dtype=complex)
+    return MoebiusFrame(source, target, entries, lift=doc.get("lift", "projective"))
 
 
 def net_report(net: HorosphericalNet, kind: str = "cmc1") -> dict:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,33 +53,46 @@ from .pattern import CirclePattern, CrossRatioSystem, cross_ratios_of
 TOL_TRANSITION = 1e-10
 TOL_ANCHOR = 1e-14
 TOL_ETA = 1e-8
+# composed frames' intermediate patterns agree to this chordal distance
+TOL_COMPOSE = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class MoebiusFrame:
     """Per-face Moebius maps from ``source`` to ``target``.
 
     ``entries`` holds the maps as one read-only (F, 4) complex array of rows
-    (a, b, c, d); it is derived from ``maps`` when not given.
+    (a, b, c, d), one per face of ``disk.faces``; ``maps`` views its rows as
+    MoebiusMap objects.  ``lambdas`` is the read-only (E,) array of the
+    transition eigenvalues at the tail z_i of each edge (i, j) of
+    ``disk.interior_edges``, as ``coherent_lift`` caches them, or None when
+    no eigenvalues are cached (inverse, projective and integrated frames).
     """
 
     source: CirclePattern
     target: CirclePattern
-    maps: tuple  # MoebiusMap per face
+    entries: np.ndarray = field(repr=False)
     lift: str = "projective"  # or "coherent"
-    lambdas: dict = field(default_factory=dict, repr=False)
-    entries: np.ndarray | None = field(default=None, repr=False, compare=False)
+    lambdas: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.entries is None:
-            self.entries = np.array(
-                [m.entries() for m in self.maps], dtype=complex
-            ).reshape(-1, 4)
+        if self.entries.shape != (self.disk.n_faces, 4):
+            raise MeshMismatch(
+                f"expected ({self.disk.n_faces}, 4) frame entries, "
+                f"got shape {self.entries.shape}"
+            )
         self.entries.setflags(write=False)
+        if self.lambdas is not None:
+            self.lambdas.setflags(write=False)
 
     @property
     def disk(self) -> TriangulatedDisk:
         return self.source.disk
+
+    @cached_property
+    def maps(self) -> tuple:
+        """MoebiusMap per face, built from ``entries`` on first access."""
+        return tuple(map(MoebiusMap, *(column.tolist() for column in self.entries.T)))
 
     def inverse(self) -> "MoebiusFrame":
         """Frame from target to source (per-face inverse).
@@ -87,7 +101,7 @@ class MoebiusFrame:
         """
         inv = self.entries[:, [3, 1, 2, 0]]  # adjugate, as MoebiusMap.inverse
         inv[:, 1:3] = -inv[:, 1:3]
-        return _frame(self.target, self.source, inv, lift=self.lift)
+        return MoebiusFrame(self.target, self.source, inv, lift=self.lift)
 
     def realization(self) -> tuple:
         """Net f = A A* of the frame, one HermitianPoint per face.
@@ -105,12 +119,6 @@ class MoebiusFrame:
         return tuple(map(HermitianPoint, a.tolist(), b.tolist(), d.tolist()))
 
 
-def _frame(source: CirclePattern, target: CirclePattern, entries, **kw):
-    """Frame whose maps are the rows of the (F, 4) array ``entries``."""
-    maps = tuple(map(MoebiusMap, *(column.tolist() for column in entries.T)))
-    return MoebiusFrame(source, target, maps, entries=entries, **kw)
-
-
 def osculating_frame(source: CirclePattern, target: CirclePattern) -> MoebiusFrame:
     """Per-face three-point Moebius maps z_i, z_j, z_k -> z~_i, z~_j, z~_k."""
     if source.disk is not target.disk and source.disk.faces != target.disk.faces:
@@ -120,7 +128,7 @@ def osculating_frame(source: CirclePattern, target: CirclePattern) -> MoebiusFra
     except (DegenerateTriple, SingularMatrix) as exc:
         i, j, k = source.disk.faces[exc.row]
         raise DegenerateFace(f"face ({i},{j},{k}): {exc}") from exc
-    return _frame(source, target, entries)
+    return MoebiusFrame(source, target, entries)
 
 
 def _rayleigh(t: MoebiusMap, z: SpherePoint) -> complex:
@@ -213,9 +221,9 @@ def coherent_lift(
     target_lam = principal_sqrt_ratio(x.array, x_target.array)
 
     # root sign: (2,2) entry argument in (-pi/2, pi/2]
-    m = frame.maps[0]
-    anchor = m.d if abs(m.d) > TOL_ANCHOR else next(
-        e for e in m.entries() if abs(e) > TOL_ANCHOR
+    m = frame.entries[0].tolist()
+    anchor = m[3] if abs(m[3]) > TOL_ANCHOR else next(
+        e for e in m if abs(e) > TOL_ANCHOR
     )
     phi = cmath.phase(anchor)
     root = phi <= -math.pi / 2 or phi > math.pi / 2
@@ -244,14 +252,8 @@ def coherent_lift(
             "vertex monodromy is -I"
         )
     np.negative(entries, out=entries, where=negated[:, None])
-    negated[0] = root  # face 0 roots the tree: only its root sign applies
     return MoebiusFrame(
-        frame.source,
-        frame.target,
-        tuple(m.negate() if n else m for m, n in zip(frame.maps, negated.tolist())),
-        lift="coherent",
-        lambdas=dict(zip(disk.interior_edges, lam.tolist())),
-        entries=entries,
+        frame.source, frame.target, entries, lift="coherent", lambdas=lam
     )
 
 
@@ -270,8 +272,9 @@ def vertex_monodromy(frame: MoebiusFrame, v: int) -> MoebiusMap:
         w = ring[(m + 1) % n]
         # crossing from face (v, ring[m], w) to face (v, w, ring[m+2]):
         # right-to-left of the oriented edge v -> w
-        lam = frame.lambdas.get(_canon(v, w))
-        if lam is None:  # inverse or projective frame: no cached eigenvalues
+        if frame.lambdas is not None:
+            lam = frame.lambdas[disk.edge_index[_canon(v, w)]].item()
+        else:  # inverse or projective frame: no cached eigenvalues
             fl, fr = disk.left_face(v, w), disk.right_face(v, w)
             lam = _rayleigh(frame.maps[fr].inverse().compose(frame.maps[fl]), z[v])
         t = transition_closed_form(z[v], z[w], lam)
@@ -282,9 +285,10 @@ def vertex_monodromy(frame: MoebiusFrame, v: int) -> MoebiusMap:
 def integrate_eta(gauss: CirclePattern, f, lam):
     """Frame A with A A* = f from measured eigenvalues on the Gauss pattern.
 
-    ``lam`` maps each interior edge (i, j), i < j, to the eigenvalue of
-    eta_ij = transition_closed_form(z~_j, z~_i, lam), the transition from
-    the left face of i -> j to its right face.  eta must close around every
+    ``lam`` is a sequence in the order of ``disk.interior_edges``: for the
+    edge (i, j), i < j, the eigenvalue of eta_ij =
+    transition_closed_form(z~_j, z~_i, lam), the transition from the left
+    face of i -> j to its right face.  eta must close around every
     interior vertex; it is integrated over the dual tree from face 0, the
     constant is the polar factor C C* = f[0], and A A* = f is checked before
     z = A^{-1} z~ is read off.  Returns (source pattern, ``gauss``, coherent
@@ -292,15 +296,15 @@ def integrate_eta(gauss: CirclePattern, f, lam):
     """
     disk = gauss.disk
     z_t = gauss.z
-    etas = {
-        (i, j): transition_closed_form(z_t[j], z_t[i], lam[(i, j)])
-        for (i, j) in disk.interior_edges
-    }
+    etas = [
+        transition_closed_form(z_t[j], z_t[i], l)
+        for (i, j), l in zip(disk.interior_edges, lam)
+    ]
 
     def eta_for(i, j):
         if i < j:
-            return etas[(i, j)]
-        return etas[(j, i)].inverse()
+            return etas[disk.edge_index[(i, j)]]
+        return etas[disk.edge_index[(j, i)]].inverse()
 
     worst = 0.0
     for v in disk.interior_vertices:
@@ -348,7 +352,8 @@ def integrate_eta(gauss: CirclePattern, f, lam):
         for v in range(disk.n_vertices)
     ]
     source = CirclePattern(disk, z)
-    return source, gauss, MoebiusFrame(source, gauss, a_maps, lift="coherent")
+    entries = np.array([a.entries() for a in a_maps], dtype=complex)
+    return source, gauss, MoebiusFrame(source, gauss, entries, lift="coherent")
 
 
 def compose_frames(f1: MoebiusFrame, f2: MoebiusFrame) -> MoebiusFrame:
@@ -358,12 +363,12 @@ def compose_frames(f1: MoebiusFrame, f2: MoebiusFrame) -> MoebiusFrame:
     worst = max(
         a.chordal(b) for a, b in zip(f1.target.z, f2.source.z)
     )
-    if worst > 1e-9:
+    if worst > TOL_COMPOSE:
         raise MeshMismatch(
             f"intermediate patterns disagree by {worst:.2e}"
         )
-    maps = tuple(m2.compose(m1) for m1, m2 in zip(f1.maps, f2.maps))
-    return MoebiusFrame(f1.source, f2.target, maps)
+    entries = compose_rows(f2.entries.T, f1.entries.T).T
+    return MoebiusFrame(f1.source, f2.target, entries)
 
 
 def smooth_osculating(h, h1, h2, z: complex) -> MoebiusMap:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClosureViolation, DegenerateFace, DegenerateSeed
+from .errors import ClosureViolation, DegenerateFace, DegenerateSeed, MeshMismatch
 from .mesh import TriangulatedDisk, _canon
 from .moebius import (
     SpherePoint,
@@ -27,6 +27,8 @@ TOL_TREE = 1e-6
 TOL_DELAUNAY = 1e-9
 # vertices of a face closer than this chordal distance coincide
 TOL_COINCIDENT = 1e-14
+# seed points of ``develop`` closer than this chordal distance coincide
+TOL_SEED = 1e-12
 
 
 class CirclePattern:
@@ -58,37 +60,36 @@ class CirclePattern:
         return f"CirclePattern({self.disk!r})"
 
 
-@dataclass
+@dataclass(eq=False)
 class CrossRatioSystem:
-    """Nonzero complex number per interior edge, keyed by (min, max) pairs.
+    """Nonzero complex number per interior edge of ``disk``.
 
-    ``array`` holds the values and ``arg_array`` their arguments, read-only,
-    in the order of ``disk.interior_edges``; ``args`` keys the arguments by
-    edge.  The arguments come from np.angle, within an ulp of cmath.phase.
+    ``array`` holds the values and ``arg_array`` their arguments, both
+    read-only (E,) arrays in the order of ``disk.interior_edges``; the
+    arguments come from np.angle, within an ulp of cmath.phase.  ``x`` and
+    ``arg`` read one edge, in either orientation, as a Python scalar.
     """
 
     disk: TriangulatedDisk
-    values: dict  # (i, j) canonical -> complex
-    array: np.ndarray = field(init=False, repr=False, compare=False)
-    arg_array: np.ndarray = field(init=False, repr=False, compare=False)
-    args: dict = field(init=False, repr=False)
+    array: np.ndarray = field(repr=False)
+    arg_array: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        missing = [e for e in self.disk.interior_edges if e not in self.values]
-        if missing:
-            raise DegenerateFace(f"missing cross ratios on edges {missing[:4]}")
-        edges = self.disk.interior_edges
-        self.array = np.array([self.values[e] for e in edges], dtype=complex)
+        self.array = np.array(self.array, dtype=complex)
+        if self.array.shape != (len(self.disk.interior_edges),):
+            raise MeshMismatch(
+                f"expected {len(self.disk.interior_edges)} cross ratios, "
+                f"got shape {self.array.shape}"
+            )
         self.arg_array = np.angle(self.array)
         self.array.setflags(write=False)
         self.arg_array.setflags(write=False)
-        self.args = dict(zip(edges, self.arg_array.tolist()))
 
     def x(self, i: int, j: int) -> complex:
-        return self.values[_canon(i, j)]
+        return self.array[self.disk.edge_index[_canon(i, j)]].item()
 
     def arg(self, i: int, j: int) -> float:
-        return self.args[_canon(i, j)]
+        return self.arg_array[self.disk.edge_index[_canon(i, j)]].item()
 
     def is_delaunay(self, tol: float = TOL_DELAUNAY) -> bool:
         return not self.delaunay_violations(tol)
@@ -103,8 +104,7 @@ class CrossRatioSystem:
 def cross_ratios_of(pattern: CirclePattern) -> CrossRatioSystem:
     """Cross ratio per interior edge, apexes taken from the left/right faces."""
     disk = pattern.disk
-    x = cross_ratio_rows(pattern.zh, disk.edge_quads)
-    return CrossRatioSystem(disk, dict(zip(disk.interior_edges, x.tolist())))
+    return CrossRatioSystem(disk, cross_ratio_rows(pattern.zh, disk.edge_quads))
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,10 @@ def develop(
     seed_pts = [SpherePoint.of(p) for p in seed]
     if len(seed_pts) != 3:
         raise DegenerateSeed("seed must provide three points")
-    if (
-        seed_pts[0].chordal(seed_pts[1]) < 1e-12
-        or seed_pts[1].chordal(seed_pts[2]) < 1e-12
-        or seed_pts[2].chordal(seed_pts[0]) < 1e-12
-    ):
+    if any(seed_pts[n - 1].chordal(seed_pts[n]) < TOL_SEED for n in range(3)):
         raise DegenerateSeed("seed points are not pairwise distinct")
 
+    values = x.array.tolist()
     z: list = [None] * disk.n_vertices
     for v, p in zip(disk.face_vertices(seed_face), seed_pts):
         z[v] = p
@@ -201,7 +198,8 @@ def develop(
             if not disk.is_interior_edge(i, j):
                 continue
             l = disk.apex(j, i)
-            z_l = _propagate(z[i], z[j], z[disk.apex(i, j)], x.x(i, j))
+            x_ij = values[disk.edge_index[_canon(i, j)]]
+            z_l = _propagate(z[i], z[j], z[disk.apex(i, j)], x_ij)
             if z[l] is None:
                 z[l] = z_l
             else:

@@ -219,16 +219,14 @@ def family_xt(
             f"|t| max|alpha| = {abs(t) * labeling.max_abs():.3f} >= {POLE_MARGIN}"
         )
     base = cross_ratios_of(CirclePattern(tri.disk, tri.positions))
-    values = {}
-    for e in tri.disk.interior_edges:
-        x = base.values[e]
-        if e in tri.diagonal_edges:
-            values[e] = x
+    values = []
+    for (i, j), x in zip(tri.disk.interior_edges, base.array.tolist()):
+        if (i, j) in tri.diagonal_edges:
+            values.append(x)
         else:
-            i, j = e
             num = 1.0 - t * labeling.minus(i, j)
             den = 1.0 - t * labeling.plus(i, j)
-            values[e] = (num / den) * x
+            values.append((num / den) * x)
     return CrossRatioSystem(tri.disk, values)
 
 
@@ -292,16 +290,16 @@ def tangent_check(
         xp = family_xt(tri, labeling, h)
         xm = family_xt(tri, labeling, -h)
         derivs.append(
-            {
-                e: (cmath.log(xp.values[e]) - cmath.log(xm.values[e])) / (2 * h)
-                for e in tri.disk.interior_edges
-            }
+            [
+                (cmath.log(p) - cmath.log(m)) / (2 * h)
+                for p, m in zip(xp.array.tolist(), xm.array.tolist())
+            ]
         )
     # Richardson on the central differences (error O(h^2))
     r = (TANGENT_STEPS[0] / TANGENT_STEPS[1]) ** 2
     worst = 0.0
-    for e in tri.disk.interior_edges:
-        d = (r * derivs[1][e] - derivs[0][e]) / (r - 1.0)
+    for e, d0, d1 in zip(tri.disk.interior_edges, *derivs):
+        d = (r * d1 - d0) / (r - 1.0)
         expect = 0.0 if e in tri.diagonal_edges else q[e]
         worst = max(worst, abs(d - expect))
     return worst

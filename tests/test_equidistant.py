@@ -38,7 +38,7 @@ class TestBuild:
         assert report.cosphericity_residual <= 1e-8
 
     def test_lambdas_real_positive(self, toda_equidistant):
-        for lam in toda_equidistant.frame.lambdas.values():
+        for lam in toda_equidistant.frame.lambdas.tolist():
             assert abs(lam.imag) <= 1e-10
             assert lam.real > 0
 
@@ -143,7 +143,7 @@ class TestEigenRealityEquivalence:
         net = toda_equidistant
         x = cross_ratios_of(net.frame.source)
         xt = cross_ratios_of(net.frame.target)
-        for e, lam in net.frame.lambdas.items():
-            ratio_arg = x.args[e] - xt.args[e]
+        for e, lam in zip(net.disk.interior_edges, net.frame.lambdas.tolist()):
+            ratio_arg = x.arg(*e) - xt.arg(*e)
             assert abs(lam.imag) <= 1e-9
             assert abs(ratio_arg) <= 1e-9

@@ -6,6 +6,7 @@ import pytest
 from horonet import io as hio
 from horonet.cli import main
 from horonet.cmc1 import _net_from_frame, dual_surface
+from horonet.errors import DegenerateFace
 from horonet.mesh import build_disk
 from horonet.moebius import SpherePoint, from_poincare_ball, on_horosphere
 from horonet.pattern import CirclePattern, cross_ratios_of
@@ -54,7 +55,14 @@ class TestJson:
         doc = hio.save_cross_ratios(x)
         again = hio.load_cross_ratios(toda_net.disk, doc)
         for e in toda_net.disk.interior_edges:
-            assert abs(again.values[e] - x.values[e]) < 1e-15
+            assert abs(again.x(*e) - x.x(*e)) < 1e-15
+
+    def test_cross_ratios_missing_an_edge(self, toda_net):
+        doc = hio.save_cross_ratios(cross_ratios_of(toda_net.frame.source))
+        gone = doc["edges"].pop(3)
+        message = rf"missing cross ratios on edges \[\({gone['i']}, {gone['j']}\)\]"
+        with pytest.raises(DegenerateFace, match=message):
+            hio.load_cross_ratios(toda_net.disk, doc)
 
     def test_frame_round_trip(self, toda_net):
         doc = hio.save_frame(toda_net.frame)
@@ -254,6 +262,23 @@ class TestCli:
             hio.RunManifest("dual", {str(frame): hio.file_hash(frame)}).to_json()
         )
         assert rep.read_text() == hio.dump_json(doc)
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_dual_rejects_frame_of_wrong_size(self, tmp_path, capsys, toda_net, change):
+        doc = hio.save_frame(toda_net.frame)
+        if change == "drop":
+            doc["matrices"].pop()
+        else:
+            doc["matrices"].append(doc["matrices"][0])
+        frame = tmp_path / "frame.json"
+        frame.write_text(hio.dump_json(doc))
+        out = tmp_path / "dual.obj"
+        code = main(["dual", "--net-frame", str(frame), "--out", str(out)])
+        assert code == 41
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MeshMismatch"
+        assert "frame entries" in err["message"]
+        assert not out.exists()
 
     def test_error_json_on_stderr(self, tmp_path, capsys, pattern_files):
         a, _ = pattern_files

@@ -29,7 +29,13 @@ from horonet.convergence import (
     shear_preserving_solve,
 )
 from horonet.errors import DegenerateFace, NonIntersectingHorospheres
-from horonet.io import export_net_obj, export_net_ply
+from horonet.io import (
+    dump_json,
+    export_net_obj,
+    export_net_ply,
+    save_cross_ratios,
+    save_frame,
+)
 from horonet.mesh import LatticeSpec, build_disk, interior_star, lattice_subcomplex
 from horonet.moebius import (
     HermitianPoint,
@@ -55,6 +61,7 @@ from horonet.pattern import CirclePattern, cross_ratios_of, verify_closure
 from horonet.toda import (
     cmc1_from_toda,
     develop_family,
+    equidistant_from_toda,
     family_xt,
     labeling_from,
     square_grid_toda,
@@ -168,8 +175,8 @@ def test_cross_ratios_equal_edge_cross_ratio(toda_pair, random_pairs):
             z = pattern.z
             for (k, i, l, j) in pattern.disk.edge_quads.tolist():
                 scalar = edge_cross_ratio(z[k], z[i], z[l], z[j])
-                assert x.values[(i, j)] == scalar
-                assert abs(x.args[(i, j)] - cmath.phase(scalar)) <= 1e-15
+                assert x.x(i, j) == scalar
+                assert abs(x.arg(i, j) - cmath.phase(scalar)) <= 1e-15
 
 
 def test_closure_matches_the_vertex_loop(toda_pair):
@@ -221,7 +228,7 @@ def _sequential_lift(frame, x, xt):
         t = maps[right].inverse().compose(maps[left])
         lam = _rayleigh(t, z[min(i, j)])
         e = (min(i, j), max(i, j))
-        star = principal_sqrt_ratio(x.values[e], xt.values[e])
+        star = principal_sqrt_ratio(x.x(*e), xt.x(*e))
         if abs(lam - star) > abs(lam + star):
             maps[g] = maps[g].negate()
             lam = -lam
@@ -241,7 +248,7 @@ def test_lift_matches_the_sequential_walk(toda_pair, random_pairs):
         lifted = coherent_lift(frame, x, xt)
         maps, lambdas = _sequential_lift(frame, x, xt)
         assert list(lifted.maps) == maps  # same sign on every face
-        assert lifted.lambdas == lambdas
+        assert lifted.lambdas.tolist() == [lambdas[e] for e in source.disk.interior_edges]
         assert lifted.entries.tolist() == [list(m.entries()) for m in maps]
 
 
@@ -519,6 +526,32 @@ def test_exports_are_pinned():
     net = cmc1_from_toda(cell, sol, 0.05)
     for export, digest in ((export_net_obj, OBJ_SHA256), (export_net_ply, PLY_SHA256)):
         assert hashlib.sha256(export(net).encode()).hexdigest() == digest
+
+
+# sha256 of the frame files of both 10 x 10 Toda nets at t = 0.05 and of the
+# cross-ratio file of the CMC-1 source, from per-face MoebiusMap tuples and
+# per-edge dicts
+CMC1_FRAME_SHA256 = "0cbdc3f5be2a037caa435ae29eb64963e2392e0504b8a2f2b0877410df2431a6"
+EQUIDISTANT_FRAME_SHA256 = "67a28958be796b83c02181a35357d676fdafbc57dc787661ccdba31169042bea"
+CROSS_RATIOS_SHA256 = "0e14a7a38f5161345c3fe53a0a96a888122987285388fbe957ed3acd2c94c79e"
+
+
+def test_frame_and_cross_ratio_files_are_pinned():
+    cell, _, sol = square_grid_toda(10, 10)
+    net = cmc1_from_toda(cell, sol, 0.05)
+    equidistant = equidistant_from_toda(cell, sol, 0.05)
+    x = cross_ratios_of(net.frame.source)
+    for doc, digest in (
+        (save_frame(net.frame), CMC1_FRAME_SHA256),
+        (save_frame(equidistant.frame), EQUIDISTANT_FRAME_SHA256),
+        (save_cross_ratios(x), CROSS_RATIOS_SHA256),
+    ):
+        assert hashlib.sha256(dump_json(doc).encode()).hexdigest() == digest
+    # the scalar views hand out Python objects, never numpy scalars
+    i, j = net.disk.interior_edges[-1]
+    assert type(x.x(j, i)) is complex and type(x.arg(j, i)) is float
+    m = net.frame.maps[-1]
+    assert type(m) is MoebiusMap and all(type(e) is complex for e in m.entries())
 
 
 def _raises_as_the_loop(fields, message):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from horonet.errors import ClosureViolation, DegenerateFace
+from horonet.errors import ClosureViolation, DegenerateFace, MeshMismatch
 from horonet.mesh import LatticeSpec, lattice_subcomplex
 from horonet.moebius import MoebiusMap, SpherePoint
 from horonet.pattern import (
@@ -29,14 +29,14 @@ class TestCrossRatios:
     def test_equilateral_lattice_constant(self, lattice_pattern):
         x = cross_ratios_of(lattice_pattern)
         for e in lattice_pattern.disk.interior_edges:
-            assert abs(x.values[e] - OMEGA) < 1e-12
+            assert abs(x.x(*e) - OMEGA) < 1e-12
 
     def test_moebius_invariance(self, lattice_pattern):
         m = MoebiusMap.from_entries(1.1, 0.2 - 0.4j, 0.05j, 0.8)
         x0 = cross_ratios_of(lattice_pattern)
         x1 = cross_ratios_of(lattice_pattern.moebius_image(m))
         for e in lattice_pattern.disk.interior_edges:
-            assert abs(x0.values[e] - x1.values[e]) < 1e-12
+            assert abs(x0.x(*e) - x1.x(*e)) < 1e-12
 
     def test_hex_star_closure(self, hex_pattern):
         x = cross_ratios_of(hex_pattern)
@@ -50,18 +50,21 @@ class TestCrossRatios:
         with pytest.raises(DegenerateFace):
             CirclePattern(hex_fan, [0, 1, 1, 2, 3, 4, 5])
 
+    def test_wrong_length_rejected(self, hex_fan):
+        with pytest.raises(MeshMismatch, match="expected 6 cross ratios"):
+            CrossRatioSystem(hex_fan, [OMEGA] * 5)
+
 
 class TestVerifyClosure:
     def test_perturbation_detected(self, hex_pattern):
         x = cross_ratios_of(hex_pattern)
-        values = dict(x.values)
-        e = hex_pattern.disk.interior_edges[0]
-        values[e] = values[e] * (1 + 1e-3)
+        values = x.array.copy()
+        values[0] = values[0] * (1 + 1e-3)
         report = verify_closure(CrossRatioSystem(hex_pattern.disk, values))
         assert report.product_residual > 1e-4
 
     def test_constant_hexagonal_star(self, hex_fan):
-        values = {e: OMEGA for e in hex_fan.interior_edges}
+        values = [OMEGA] * len(hex_fan.interior_edges)
         report = verify_closure(CrossRatioSystem(hex_fan, values))
         assert report.product_residual < 1e-15
         assert report.sum_residual < 1e-15
@@ -84,7 +87,7 @@ class TestVerifyClosure:
 class TestDevelop:
     def test_equilateral_first_step(self, hex_fan):
         # X = e^{i pi/3} everywhere; seed face (0,1,2) at (0, 1, (1+sqrt3 i)/2)
-        values = {e: OMEGA for e in hex_fan.interior_edges}
+        values = [OMEGA] * len(hex_fan.interior_edges)
         x = CrossRatioSystem(hex_fan, values)
         seed = [0, 1, (1 + math.sqrt(3) * 1j) / 2]
         pattern = develop(hex_fan, x, seed)
@@ -104,27 +107,26 @@ class TestDevelop:
                 assert a.chordal(b) < 1e-10
             x2 = cross_ratios_of(rebuilt)
             for e in disk.interior_edges:
-                assert abs(x2.values[e] - x.values[e]) < 1e-9
+                assert abs(x2.x(*e) - x.x(*e)) < 1e-9
 
     def test_non_closed_system_raises(self, lattice_pattern):
         disk = lattice_pattern.disk
         x = cross_ratios_of(lattice_pattern)
-        values = dict(x.values)
-        e = disk.interior_edges[len(disk.interior_edges) // 2]
-        values[e] *= cmath.exp(0.05j)
+        values = x.array.copy()
+        values[len(values) // 2] *= cmath.exp(0.05j)
         bad = CrossRatioSystem(disk, values)
         seed = [lattice_pattern.z[v] for v in disk.face_vertices(0)]
         with pytest.raises(ClosureViolation):
             develop(disk, bad, seed)
 
     def test_develop_with_infinity_seed(self, hex_fan):
-        values = {e: OMEGA for e in hex_fan.interior_edges}
+        values = [OMEGA] * len(hex_fan.interior_edges)
         x = CrossRatioSystem(hex_fan, values)
         seed = [0, 1, "inf"]
         pattern = develop(hex_fan, x, seed)
         x2 = cross_ratios_of(pattern)
         for e in hex_fan.interior_edges:
-            assert abs(x2.values[e] - OMEGA) < 1e-12
+            assert abs(x2.x(*e) - OMEGA) < 1e-12
 
 
 class TestMatches:
@@ -135,14 +137,14 @@ class TestMatches:
 
     def test_scaled_modulus(self, lattice_pattern):
         x = cross_ratios_of(lattice_pattern)
-        values = {e: v * 1.01 for e, v in x.values.items()}
+        values = x.array * 1.01
         y = CrossRatioSystem(lattice_pattern.disk, values)
         assert abs(shear_match(x, y) - math.log(1.01)) < 1e-12
         assert angle_match(x, y) < 1e-15
 
     def test_rotated_argument(self, lattice_pattern):
         x = cross_ratios_of(lattice_pattern)
-        values = {e: v * cmath.exp(0.01j) for e, v in x.values.items()}
+        values = x.array * cmath.exp(0.01j)
         y = CrossRatioSystem(lattice_pattern.disk, values)
         assert shear_match(x, y) < 1e-12
         assert abs(angle_match(x, y) - 0.01) < 1e-12
