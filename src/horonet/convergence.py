@@ -253,7 +253,7 @@ def _layout(patch: LatticePatch, u, base_log_len, jet: Jet):
     anchor = min(
         range(disk.n_vertices), key=lambda v: abs(patch.positions[v] - center)
     )
-    seed_face = disk.vertex_faces_ccw(anchor)[0]
+    seed_face = int(disk.first_faces[anchor])
 
     def length(a, b):
         return math.exp(base_log_len[(min(a, b), max(a, b))] + (u[a] + u[b]) / 2)
@@ -294,9 +294,8 @@ def discrete_schwarzian(
     disk = patch.disk
     eps = patch.spec.eps
     out = {}
-    for v in range(disk.n_vertices):
-        w = patch.shift_vertex(v, k)
-        if w is None or not disk.is_interior_edge(v, w):
+    for v, w in enumerate(patch.shift(k).tolist()):
+        if w < 0 or not disk.is_interior_edge(v, w):
             continue
         ratio = cmath.log(x_target.x(v, w) / x.x(v, w))
         if abs(ratio.real) > TOL_SCHWARZIAN_SHEAR:
@@ -309,13 +308,10 @@ def discrete_schwarzian(
 
 def interior_subset(patch: LatticePatch, vertices):
     """Vertices of the set whose six lattice neighbors all belong to it."""
-    vs = set(vertices)
-    out = []
-    for v in vs:
-        nbrs = [patch.shift_vertex(v, k) for k in range(1, 7)]
-        if all(w is not None and w in vs for w in nbrs):
-            out.append(v)
-    return sorted(out)
+    vs = np.unique(np.fromiter(vertices, np.intp))
+    member = np.zeros(patch.disk.n_vertices + 1, dtype=bool)  # at -1: no vertex
+    member[vs] = True
+    return vs[member[patch.neighbors[vs]].all(axis=1)].tolist()
 
 
 def discrete_derivative(field: dict, patch: LatticePatch, k: int, order: int = 1):
@@ -323,15 +319,12 @@ def discrete_derivative(field: dict, patch: LatticePatch, k: int, order: int = 1
     cur = dict(field)
     eps = patch.spec.eps
     lk = patch.spec.length(k)
+    shift = patch.shift(k).tolist()
     for _ in range(order):
         domain = interior_subset(patch, cur.keys())
         if not domain:
             raise DomainExhausted("no interior vertices left for the derivative")
-        nxt = {}
-        for v in domain:
-            w = patch.shift_vertex(v, k)
-            nxt[v] = (cur[w] - cur[v]) / (eps * lk)
-        cur = nxt
+        cur = {v: (cur[shift[v]] - cur[v]) / (eps * lk) for v in domain}
     return cur
 
 
@@ -445,10 +438,8 @@ def _vertex_frame_field(frame: MoebiusFrame, patch: LatticePatch):
     """Frame as a vertex field via the upward face (v, v+dir1, v+dir2)."""
     disk = patch.disk
     out = {}
-    for v in range(disk.n_vertices):
-        a = patch.shift_vertex(v, 1)
-        b = patch.shift_vertex(v, 2)
-        if a is None or b is None:
+    for v, (a, b) in enumerate(zip(patch.shift(1).tolist(), patch.shift(2).tolist())):
+        if a < 0 or b < 0:
             continue
         try:
             fidx = disk.left_face(v, a)
@@ -534,9 +525,8 @@ def surface_convergence(
         row.surface_error = worst
         hopf = 0.0
         disk = patch.disk
-        for v in range(disk.n_vertices):
-            w = patch.shift_vertex(v, 1)
-            if w is None or not disk.is_interior_edge(v, w):
+        for v, w in enumerate(patch.shift(1).tolist()):
+            if w < 0 or not disk.is_interior_edge(v, w):
                 continue
             em = net.measure_of(v, w)
             val = em.ell * math.tan(em.alpha / 2.0) / (eps * eps)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cmc1 import HorosphericalNet
-from .errors import DegenerateFace, HoronetError
+from .errors import DegenerateFace, HoronetError, MeshMismatch
 from .mesh import TriangulatedDisk, _canon, build_disk
 from .moebius import MoebiusMap, SpherePoint, chart_plane_to_ball, to_poincare_ball
 from .osculating import MoebiusFrame
@@ -121,6 +121,11 @@ def load_frame(doc: dict) -> MoebiusFrame:
 
     source = CirclePattern(disk, pts("source_positions"))
     target = CirclePattern(disk, pts("target_positions"))
+    for k, m in enumerate(doc["matrices"]):
+        if [len(row) for row in m] != [2, 2]:
+            raise MeshMismatch(
+                f"frame matrix {k} has rows of {[len(row) for row in m]} entries, not 2 x 2"
+            )
     rows = [[complex_from_json(e) for row in m for e in row] for m in doc["matrices"]]
     if any(isinstance(e, SpherePoint) for r in rows for e in r):
         raise HoronetError("matrix entries cannot be infinite")

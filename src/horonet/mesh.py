@@ -6,16 +6,30 @@ decompositions that carry Toda solutions.  The left face of the directed
 edge i -> j is the face whose boundary contains i -> j.  Edges are
 canonical unordered pairs (min, max); orientation is supplied at call sites.
 
-``TriangulatedDisk`` also holds read-only integer index tables, built once
-at construction, on which the array kernels of patterns, frames and the
-lattice solve run: ``face_array`` (F, 3), ``edge_quads`` (E, 4) and
-``edge_faces`` (E, 2), whose rows follow ``interior_edges``, and the
-directed-edge and ring tables on which nets are measured.
+Every adjacency comes from one flat table of directed edges, one per face
+corner: corner c of face f is the edge u -> v from its vertex u to the next
+vertex of f, with f on its left, the vertex before u in f, and its twin, the
+corner of v -> u.  Two stable sorts index the table: by the keys u V + v,
+which finds repeated edges and the first out-edge of each vertex, and by the
+edges (min, max), in whose order the two sides of an interior edge are
+neighbours.  Around a vertex the corner after c is the twin of the corner
+before c in its face, so the rings and fans of all vertices are walked
+together, one array step per neighbour.  The edge lists, rings, fans,
+boundary flags, dual graph and the index tables below are read off that
+table, and the scalar accessors read a dict from the keys u V + v to the
+left face, made from it in one step.
+
+``TriangulatedDisk`` also holds read-only integer index tables on which the
+array kernels of patterns, frames and the lattice solve run: ``face_array``
+(F, 3), ``edge_quads`` (E, 4) and ``edge_faces`` (E, 2), whose rows follow
+``interior_edges``, and the directed-edge and ring tables on which nets are
+measured.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,124 +43,218 @@ from .errors import (
     NotADisk,
 )
 
+TOL_ANGLE_SUM = 1e-12
+
 
 def _canon(i: int, j: int):
     return (i, j) if i < j else (j, i)
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _split(values: list, sizes: np.ndarray) -> tuple:
+    """Consecutive runs of ``values`` of the given sizes, as tuples."""
+    ends = np.cumsum(sizes).tolist()
+    return tuple([tuple(values[a:b]) for a, b in zip([0] + ends, ends)])
+
+
+def _prefixes(table: np.ndarray, sizes: np.ndarray) -> tuple:
+    """The first ``sizes[r]`` entries of each row r of ``table``, as tuples."""
+    return tuple([tuple(row[:k]) for row, k in zip(table.tolist(), sizes.tolist())])
+
+
 class OrientedDisk:
     """Combinatorial disk of counterclockwise polygons with derived adjacency.
 
-    Everything is derived from one table, directed edge u -> v to (face on
-    its left, vertex before u in that face).  Immutable after construction;
-    all derived tables are built eagerly so instances can be shared
-    read-only, except that dual trees are built and cached on first request.
+    Everything is derived from the directed-edge table of the module
+    docstring.  Immutable after construction, so instances can be shared
+    read-only.  The checks and the edge, boundary and index tables are
+    built eagerly; the rings, fans, ``dual_adjacency`` and dual trees other
+    than the one from face 0 are built and cached on first request.
     """
 
     def __init__(self, faces):
-        faces = tuple(tuple(map(int, f)) for f in faces)
-        if not faces:
+        if isinstance(faces, np.ndarray):  # (F, k) vertex ids
+            sizes = np.full(len(faces), faces.shape[-1])
+            tail = faces.astype(np.intp).ravel()
+        else:
+            faces = list(faces)
+            sizes = np.fromiter(map(len, faces), np.intp, len(faces))
+            tail = np.fromiter(itertools.chain.from_iterable(faces), np.intp, sizes.sum())
+        n_f = self.n_faces = len(sizes)
+        if not n_f:
             raise NotADisk("empty face list")
-        for f in faces:
-            if len(f) < 3 or len(set(f)) != len(f):
-                raise NotADisk(f"not a polygon: {f}")
-        self.faces = faces
-        used = {v for f in faces for v in f}
-        n = self.n_vertices = len(used)
-        if min(used) != 0 or max(used) != n - 1:
+        if sizes.min() < 3:
+            bad = _split(tail.tolist(), sizes)[np.argmax(sizes < 3)]
+            raise NotADisk(f"not a polygon: {bad}")
+        # the faces again, as tuples of ints
+        if (sizes == sizes[0]).all():
+            self.faces = tuple(zip(*[iter(tail.tolist())] * int(sizes[0])))
+        else:
+            self.faces = _split(tail.tolist(), sizes)
+        counts = np.bincount(tail - tail.min())  # corners per vertex
+        if tail.min() != 0 or not counts.all():
             raise NotADisk("vertex ids are not 0..n-1 (isolated vertices)")
-        self.n_faces = len(faces)
+        n = self.n_vertices = len(counts)
+        n_c = len(tail)
+        face = np.repeat(np.arange(n_f), sizes)
+        incidences = face * n + tail
+        incidences = incidences[np.argsort(incidences, kind="stable")]
+        repeated = incidences[1:] == incidences[:-1]
+        if repeated.any():
+            bad = self.faces[incidences[np.argmax(repeated)] // n]
+            raise NotADisk(f"not a polygon: {bad}")
 
-        left = self._left = {}
-        out = [0] * n  # some w with v -> w, to start the ring walk
-        for fi, f in enumerate(faces):
-            p, u = f[-2], f[-1]
-            for v in f:
-                if (u, v) in left:
-                    raise InconsistentOrientation(
-                        f"directed edge {u}->{v} appears in two faces"
-                    )
-                left[(u, v)] = (fi, p)
-                out[u] = v
-                p, u = u, v
+        ends = np.cumsum(sizes)
+        nxt = np.arange(1, n_c + 1)
+        nxt[ends - 1] = ends - sizes
+        prv = np.empty_like(nxt)
+        prv[nxt] = np.arange(n_c)
+        head, before = tail[nxt], tail[prv]
+        key = tail * n + head
+        order = np.argsort(key, kind="stable")
+        skey = key[order]
+        dup = skey[1:] == skey[:-1]
+        if dup.any():
+            k = skey[np.argmax(dup)]
+            raise InconsistentOrientation(
+                f"directed edge {k // n}->{k % n} appears in two faces"
+            )
+        # in the order of the edges (i, j), i < j, the two sides of an
+        # interior edge are neighbours
+        canon = np.minimum(tail, head) * n + np.maximum(tail, head)
+        side = np.argsort(canon, kind="stable")
+        canon = canon[side]
+        first = np.append(True, canon[1:] != canon[:-1])
+        pair = np.flatnonzero(~first) - 1
+        a, b = side[pair], side[pair + 1]
+        twin = np.full(n_c, n_c)  # n_c on the boundary
+        twin[a], twin[b] = b, a
+        self._corners = _readonly(np.array((tail, head, before, face, twin)))  # the table
+        self.edges = tuple(zip((canon[first] // n).tolist(), (canon[first] % n).tolist()))
+        interior = np.append(~first[1:], False)[first]
+        self.interior_edges = tuple(itertools.compress(self.edges, interior.tolist()))
+        self._forward = np.where(tail[a] < head[a], a, b)  # i -> j per interior edge
 
-        self.edges = tuple(sorted({_canon(u, v) for (u, v) in left}))
-        self.interior_edges = tuple(
-            (i, j) for (i, j) in self.edges if (i, j) in left and (j, i) in left
-        )
-        # counterclockwise around v the neighbour after w is the vertex before
-        # v in the face left of v -> w; an interior ring starts at its
-        # smallest neighbour, a boundary ring at its boundary edge v -> w
-        nxt = {u: v for (u, v) in left if (v, u) not in left}
-        rings, vertex_faces = [], []
-        walked = 0
-        for v in range(n):
-            cur = start = nxt.get(v, out[v])
-            ring, ring_faces = [cur], []
-            while (v, cur) in left:
-                fi, cur = left[(v, cur)]
-                ring_faces.append(fi)
-                if cur == start:
-                    m = ring.index(min(ring))
-                    ring = ring[m:] + ring[:m]
-                    ring_faces = ring_faces[m:] + ring_faces[:m]
-                    break
-                ring.append(cur)
-            walked += len(ring_faces)
-            rings.append(tuple(ring))
-            vertex_faces.append(tuple(ring_faces))
+        # around v the corner after c (v -> w) is v -> before[c], the twin of
+        # the corner before c; a walk starts at the first out-edge in key
+        # order, to the smallest neighbour, or at the boundary edge v -> w,
+        # and stops past the last face or where it began
+        start = order[np.cumsum(counts) - counts]
+        outer = np.flatnonzero(twin == n_c)
+        start[tail[outer]] = outer
+        after = twin[prv]
+        after = np.append(np.where(after == start[tail], n_c, after), n_c)
+        steps = [start]
+        for _ in range(1, counts.max()):
+            steps.append(after[steps[-1]])
+        walk = self._walk = _readonly(np.array(steps).T)  # n_c past the end
         # each walk covers one link component, so a shortfall is a pinched vertex
-        if walked != len(left):
+        if (walk < n_c).sum() != n_c:
             raise NotADisk("pinched vertex (link not a single chain)")
-        self._ring_ccw = tuple(rings)
-        self._vertex_faces_ccw = tuple(vertex_faces)
-        self.is_boundary_vertex = tuple(v in nxt for v in range(n))
-        self.interior_vertices = tuple(v for v in range(n) if v not in nxt)
+        boundary = twin[start] == n_c
+        self.first_faces = _readonly(face[start])
+        self.is_boundary_vertex = tuple(boundary.tolist())
+        self.interior_vertices = tuple(np.flatnonzero(~boundary).tolist())
 
-        adj = [[] for _ in range(self.n_faces)]
-        for (i, j) in self.interior_edges:
-            fl, fr = left[(i, j)][0], left[(j, i)][0]
-            adj[fl].append((fr, (i, j)))
-            adj[fr].append((fl, (j, i)))
-        self.dual_adjacency = tuple(tuple(sorted(a)) for a in adj)
+        self._left = dict(zip(key.tolist(), face.tolist()))
+        # dual edges sorted by (face f, neighbour g, directed edge): entry k
+        # has f left of the corner _dual_edges[k] and g right of it.  Row f
+        # of _dual_rows holds the g of the entries from _dual_starts[f] on,
+        # then F past the end.
+        c = order[twin[order] < n_c]
+        f, g = face[c], face[twin[c]]
+        by_face = np.argsort(f * n_f + g, kind="stable")
+        f, g = f[by_face], g[by_face]
+        self._dual_edges = c[by_face]
+        per_face = np.bincount(f, minlength=n_f)
+        starts = np.cumsum(per_face) - per_face
+        rows = np.full((n_f, per_face.max()), n_f)
+        rows[f, np.arange(len(c)) - starts[f]] = g
+        self._dual_rows, self._dual_starts = rows.tolist(), starts.tolist()
         self._dual_trees: dict = {}
-        if len(self.dual_tree(0)) != self.n_faces - 1:
+        if len(self.dual_tree(0)) != n_f - 1:
             raise NotADisk("dual graph is disconnected")
         # a connected surface with Euler characteristic 2 - 2 genus - loops
         # equal to 1 has genus 0 and one boundary loop
-        if n - len(self.edges) + self.n_faces != 1:
+        if n - len(self.edges) + n_f != 1:
             raise NotADisk("Euler characteristic is not 1")
+
+    @functools.cached_property
+    def _ring_ccw(self):
+        # the head of the first corner, then the vertex before v in each
+        # face; an interior ring closes on its first vertex
+        _, head, before, _, twin = self._corners
+        walk = self._walk
+        ring = np.column_stack((head[walk[:, 0]], np.take(before, walk, mode="clip")))
+        sizes = (walk < len(twin)).sum(axis=1) + (twin[walk[:, 0]] == len(twin))
+        return _prefixes(ring, sizes)
+
+    @functools.cached_property
+    def _vertex_faces_ccw(self):
+        face = self._corners[3]
+        walk = self._walk
+        return _prefixes(np.take(face, walk, mode="clip"), (walk < len(face)).sum(axis=1))
+
+    @functools.cached_property
+    def dual_adjacency(self):
+        """Per face f, the pairs (g, (i, j)) sorted, f left of i -> j and g
+        right of it."""
+        tail, head = self._corners[:2, self._dual_edges].tolist()
+        return tuple(
+            tuple(
+                (g, (tail[k], head[k]))
+                for k, g in enumerate(row, start)
+                if g < self.n_faces
+            )
+            for row, start in zip(self._dual_rows, self._dual_starts)
+        )
 
     def dual_tree(self, root: int = 0):
         """Breadth-first dual spanning tree from face ``root``, cached per root.
 
         Entries ``(f, g, (i, j))`` come in visiting order: f is the root or an
-        earlier g and lies left of i -> j, and g is the new face on its right.
+        earlier g and lies left of i -> j, and g is the new face on its right;
+        the neighbours of f are visited in the order of ``dual_adjacency``.
         """
         tree = self._dual_trees.get(root)
         if tree is None:
-            reached = [False] * self.n_faces
+            rows, starts = self._dual_rows, self._dual_starts
+            reached = [False] * self.n_faces + [True]
             reached[root] = True
-            order = [root]
-            tree = []
+            order, parent, via = [root], [], []
             for f in order:
-                for (g, e) in self.dual_adjacency[f]:
+                row = rows[f]
+                for g in row:
                     if not reached[g]:
                         reached[g] = True
                         order.append(g)
-                        tree.append((f, g, e))
-            tree = self._dual_trees[root] = tuple(tree)
+                        parent.append(f)
+                        via.append(starts[f] + row.index(g))  # its first entry
+            edges = zip(*self._corners[:2, self._dual_edges[via]].tolist())
+            tree = self._dual_trees[root] = tuple(zip(parent, order[1:], edges))
         return tree
 
     def is_interior_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self._left and (j, i) in self._left
+        n = self.n_vertices
+        left = self._left
+        return 0 <= i < n and 0 <= j < n and i * n + j in left and j * n + i in left
 
     def left_face(self, i: int, j: int) -> int:
         """Face containing the directed edge i -> j."""
-        return self._left[(i, j)][0]
+        n = self.n_vertices
+        if not 0 <= j < n:
+            raise KeyError((i, j))
+        return self._left[i * n + j]
 
     def right_face(self, i: int, j: int) -> int:
-        return self._left[(j, i)][0]
+        n = self.n_vertices
+        if not 0 <= i < n:
+            raise KeyError((j, i))
+        return self._left[j * n + i]
 
     def ring_ccw(self, v: int):
         """Neighbors of v in counterclockwise order (cycle if interior)."""
@@ -166,11 +274,6 @@ class OrientedDisk:
         )
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 class TriangulatedDisk(OrientedDisk):
     """Oriented disk whose faces are triangles, with index tables.
 
@@ -182,28 +285,26 @@ class TriangulatedDisk(OrientedDisk):
     * ``edge_faces``, (E, 2): the faces left and right of i -> j.
     * ``edge_index``: interior edge (i, j), i < j, -> its row.
     * ``first_faces``, (V,): the first face of ``vertex_faces_ccw(v)``.
+
+    A face's corners are numbered 3 f + k, so ``face_array.ravel()`` is the
+    tail column of the directed-edge table.
     """
 
     def __init__(self, faces):
         super().__init__(faces)
-        for f in self.faces:
-            if len(f) != 3:
-                raise NotADisk(f"not a triangle: {f}")
-        left = self._left
-        self.face_array = _readonly(np.array(self.faces, dtype=np.intp))
-        ij = np.array(self.interior_edges, dtype=np.intp).reshape(-1, 2)
-        # per edge: left face, its apex k, right face, its apex l
-        sides = np.fromiter(
-            (v for (i, j) in self.interior_edges for v in left[(i, j)] + left[(j, i)]),
-            dtype=np.intp,
-            count=4 * len(ij),
-        ).reshape(-1, 4)
+        tail, _, before, face, twin = self._corners
+        if len(tail) != 3 * self.n_faces:  # no face has fewer than 3 corners
+            bad = next(f for f in self.faces if len(f) != 3)
+            raise NotADisk(f"not a triangle: {bad}")
+        self.face_array = tail.reshape(-1, 3)
+        ij = self._forward
+        ji = twin[ij]
         self.edge_quads = _readonly(
-            np.column_stack((sides[:, 1], ij[:, 0], sides[:, 3], ij[:, 1]))
+            np.column_stack((before[ij], tail[ij], before[ji], tail[ji]))
         )
-        self.edge_faces = _readonly(sides[:, [0, 2]])
-        self.edge_index = {e: n for n, e in enumerate(self.interior_edges)}
-        self.first_faces = _readonly(np.array([f[0] for f in self._vertex_faces_ccw]))
+        self.edge_faces = _readonly(np.column_stack((face[ij], face[ji])))
+        self.edge_index = dict(zip(self.interior_edges, itertools.count()))
+        self._vertex_sums = self.face_array.sum(axis=1).tolist()
         self._directed = self._rings = None
 
     def interior_stars(self):
@@ -236,22 +337,22 @@ class TriangulatedDisk(OrientedDisk):
         per interior vertex: (V_int, d) int with -1 past the end of a shorter
         ring.  Built on first request."""
         if self._rings is None:
-            row_of = np.empty(3 * self.n_faces, dtype=np.intp)
-            row_of[self.directed_edges()[:, 2]] = np.arange(2 * len(self.interior_edges))
-            fans = [self._vertex_faces_ccw[v] for v in self.interior_vertices]
-            sizes = np.fromiter(map(len, fans), np.intp, len(fans))
-            f = np.fromiter(itertools.chain.from_iterable(fans), np.intp, sizes.sum())
-            v = np.repeat(self.interior_vertices, sizes)[:, None]
-            corner = 3 * f + (self.face_array[f] == v).argmax(1)
-            table = np.full((len(fans), sizes.max(initial=0)), -1, dtype=np.intp)
-            # face m of the fan lies left of v -> ring_ccw(v)[m]
-            table[np.arange(table.shape[1]) < sizes[:, None]] = row_of[corner]
-            self._rings = _readonly(table)
+            twin = self._corners[4]
+            ij, n_e = self._forward, len(self._forward)
+            row = np.full(len(twin) + 1, -1)  # past the end of a walk: -1
+            row[ij], row[twin[ij]] = np.arange(n_e), np.arange(n_e, 2 * n_e)
+            # corner m of an interior walk is v -> ring_ccw(v)[m]
+            table = row[self._walk[list(self.interior_vertices)]]
+            width = (table >= 0).sum(axis=1).max(initial=0)
+            self._rings = _readonly(table[:, :width])
         return self._rings
 
     def apex(self, i: int, j: int) -> int:
-        """Third vertex of the face left of i -> j."""
-        return self._left[(i, j)][1]
+        """Third vertex of the face left of i -> j: its vertex sum less i, j."""
+        n = self.n_vertices
+        if not 0 <= j < n:
+            raise KeyError((i, j))
+        return self._vertex_sums[self._left[i * n + j]] - i - j
 
 
 def build_disk(faces) -> TriangulatedDisk:
@@ -267,6 +368,15 @@ def interior_star(disk: TriangulatedDisk, v: int):
     ring.reverse()
     m = ring.index(min(ring))
     return tuple(ring[m:] + ring[:m])
+
+
+# lattice direction k = 1..6, read at (k - 1) mod 6: the (n, m) shift; and,
+# read at (k - 1) mod 3, the multiples (a, b) of (alpha, beta) by which
+# omega_k turns from omega_1 up to sign, and the angle opposite the side
+# along omega_k
+_STEPS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+_TURNS = ((0, 0), (0, 1), (1, 1))
+_OPPOSITE = ("alpha", "gamma", "beta")
 
 
 @dataclass(frozen=True)
@@ -288,7 +398,7 @@ class LatticeSpec:
                 and 0 < self.beta < math.pi / 2
                 and 0 < self.gamma < math.pi / 2):
             raise ValueError("lattice angles must be strictly acute")
-        if abs(self.alpha + self.beta + self.gamma - math.pi) > 1e-12:
+        if abs(self.alpha + self.beta + self.gamma - math.pi) > TOL_ANGLE_SUM:
             raise ValueError("lattice angles must sum to pi")
         if not self.eps > 0:
             raise ValueError("lattice scale must be positive")
@@ -300,27 +410,20 @@ class LatticeSpec:
 
     def omega(self, k: int) -> complex:
         """Edge direction omega_k, k = 1..6 (opposite pairs negate)."""
-        base = {
-            1: 1.0 + 0.0j,
-            2: cmath.exp(1j * self.beta),
-            3: cmath.exp(1j * (self.alpha + self.beta)),
-        }
-        k = ((k - 1) % 6) + 1
-        if k <= 3:
-            return base[k]
-        return -base[k - 3]
+        k = (k - 1) % 6
+        a, b = _TURNS[k % 3]
+        w = cmath.exp(1j * (a * self.alpha + b * self.beta))
+        return w if k < 3 else -w
 
     def length(self, k: int) -> float:
-        base = {1: math.sin(self.alpha), 2: math.sin(self.gamma), 3: math.sin(self.beta)}
-        k = ((k - 1) % 6) + 1
-        return base[k if k <= 3 else k - 3]
+        return math.sin(getattr(self, _OPPOSITE[(k - 1) % 3]))
 
     def step(self, k: int) -> tuple:
         """Combinatorial shift of (n, m) in direction k."""
-        shifts = {1: (1, 0), 2: (0, 1), 3: (-1, 1), 4: (-1, 0), 5: (0, -1), 6: (1, -1)}
-        return shifts[((k - 1) % 6) + 1]
+        return _STEPS[(k - 1) % 6]
 
-    def position(self, n: int, m: int) -> complex:
+    def position(self, n, m):
+        """Point of index (n, m); elementwise, rounding alike, on int arrays."""
         return (
             n * self.eps * math.sin(self.alpha)
             + m * self.eps * cmath.exp(1j * self.beta) * math.sin(self.gamma)
@@ -330,22 +433,67 @@ class LatticeSpec:
         x0, x1, y0, y1 = self.rect
         return x0 <= z.real <= x1 and y0 <= z.imag <= y1
 
+    def scan(self):
+        """Indices (n, m) whose points may lie in the rectangle, row by row,
+        as two int arrays.
+
+        position(n, m) = (n la + m hx, m hy): row m needs y0 <= m hy <= y1,
+        then x0 <= n la + m hx <= x1; one index of slack absorbs rounding.
+        """
+        x0, x1, y0, y1 = self.rect
+        la = self.eps * math.sin(self.alpha)
+        lb = self.eps * math.sin(self.gamma)
+        hx, hy = lb * math.cos(self.beta), lb * math.sin(self.beta)
+        rows = np.arange(math.floor(y0 / hy) - 1, math.ceil(y1 / hy) + 2)
+        lo = np.floor((x0 - rows * hx) / la).astype(np.intp) - 1
+        hi = np.ceil((x1 - rows * hx) / la).astype(np.intp) + 2
+        sizes = np.maximum(hi - lo, 0)
+        first = np.repeat(np.cumsum(sizes) - sizes - lo, sizes)
+        return np.arange(sizes.sum()) - first, np.repeat(rows, sizes)
+
 
 @dataclass(frozen=True)
 class LatticePatch:
-    """Disk extracted from a lattice plus the (n, m) indexing of its vertices."""
+    """Disk extracted from a lattice plus the (n, m) indexing of its vertices.
+
+    ``neighbors``, (V, 6): the vertex reached from each vertex in lattice
+    direction k at column k - 1, -1 where it is not in the patch.
+    """
 
     spec: LatticeSpec
     disk: TriangulatedDisk
     positions: tuple  # complex per vertex
     nm_of_vertex: tuple  # (n, m) per vertex
     vertex_of_nm: dict = field(repr=False)
+    neighbors: np.ndarray = field(repr=False, compare=False)
+
+    def shift(self, k: int) -> np.ndarray:
+        """Vertex reached from each vertex in lattice direction k, -1 if none."""
+        return self.neighbors[:, (k - 1) % 6]
 
     def shift_vertex(self, v: int, k: int):
         """Vertex reached from v in lattice direction k, or None."""
-        n, m = self.nm_of_vertex[v]
-        dn, dm = self.spec.step(k)
-        return self.vertex_of_nm.get((n + dn, m + dm))
+        w = int(self.shift(k)[v])
+        return None if w < 0 else w
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least node of the component of each node 0..n-1 of the graph with
+    edges a[k] - b[k].  Every node points to itself or to a smaller node of
+    its component.  The larger root of an edge is hooked onto the smaller
+    (onto one of them when several edges hook it), then every node jumps to
+    its root, until no edge joins two roots; each root left is the least
+    node of its component."""
+    label = np.arange(n)
+    while len(a):
+        la, lb = label[a], label[b]
+        apart = la != lb
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        label[np.maximum(la, lb)] = np.minimum(la, lb)
+        up = label[label]
+        while (up != label).any():
+            label, up = up, up[up]
+    return label
 
 
 def lattice_subcomplex(spec: LatticeSpec) -> LatticePatch:
@@ -355,54 +503,55 @@ def lattice_subcomplex(spec: LatticeSpec) -> LatticePatch:
     do; if the face set is dual-disconnected the largest component is kept.
     """
     x0, x1, y0, y1 = spec.rect
-    la = spec.eps * math.sin(spec.alpha)
-    lb = spec.eps * math.sin(spec.gamma)
-    hx, hy = lb * math.cos(spec.beta), lb * math.sin(spec.beta)
-    # position(n, m) = (n la + m hx, m hy): row m needs y0 <= m hy <= y1, then
-    # x0 <= n la + m hx <= x1; one index of slack absorbs rounding.
-    inside = {}
-    for m in range(math.floor(y0 / hy) - 1, math.ceil(y1 / hy) + 2):
-        for n in range(math.floor((x0 - m * hx) / la) - 1, math.ceil((x1 - m * hx) / la) + 2):
-            z = spec.position(n, m)
-            if spec.contains(z):
-                inside[(n, m)] = z
-    faces_nm = []
-    for (n, m) in sorted(inside):  # lexicographic: face 0 roots the dual tree
-        if (n + 1, m) in inside and (n, m + 1) in inside:
-            faces_nm.append(((n, m), (n + 1, m), (n, m + 1)))
-        if (n + 1, m) in inside and (n + 1, m + 1) in inside and (n, m + 1) in inside:
-            faces_nm.append(((n + 1, m), (n + 1, m + 1), (n, m + 1)))
-    if not faces_nm:
+    n, m = spec.scan()
+    z = spec.position(n, m)
+    inside = (x0 <= z.real) & (z.real <= x1) & (y0 <= z.imag) & (z.imag <= y1)
+    # points in lexicographic (n, m) order: face 0 roots the dual tree
+    by_nm = np.lexsort((m[inside], n[inside]))
+    n, m, z = n[inside][by_nm], m[inside][by_nm], z[inside][by_nm]
+    # point index at (n, m), with a margin of one index on every side
+    i, j = n - n.min(initial=0) + 1, m - m.min(initial=0) + 1
+    grid = np.full((i.max(initial=0) + 2, j.max(initial=0) + 2), -1)
+    p = grid[i, j] = np.arange(len(n))
+
+    # per point (n, m): the up face (n, m), (n + 1, m), (n, m + 1), then the
+    # down face (n + 1, m), (n + 1, m + 1), (n, m + 1)
+    a, b, c = grid[i + 1, j], grid[i, j + 1], grid[i + 1, j + 1]
+    up = (a >= 0) & (b >= 0)
+    exists = np.column_stack((up, up & (c >= 0)))
+    faces = np.stack((np.column_stack((p, a, b)), np.column_stack((a, c, b))), axis=1)
+    faces = faces[exists]
+    if not len(faces):
         raise EmptyRegion("no lattice triangle fits in the region")
 
-    # largest dual-connected component, the first one on a tie; the face
-    # across u -> v is the one owning v -> u
-    owner = {}
-    for fi, (a, b, c) in enumerate(faces_nm):
-        owner[(a, b)] = owner[(b, c)] = owner[(c, a)] = fi
-    label = [-1] * len(faces_nm)
-    sizes = []
-    for root in range(len(faces_nm)):
-        if label[root] >= 0:
-            continue
-        label[root] = len(sizes)
-        stack = [root]
-        size = 0
-        while stack:
-            a, b, c = faces_nm[stack.pop()]
-            size += 1
-            for g in (owner.get((b, a)), owner.get((c, b)), owner.get((a, c))):
-                if g is not None and label[g] < 0:
-                    label[g] = len(sizes)
-                    stack.append(g)
-        sizes.append(size)
-    if len(sizes) > 1:
-        keep = sizes.index(max(sizes))
-        faces_nm = [f for f, lab in zip(faces_nm, label) if lab == keep]
+    # largest dual-connected component, the first one on a tie: the up face
+    # of (n, m) meets the down faces of (n, m), (n, m - 1) and (n - 1, m)
+    fid = np.full(exists.shape, -1)
+    fid[exists] = np.arange(len(faces))
+    down = np.append(fid[:, 1], -1)  # at point -1, no face
+    ups = np.tile(fid[:, 0], 3)
+    downs = np.concatenate((down[:-1], down[grid[i, j - 1]], down[grid[i - 1, j]]))
+    meet = (ups >= 0) & (downs >= 0)
+    label = _components(len(faces), ups[meet], downs[meet])
+    sizes = np.bincount(label)
+    faces = faces[label == np.argmax(sizes)]
 
-    used = sorted({nm for f in faces_nm for nm in f})
-    vid = {nm: i for i, nm in enumerate(used)}
-    faces = [(vid[f[0]], vid[f[1]], vid[f[2]]) for f in faces_nm]
-    disk = build_disk(faces)
-    positions = tuple(inside[nm] for nm in used)
-    return LatticePatch(spec, disk, positions, tuple(used), dict(vid))
+    used = np.zeros(len(n), dtype=bool)
+    used[faces] = True
+    used = np.flatnonzero(used)
+    vid = np.full(len(n), -1)
+    vid[used] = np.arange(len(used))
+    n, m, i, j = n[used], m[used], i[used], j[used]
+    vertex_grid = np.full(grid.shape, -1)
+    vertex_grid[i, j] = np.arange(len(used))
+    dn, dm = np.array(_STEPS).T
+    neighbors = vertex_grid[i[:, None] + dn, j[:, None] + dm]
+    nm_of_vertex = tuple(zip(n.tolist(), m.tolist()))
+    return LatticePatch(
+        spec,
+        build_disk(vid[faces]),
+        tuple(z[used].tolist()),
+        nm_of_vertex,
+        dict(zip(nm_of_vertex, itertools.count())),
+        _readonly(neighbors),
+    )

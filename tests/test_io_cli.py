@@ -280,6 +280,19 @@ class TestCli:
         assert "frame entries" in err["message"]
         assert not out.exists()
 
+    def test_dual_rejects_frame_matrix_missing_an_entry(self, tmp_path, capsys, toda_net):
+        doc = hio.save_frame(toda_net.frame)
+        doc["matrices"][2][1].pop()
+        frame = tmp_path / "frame.json"
+        frame.write_text(hio.dump_json(doc))
+        out = tmp_path / "dual.obj"
+        code = main(["dual", "--net-frame", str(frame), "--out", str(out)])
+        assert code == 41
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MeshMismatch"
+        assert "frame matrix 2" in err["message"]
+        assert not out.exists()
+
     def test_error_json_on_stderr(self, tmp_path, capsys, pattern_files):
         a, _ = pattern_files
         bad = tmp_path / "bad.json"

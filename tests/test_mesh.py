@@ -1,7 +1,10 @@
 import cmath
 import math
+import random
 
+import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from horonet.errors import (
     BoundaryVertex,
@@ -11,10 +14,12 @@ from horonet.errors import (
 )
 from horonet.mesh import (
     LatticeSpec,
+    OrientedDisk,
     build_disk,
     interior_star,
     lattice_subcomplex,
 )
+from horonet.toda import CellDecomposition, square_grid, triangulate
 
 
 class TestBuildDisk:
@@ -68,6 +73,31 @@ class TestBuildDisk:
     def test_isolated_vertex_rejected(self):
         with pytest.raises(NotADisk):
             build_disk([(0, 1, 3)])
+
+    def test_negative_vertex_rejected(self):
+        with pytest.raises(NotADisk):
+            build_disk([(0, 1, 2), (1, 0, -1)])
+
+    @pytest.mark.parametrize("faces", [
+        [(0, 1, 2), (1, 0, 1)],
+        [(0, 1, 2, 0, 3, 4)],
+    ])
+    def test_repeated_vertex_rejected(self, faces):
+        with pytest.raises(NotADisk, match="not a polygon"):
+            OrientedDisk(faces)
+
+    def test_two_gon_rejected(self):
+        with pytest.raises(NotADisk, match="not a polygon"):
+            OrientedDisk([(0, 1, 2), (1, 0)])
+
+    def test_disk_beside_annulus_rejected(self):
+        # Euler characteristic 1 + 0: only the dual graph tells them apart
+        faces = [(8, 9, 10)]
+        for m in range(4):
+            a, b, c, d = m, (m + 1) % 4, 4 + m, 4 + (m + 1) % 4
+            faces += [(a, b, c), (b, d, c)]
+        with pytest.raises(NotADisk, match="disconnected"):
+            build_disk(faces)
 
     def test_dual_trivalent_inside(self, equilateral_patch):
         disk = equilateral_patch.disk
@@ -200,17 +230,18 @@ class TestLattice:
             assert patch.vertex_of_nm == vertex_of_nm, spec
 
     def test_enumeration_stays_near_the_kept_points(self, monkeypatch):
-        calls = []
-        position = LatticeSpec.position
+        scanned = []
+        scan = LatticeSpec.scan
 
-        def counting(self, n, m):
-            calls.append((n, m))
-            return position(self, n, m)
+        def counting(self):
+            n, m = scan(self)
+            scanned.append(len(n))
+            return n, m
 
-        monkeypatch.setattr(LatticeSpec, "position", counting)
+        monkeypatch.setattr(LatticeSpec, "scan", counting)
         patch = lattice_subcomplex(LatticeSpec.equilateral(0.1, (0, 1, 0, 1)))
-        # a square scan of the index plane made ~270 calls per point kept
-        assert len(calls) < 2 * len(patch.positions)
+        # a square scan of the index plane looked at ~270 points per point kept
+        assert sum(scanned) < 2 * len(patch.positions)
 
 
 def _reference_scan(spec):
@@ -269,3 +300,157 @@ def _corner_spec(eps):
         s.position(-1, 0).real, s.position(7, 0).real,
         s.position(0, -2).imag, s.position(0, 9).imag,
     ))
+
+
+class _ReferenceWalk:
+    """The tables of a disk of counterclockwise polygons, by a walk over a
+    dict of directed edges u -> v to (face on the left, vertex before u)."""
+
+    def __init__(self, faces):
+        faces = tuple(tuple(map(int, f)) for f in faces)
+        self.faces = faces
+        n = self.n_vertices = len({v for f in faces for v in f})
+        left = self.left = {}
+        out = [0] * n
+        for fi, f in enumerate(faces):
+            p, u = f[-2], f[-1]
+            for v in f:
+                left[(u, v)] = (fi, p)
+                out[u] = v
+                p, u = u, v
+        self.edges = tuple(sorted({tuple(sorted(e)) for e in left}))
+        self.interior_edges = tuple(
+            (i, j) for (i, j) in self.edges if (i, j) in left and (j, i) in left
+        )
+        nxt = {u: v for (u, v) in left if (v, u) not in left}
+        self.rings, self.fans = [], []
+        for v in range(n):
+            cur = start = nxt.get(v, out[v])
+            ring, fan = [cur], []
+            while (v, cur) in left:
+                fi, cur = left[(v, cur)]
+                fan.append(fi)
+                if cur == start:
+                    m = ring.index(min(ring))
+                    ring, fan = ring[m:] + ring[:m], fan[m:] + fan[:m]
+                    break
+                ring.append(cur)
+            self.rings.append(tuple(ring))
+            self.fans.append(tuple(fan))
+        self.is_boundary_vertex = tuple(v in nxt for v in range(n))
+        self.interior_vertices = tuple(v for v in range(n) if v not in nxt)
+        adj = [[] for _ in faces]
+        for (i, j) in self.interior_edges:
+            fl, fr = left[(i, j)][0], left[(j, i)][0]
+            adj[fl].append((fr, (i, j)))
+            adj[fr].append((fl, (j, i)))
+        self.dual_adjacency = tuple(tuple(sorted(a)) for a in adj)
+
+    def dual_tree(self, root):
+        reached = {root}
+        order, tree = [root], []
+        for f in order:
+            for (g, e) in self.dual_adjacency[f]:
+                if g not in reached:
+                    reached.add(g)
+                    order.append(g)
+                    tree.append((f, g, e))
+        return tuple(tree)
+
+    def triangle_tables(self):
+        """edge_quads, edge_faces, first_faces, directed_edges() and
+        interior_rings() of a triangulated disk, as lists."""
+        left, faces = self.left, self.faces
+        quads, sides, directed = [], [], []
+        for (i, j) in self.interior_edges:
+            (fl, k), (fr, l) = left[(i, j)], left[(j, i)]
+            quads.append([k, i, l, j])
+            sides.append([fl, fr])
+        for flip in (False, True):
+            for (i, j) in self.interior_edges:
+                c, n = (j, i) if flip else (i, j)
+                fl, fr = left[(c, n)][0], left[(n, c)][0]
+                directed.append([c, n, 3 * fl + faces[fl].index(c), 3 * fr + faces[fr].index(c)])
+        row = {e: r for r, e in enumerate(self.interior_edges)}
+        n_e = len(self.interior_edges)
+        rings = [
+            [row[(v, w)] if v < w else n_e + row[(w, v)] for w in self.rings[v]]
+            for v in self.interior_vertices
+        ]
+        width = max(map(len, rings), default=0)
+        rings = [r + [-1] * (width - len(r)) for r in rings]
+        return quads, sides, [fan[0] for fan in self.fans], directed, rings
+
+
+def _delaunay_faces(seed, count):
+    """Counterclockwise triangles of a Delaunay triangulation of random points."""
+    rng = random.Random(seed)
+    pts = np.array([(rng.random(), rng.random()) for _ in range(count)])
+    faces = []
+    for a, b, c in Delaunay(pts).simplices.tolist():
+        (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+        ccw = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
+        faces.append((a, b, c) if ccw else (a, c, b))
+    return faces
+
+
+def _lattice_mesh(spec):
+    return lattice_subcomplex(spec).disk, _reference_scan(spec)[0]
+
+
+def _triangle_mesh(faces):
+    return build_disk(faces), faces
+
+
+def _quad_cells(n, m):
+    grid = square_grid(n, m)
+    faces = [list(f) for f in grid.faces]
+    return CellDecomposition(faces, grid.positions), faces
+
+
+# (disk, the faces it was built from or, for a lattice, the reference scan's)
+REFERENCE_MESHES = {
+    "lattice eps=0.05": lambda: _lattice_mesh(LatticeSpec.equilateral(0.05, (0, 1, 0, 1))),
+    "lattice scalene": lambda: _lattice_mesh(
+        LatticeSpec(1.0, 0.9, math.pi - 1.9, 0.07, (0.1, 1.3, -0.4, 0.6))),
+    "toda 6x6 lex": lambda: _triangle_mesh(triangulate(square_grid(6, 6), "lex").disk.faces),
+    "toda 6x6 anti": lambda: _triangle_mesh(triangulate(square_grid(6, 6), "anti").disk.faces),
+    "toda 12x12 lex": lambda: _triangle_mesh(triangulate(square_grid(12, 12), "lex").disk.faces),
+    "toda 12x12 anti": lambda: _triangle_mesh(
+        triangulate(square_grid(12, 12), "anti").disk.faces),
+    "quad cells 5x4": lambda: _quad_cells(5, 4),
+    "hex fan": lambda: _triangle_mesh(
+        [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 6], [0, 6, 1]]),
+    "delaunay": lambda: _triangle_mesh(_delaunay_faces(7, 60)),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_MESHES)
+def test_tables_match_reference_walk(name):
+    disk, faces = REFERENCE_MESHES[name]()
+    ref = _ReferenceWalk(faces)
+    triangles = all(len(f) == 3 for f in ref.faces)
+    assert disk.faces == ref.faces
+    assert disk.n_vertices == ref.n_vertices
+    assert disk.edges == ref.edges
+    assert disk.interior_edges == ref.interior_edges
+    assert [disk.ring_ccw(v) for v in range(disk.n_vertices)] == ref.rings
+    assert [disk.vertex_faces_ccw(v) for v in range(disk.n_vertices)] == ref.fans
+    assert disk.is_boundary_vertex == ref.is_boundary_vertex
+    assert disk.interior_vertices == ref.interior_vertices
+    assert disk.dual_adjacency == ref.dual_adjacency
+    for root in (0, disk.n_faces // 2, disk.n_faces - 1):
+        assert disk.dual_tree(root) == ref.dual_tree(root)
+    for (u, v), (face, before) in ref.left.items():
+        assert disk.left_face(u, v) == face
+        assert disk.right_face(v, u) == face
+        assert disk.is_interior_edge(u, v) == ((v, u) in ref.left)
+        if triangles:
+            assert disk.apex(u, v) == before
+    if triangles:
+        quads, sides, first, directed, rings = ref.triangle_tables()
+        assert disk.edge_quads.tolist() == quads
+        assert disk.edge_faces.tolist() == sides
+        assert disk.first_faces.tolist() == first
+        assert disk.directed_edges().tolist() == directed
+        assert disk.interior_rings().tolist() == rings
