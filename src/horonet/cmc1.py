@@ -1,8 +1,8 @@
 """Horospherical nets and discrete CMC-1 surfaces in hyperbolic 3-space.
 
-The construction side maps a Delaunay, shear-matched pattern pair to the
-net f = A A* of its coherent osculating frame, with one horosphere per
-primal vertex.  The measurement side is purely geometric: each primal
+A Delaunay, shear-matched pattern pair gives the net f = A A* of its
+coherent frame and one horosphere per primal vertex, stored as rows of
+arrays and measured purely geometrically: each primal
 vertex chart sends its horosphere to the plane x3 = 1 of the upper half
 space (tangency to infinity), recentred at its first face point (far from
 the origin, differences of chart positions lose relative precision);
@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +42,7 @@ from .moebius import (
     cdiv,
     cmul,
     compose_rows,
-    from_upper_half_space,
-    horosphere,
+    hermitian_points,
     ideal_circle_normal,
     inner,
     norm_rows,
@@ -68,17 +68,17 @@ class EdgeMeasure:
     flat: bool = False  # neighboring horospheres coincide
 
 
-@dataclass
+@dataclass(eq=False)
 class HorosphericalNet:
-    """Realization of the dual graph with one horosphere per primal vertex.
-
-    It is measured when built; ``measure_net`` measures it again.
+    """Realization of the dual graph with one horosphere per primal vertex,
+    stored as read-only complex arrays of Hermitian rows (a, b, d) and pairs
+    (p, q).  It is measured when built; ``measure_net`` measures it again.
     """
 
     disk: TriangulatedDisk
-    f: tuple  # HermitianPoint per face
-    horospheres: tuple  # Horosphere per primal vertex
-    gauss: tuple  # SpherePoint per primal vertex
+    points: np.ndarray = field(repr=False)  # (F, 3), per face
+    horosphere_rows: np.ndarray = field(repr=False)  # (V, 3), per primal vertex
+    gauss_zh: np.ndarray = field(repr=False)  # (V, 2), per primal vertex
     frame: MoebiusFrame | None = None
     incidence_residual: float = 0.0  # horosphere disagreement between faces
     edge_measure: dict = field(init=False, repr=False)
@@ -89,12 +89,21 @@ class HorosphericalNet:
     degenerate: bool = field(init=False)
     # for the exporters: chart maps (V, 4), corner chart positions (F, 3) and
     # circle centres per ``disk.directed_edges()`` row, nan for a plane
-    charts: np.ndarray = field(init=False, repr=False, compare=False)
-    chart_w: np.ndarray = field(init=False, repr=False, compare=False)
-    centers: np.ndarray = field(init=False, repr=False, compare=False)
+    charts: np.ndarray = field(init=False, repr=False)
+    chart_w: np.ndarray = field(init=False, repr=False)
+    centers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        for rows in (self.points, self.horosphere_rows, self.gauss_zh):
+            rows.setflags(write=False)
         measure_net(self)
+
+    # the rows as HermitianPoint, Horosphere and SpherePoint tuples, built when read
+    f = cached_property(lambda self: hermitian_points(self.points))
+    horospheres = cached_property(
+        lambda self: tuple(map(Horosphere, hermitian_points(self.horosphere_rows)))
+    )
+    gauss = cached_property(lambda self: tuple(map(SpherePoint, *self.gauss_zh.T.tolist())))
 
     def measure_of(self, i: int, j: int) -> EdgeMeasure:
         return self.edge_measure[_canon(i, j)]
@@ -122,13 +131,10 @@ def measure_net(net: HorosphericalNet) -> HorosphericalNet:
     charted = np.zeros(disk.n_vertices, dtype=bool)  # first ends and interior
     charted[c[:n_e]] = charted[list(disk.interior_vertices)] = True
     on_chart = charted[disk.face_array.ravel()]
-    gauss = np.array([(z.p, z.q) for z in net.gauss], dtype=complex)
-    p, q = gauss.T
-    ua, ub, ud = np.array([(h.u.a, h.u.b, h.u.d) for h in net.horospheres]).T
-    fa, fb, fd = np.array([(x.a, x.b, x.d) for x in net.f], dtype=complex).T
+    (p, q), (ua, ub, ud), (fa, fb, fd) = net.gauss_zh.T, net.horosphere_rows.T, net.points.T
     ua, ud, fa, fd = ua.real, ud.real, fa.real, fd.real
     with np.errstate(divide="ignore", invalid="ignore"):  # uncharted rows
-        m = cdiv(np.array((np.conj(p), np.conj(q), -q, p)), norm_rows(gauss))
+        m = cdiv(np.array((np.conj(p), np.conj(q), -q, p)), norm_rows(net.gauss_zh))
         scale = act_on_hermitian_rows(m.T, ua, ub, ud)[0]
         if (bad := charted & ~(scale > 0)).any():
             raise NonIntersectingHorospheres(
@@ -268,12 +274,11 @@ def _net_from_frame(frame: MoebiusFrame) -> HorosphericalNet:
         a, b, d = act_on_hermitian_rows(entries, ua[v], ub[v], ud[v])
         gap = np.max([np.abs(a - a0[v]), cabs(b - b0[v]), np.abs(d - d0[v])], axis=0)
         incidence = max(incidence, float((gap / scale[v]).max()))
-    horos = map(HermitianPoint, a0.tolist(), b0.tolist(), d0.tolist())
     return HorosphericalNet(
         disk=disk,
-        f=frame.realization(),
-        horospheres=tuple(map(Horosphere, horos)),
-        gauss=tuple(frame.target.z),
+        points=frame.realization(),
+        horosphere_rows=np.column_stack((a0, b0, d0)),
+        gauss_zh=frame.target.zh,
         frame=frame,
         incidence_residual=incidence,
     )
@@ -357,9 +362,9 @@ def parallel_net(net: HorosphericalNet, t: float) -> HorosphericalNet:
     try:
         return HorosphericalNet(
             disk=disk,
-            f=tuple(new_f),
-            horospheres=tuple(h.offset(t) for h in net.horospheres),
-            gauss=net.gauss,
+            points=np.array([(x.a, x.b, x.d) for x in new_f], dtype=complex),
+            horosphere_rows=cmul(net.horosphere_rows, math.exp(t)),
+            gauss_zh=net.gauss_zh,
         )
     except NonIntersectingHorospheres as exc:
         raise OffsetTooLarge(str(exc)) from exc
@@ -405,12 +410,14 @@ def flat_patch_net(disk: TriangulatedDisk, chart_points) -> HorosphericalNet:
     if len(chart_points) != disk.n_faces:
         raise DegenerateFace("one chart point per face required")
 
-    plane = horosphere(SpherePoint.infinity(), 1.0)
+    w = np.asarray(chart_points, dtype=complex)
+    # from_upper_half_space(w, 1.0) per face; horosphere(inf, 1.0) per vertex
+    infinity = np.tile((1.0 + 0j, 0j), (disk.n_vertices, 1))
     return HorosphericalNet(
         disk=disk,
-        f=tuple(from_upper_half_space(complex(w), 1.0) for w in chart_points),
-        horospheres=tuple(plane for _ in range(disk.n_vertices)),
-        gauss=tuple(SpherePoint.infinity() for _ in range(disk.n_vertices)),
+        points=np.column_stack((sq_abs(w) + 1.0, w, np.ones(len(w)))),
+        horosphere_rows=np.column_stack(unit_horosphere_rows(infinity)),
+        gauss_zh=infinity,
     )
 
 
@@ -435,7 +442,7 @@ def extract_patterns(net: HorosphericalNet):
     disk = net.disk
     if net.degenerate:
         raise NotCMC1("degenerate (single-point) net carries no pattern pair")
-    gauss_pattern = CirclePattern(disk, net.gauss)
+    gauss_pattern = CirclePattern(disk, net.gauss_zh)
     xt = cross_ratios_of(gauss_pattern)
     for v in disk.interior_vertices:
         r = net.ratio.get(v)
@@ -451,4 +458,4 @@ def extract_patterns(net: HorosphericalNet):
                 f"edge ({i},{j}): ell tan(alpha/2) + Arg X~ = {total} outside [0, pi)"
             )
         lam.append(cmath.exp(0.5j * s))
-    return integrate_eta(gauss_pattern, net.f, lam)
+    return integrate_eta(gauss_pattern, net.points, lam)

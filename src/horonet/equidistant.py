@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,11 +19,12 @@ from .mesh import TriangulatedDisk
 from .moebius import (
     act_on_hermitian,
     cabs,
-    horosphere,
+    hermitian_points,
     ideal_circle_normal,
     inner,
     mobius_from_triples,
     to_upper_half_space,
+    unit_horosphere_rows,
 )
 from .osculating import MoebiusFrame, coherent_lift, integrate_eta, osculating_frame
 from .pattern import CirclePattern, cross_ratios_of, angle_match
@@ -33,21 +35,20 @@ TOL_COSPHERICAL = 1e-8
 TOL_UNIT_LAMBDA = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class EquidistantNet:
     """Realization f = A A* of a coherent frame with per-face umbilic
     functionals; everything but the frame is derived when built.
 
-    The frame must cache an eigenvalue on every interior edge, as
-    ``coherent_lift`` does; ``degenerate`` and ``verify_equidistant`` read
-    them.  Any other frame, such as an inverse or a projective one, raises
-    FrameUnavailable.
+    The Gauss map is the frame's target pattern.  The frame must cache an
+    eigenvalue on every interior edge, as ``coherent_lift`` does;
+    ``degenerate`` and ``verify_equidistant`` read them.  Any other frame,
+    such as an inverse or a projective one, raises FrameUnavailable.
     """
 
     frame: MoebiusFrame  # coherent; frame.lambdas holds the edge eigenvalues
     disk: TriangulatedDisk = field(init=False)
-    f: tuple = field(init=False)  # HermitianPoint per face
-    gauss: tuple = field(init=False)  # SpherePoint per vertex: the target pattern
+    points: np.ndarray = field(init=False, repr=False)  # (F, 3) rows (a, b, d) of f
     degenerate: bool = field(init=False)  # every eigenvalue is 1
     functionals: dict = field(init=False, repr=False)  # face -> (P, c)
 
@@ -59,14 +60,16 @@ class EquidistantNet:
                 "equidistant net needs a frame with cached edge eigenvalues, "
                 "as coherent_lift returns"
             )
-        self.f = frame.realization()
-        self.gauss = tuple(frame.target.z)
+        self.points = frame.realization()
         self.degenerate = bool((cabs(frame.lambdas - 1.0) < TOL_UNIT_LAMBDA).all())
         # per face: (P, c) with <f, P> = c on the face point and its neighbors
+        units = hermitian_points(np.column_stack(unit_horosphere_rows(frame.target.zh)))
         self.functionals = {}
-        for fidx, face in enumerate(self.disk.faces):
-            p = ideal_circle_normal([horosphere(self.gauss[v], 1.0).u for v in face])
+        for fidx, (i, j, k) in enumerate(self.disk.faces):
+            p = ideal_circle_normal([units[i], units[j], units[k]])
             self.functionals[fidx] = (p, inner(self.f[fidx], p))
+
+    f = cached_property(lambda self: hermitian_points(self.points))  # HermitianPoint tuple
 
 
 @dataclass(frozen=True)
@@ -100,32 +103,30 @@ def verify_equidistant(net: EquidistantNet) -> EquidistantReport:
     eig = float((np.abs(lam.imag) / cabs(lam)).max(initial=0.0))
     cos = 0.0
     disk = net.disk
+    f = hermitian_points(net.points)
     for fidx in range(disk.n_faces):
         p, c = net.functionals[fidx]
         scale = max(1.0, abs(c))
         for (g, _) in disk.dual_adjacency[fidx]:
-            cos = max(cos, abs(inner(net.f[g], p) - c) / scale)
+            cos = max(cos, abs(inner(f[g], p) - c) / scale)
     return EquidistantReport(eig, cos)
 
 
-def _geometric_lambda(net: EquidistantNet, i: int, j: int):
+def _geometric_lambda(net: EquidistantNet, f, gauss, i: int, j: int):
     """Scaling factor of the transition across edge {ij}, read from geometry.
 
-    Normalizing z~_i -> 0 and z~_j -> infinity, the transition becomes
-    w -> w / lambda^2 on upper-half-space coordinates; both face points
-    must sit on the same ray (the circular arc through the tangencies).
-    Returns (lambda, collinearity residual).
+    Normalizing z~_i -> 0 and z~_j -> infinity (z~ = ``gauss``), the
+    transition becomes w -> w / lambda^2 on upper-half-space coordinates;
+    both face points of ``f`` must sit on the same ray (the circular arc
+    through the tangencies).  Returns (lambda, collinearity residual).
     """
     disk = net.disk
     fl = disk.left_face(i, j)
     fr = disk.right_face(i, j)
     # third anchor point: apex of the left face
     k = disk.apex(i, j)
-    m = mobius_from_triples(
-        net.gauss[i], net.gauss[j], net.gauss[k], 0.0, "inf", 1.0
-    )
-    xl = act_on_hermitian(m, net.f[fl])
-    xr = act_on_hermitian(m, net.f[fr])
+    m = mobius_from_triples(gauss[i], gauss[j], gauss[k], 0.0, "inf", 1.0)
+    xl, xr = act_on_hermitian(m, f[fl]), act_on_hermitian(m, f[fr])
     wl, tl = to_upper_half_space(xl)
     wr, tr = to_upper_half_space(xr)
     nl = math.sqrt(abs(wl) ** 2 + tl * tl)
@@ -139,17 +140,16 @@ def _geometric_lambda(net: EquidistantNet, i: int, j: int):
 
 def extract_equidistant_patterns(net: EquidistantNet):
     """Recover (z, z~, frame) from an equidistant net by eta integration."""
-    disk = net.disk
-    gauss_pattern = CirclePattern(disk, net.gauss)
     if net.degenerate:
         raise NotEquidistant("degenerate net carries no pattern pair")
+    f, gauss = hermitian_points(net.points), net.frame.target.z
     lam = []
-    for (i, j) in disk.interior_edges:
-        val, coll = _geometric_lambda(net, i, j)
+    for (i, j) in net.disk.interior_edges:
+        val, coll = _geometric_lambda(net, f, gauss, i, j)
         if coll > 1e-6:
             raise NotEquidistant(
                 f"face points across edge ({i},{j}) are not on a common ray "
                 f"through the tangencies (residual {coll:.2e})"
             )
         lam.append(val)
-    return integrate_eta(gauss_pattern, net.f, lam)
+    return integrate_eta(net.frame.target, net.points, lam)

@@ -464,17 +464,11 @@ class LatticePatch:
     disk: TriangulatedDisk
     positions: tuple  # complex per vertex
     nm_of_vertex: tuple  # (n, m) per vertex
-    vertex_of_nm: dict = field(repr=False)
     neighbors: np.ndarray = field(repr=False, compare=False)
 
     def shift(self, k: int) -> np.ndarray:
         """Vertex reached from each vertex in lattice direction k, -1 if none."""
         return self.neighbors[:, (k - 1) % 6]
-
-    def shift_vertex(self, v: int, k: int):
-        """Vertex reached from v in lattice direction k, or None."""
-        w = int(self.shift(k)[v])
-        return None if w < 0 else w
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -546,12 +540,10 @@ def lattice_subcomplex(spec: LatticeSpec) -> LatticePatch:
     vertex_grid[i, j] = np.arange(len(used))
     dn, dm = np.array(_STEPS).T
     neighbors = vertex_grid[i[:, None] + dn, j[:, None] + dm]
-    nm_of_vertex = tuple(zip(n.tolist(), m.tolist()))
     return LatticePatch(
         spec,
         build_disk(vid[faces]),
         tuple(z[used].tolist()),
-        nm_of_vertex,
-        dict(zip(nm_of_vertex, itertools.count())),
+        tuple(zip(n.tolist(), m.tolist())),
         _readonly(neighbors),
     )

@@ -13,8 +13,9 @@ Conventions fixed here and used everywhere downstream:
 
 The array kernels at the end of the module take V points as one (V, 2)
 complex array of homogeneous pairs (p, q), the rows of ``CirclePattern.zh``,
-and N maps as one (N, 4) complex array of entries (a, b, c, d), the rows of
-``MoebiusFrame.entries``; the scalar classes stay the public API.  An array
+N maps as one (N, 4) complex array of entries (a, b, c, d), the rows of
+``MoebiusFrame.entries``, and N Hermitian points as one (N, 3) complex array
+of entries (a, b, d); the scalar classes stay the public API.  An array
 result equals the scalar one bit for bit, by these rounding rules:
 
 * numpy's complex * and / may fuse or reorder CPython's operations, so
@@ -452,6 +453,12 @@ def from_upper_half_space(w: complex, t: float) -> HermitianPoint:
 
 
 # -- array kernels (rounding rules in the module docstring) -------------------
+
+
+def hermitian_points(rows) -> tuple:
+    """HermitianPoint per row (a, b, d) of ``rows``, (N, 3) complex."""
+    a, b, d = rows.T
+    return tuple(map(HermitianPoint, a.real.tolist(), b.tolist(), d.real.tolist()))
 
 
 def _complex(re, im) -> np.ndarray:

@@ -7,7 +7,7 @@ lambda^2 = X / X~.  A coherent lift chooses the SL(2,C) signs so that
 Arg lambda lies in (-pi/2, pi/2] on every edge.
 
 For any Delaunay pair a, b with the same combinatorics,
-``coherent_lift(osculating_frame(a, b)).realization()`` is the realization
+``coherent_lift(osculating_frame(a, b)).realization()`` holds the rows of
 f = A A* in H^3.  Since 2 log |lambda| = log |X| - log |X~| and
 2 Arg lambda = Arg X - Arg X~, its two one-to-one cases are shear mismatch 0
 (|lambda| = 1: the CMC-1 net of ``cmc1.build_cmc1``) and angle mismatch 0
@@ -36,15 +36,15 @@ from .errors import (
 )
 from .mesh import TriangulatedDisk, _canon
 from .moebius import (
-    HermitianPoint,
     MoebiusMap,
     SpherePoint,
-    act_on_hermitian,
     act_on_hermitian_rows,
+    cabs,
     cdiv,
     cmul,
     compose_rows,
     det2,
+    hermitian_points,
     mobius_rows,
     sq_abs,
 )
@@ -103,8 +103,8 @@ class MoebiusFrame:
         inv[:, 1:3] = -inv[:, 1:3]
         return MoebiusFrame(self.target, self.source, inv, lift=self.lift)
 
-    def realization(self) -> tuple:
-        """Net f = A A* of the frame, one HermitianPoint per face.
+    def realization(self) -> np.ndarray:
+        """Net f = A A* of the frame, as (F, 3) complex rows (a, b, d).
 
         For the coherent lift of any Delaunay pair this is the pair's
         realization in H^3: a CMC-1 net when the shear mismatch is 0
@@ -116,7 +116,7 @@ class MoebiusFrame:
         a, b, d = act_on_hermitian_rows(
             self.entries, np.ones(n), np.zeros(n, dtype=complex), np.ones(n)
         )
-        return tuple(map(HermitianPoint, a.tolist(), b.tolist(), d.tolist()))
+        return np.column_stack((a, b, d))
 
 
 def osculating_frame(source: CirclePattern, target: CirclePattern) -> MoebiusFrame:
@@ -282,17 +282,18 @@ def vertex_monodromy(frame: MoebiusFrame, v: int) -> MoebiusMap:
     return prod
 
 
-def integrate_eta(gauss: CirclePattern, f, lam):
+def integrate_eta(gauss: CirclePattern, points, lam):
     """Frame A with A A* = f from measured eigenvalues on the Gauss pattern.
 
-    ``lam`` is a sequence in the order of ``disk.interior_edges``: for the
-    edge (i, j), i < j, the eigenvalue of eta_ij =
-    transition_closed_form(z~_j, z~_i, lam), the transition from the left
-    face of i -> j to its right face.  eta must close around every
-    interior vertex; it is integrated over the dual tree from face 0, the
-    constant is the polar factor C C* = f[0], and A A* = f is checked before
-    z = A^{-1} z~ is read off.  Returns (source pattern, ``gauss``, coherent
-    frame), the result of both nets' extracts.
+    ``points`` holds f as (F, 3) rows (a, b, d), and ``lam`` is a sequence
+    in the order of ``disk.interior_edges``: for the edge (i, j), i < j,
+    the eigenvalue of eta_ij = transition_closed_form(z~_j, z~_i, lam), the
+    transition from the left face of i -> j to its right face.  eta must
+    close around every interior vertex; it is integrated over the dual tree
+    from face 0, the constant is the polar factor C C* = f[0], z = A^{-1} z~
+    is read off, and the frame's realization is checked against f.  Returns
+    (source pattern, ``gauss``, coherent frame), the result of both nets'
+    extracts.
     """
     disk = gauss.disk
     z_t = gauss.z
@@ -323,37 +324,23 @@ def integrate_eta(gauss: CirclePattern, f, lam):
         b_maps[fr] = eta_for(i, j).compose(b_maps[fl])
 
     # right constant from C C* = f_root (principal PSD square root)
-    f0 = f[0]
+    (f0,) = hermitian_points(points[:1])
     s = math.sqrt(max(f0.det(), 0.0))
     denom = math.sqrt(f0.trace() + 2.0 * s)
     c = MoebiusMap(
         (f0.a + s) / denom, f0.b / denom, f0.b.conjugate() / denom, (f0.d + s) / denom
     )
     a_maps = tuple(b.compose(c) for b in b_maps)
+    first = disk.first_faces.tolist()
+    source = CirclePattern(disk, [a_maps[f].inverse().apply(p) for f, p in zip(first, z_t)])
+    entries = np.array([a.entries() for a in a_maps], dtype=complex)
+    frame = MoebiusFrame(source, gauss, entries, lift="coherent")
 
-    residual = 0.0
-    for a, fref in zip(a_maps, f):
-        rebuilt = act_on_hermitian(a, HermitianPoint.identity())
-        scale = max(fref.a, fref.d, 1.0)
-        residual = max(
-            residual,
-            max(
-                abs(rebuilt.a - fref.a),
-                abs(rebuilt.b - fref.b),
-                abs(rebuilt.d - fref.d),
-            )
-            / scale,
-        )
+    scale = np.maximum(np.maximum(points[:, 0].real, points[:, 2].real), 1.0)
+    residual = float((cabs(frame.realization() - points).max(axis=1) / scale).max(initial=0.0))
     if residual > 100 * TOL_ETA:
         raise EtaNotClosed(f"integrated frame fails A A* = f by {residual:.2e}")
-
-    z = [
-        a_maps[disk.vertex_faces_ccw(v)[0]].inverse().apply(z_t[v])
-        for v in range(disk.n_vertices)
-    ]
-    source = CirclePattern(disk, z)
-    entries = np.array([a.entries() for a in a_maps], dtype=complex)
-    return source, gauss, MoebiusFrame(source, gauss, entries, lift="coherent")
+    return source, gauss, frame
 
 
 def compose_frames(f1: MoebiusFrame, f2: MoebiusFrame) -> MoebiusFrame:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -15,7 +16,6 @@ from .moebius import (
     chordal_rows,
     cmul,
     cross_ratio_rows,
-    det2,
 )
 
 TOL_CLOSURE_INPUT = 1e-8
@@ -34,24 +34,28 @@ TOL_SEED = 1e-12
 class CirclePattern:
     """Realization of a triangulated disk in the Riemann sphere.
 
-    ``z`` holds one SpherePoint per vertex and ``zh`` the same points as one
-    read-only (V, 2) complex array of homogeneous pairs (p, q).
+    ``zh`` holds the points as a read-only (V, 2) complex array of pairs
+    (p, q), scaled as SpherePoint.of scales them.  Positions pass through
+    SpherePoint.of, or come as such an array from ``develop`` and the nets.
     """
 
     def __init__(self, disk: TriangulatedDisk, z):
         if len(z) != disk.n_vertices:
-            raise DegenerateFace(
-                f"expected {disk.n_vertices} positions, got {len(z)}"
-            )
+            raise DegenerateFace(f"expected {disk.n_vertices} positions, got {len(z)}")
         self.disk = disk
-        self.z = tuple(SpherePoint.of(v) for v in z)
-        self.zh = np.array([(p.p, p.q) for p in self.z], dtype=complex)
+        if isinstance(z, np.ndarray) and z.ndim == 2:
+            self.zh = z
+        else:
+            self.zh = np.array([(p.p, p.q) for p in map(SpherePoint.of, z)], dtype=complex)
         self.zh.setflags(write=False)
         sides = disk.face_array[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2)
         near = (chordal_rows(self.zh, sides) < TOL_COINCIDENT).any(axis=1)
         if near.any():
             i, j, k = disk.faces[np.argmax(near)]
             raise DegenerateFace(f"face ({i},{j},{k}) has coincident vertices")
+
+    # the pairs as SpherePoint objects, built on first access
+    z = cached_property(lambda self: tuple(map(SpherePoint, *self.zh.T.tolist())))
 
     def moebius_image(self, m) -> "CirclePattern":
         return CirclePattern(self.disk, [m.apply(p) for p in self.z])
@@ -148,19 +152,6 @@ def verify_closure(x: CrossRatioSystem) -> ClosureReport:
     )
 
 
-def _propagate(z_i: SpherePoint, z_j: SpherePoint, z_k: SpherePoint, x: complex):
-    """Apex of the right face of i -> j from the left apex k and X_{ij}.
-
-    Solves X = -[(zi-zk)(zj-zl)] / [(zi-zl)(zj-zk)] for z_l homogeneously:
-    z_l = X det(j,k) * z_i + det(i,k) * z_j  (as homogeneous pairs).
-    """
-    u = x * det2(z_j, z_k)
-    v = det2(z_i, z_k)
-    return SpherePoint.from_homogeneous(
-        u * z_i.p + v * z_j.p, u * z_i.q + v * z_j.q
-    )
-
-
 def develop(
     disk: TriangulatedDisk,
     x: CrossRatioSystem,
@@ -173,7 +164,9 @@ def develop(
     order.  Faces are visited along the breadth-first dual tree from
     ``seed_face`` and propagate across all their edges; positions reached
     along different dual paths must agree (tree independence), otherwise
-    ClosureViolation is raised.
+    ClosureViolation is raised.  Across the edge i -> j of a face with apex
+    k, X = -[(zi-zk)(zj-zl)] / [(zi-zl)(zj-zk)] gives the apex l across as
+    the pair X det(j,k) z_i + det(i,k) z_j, scaled as SpherePoint scales it.
     """
     report = verify_closure(x)
     if max(report.product_residual, report.sum_residual) > TOL_CLOSURE_INPUT:
@@ -187,28 +180,40 @@ def develop(
     if any(seed_pts[n - 1].chordal(seed_pts[n]) < TOL_SEED for n in range(3)):
         raise DegenerateSeed("seed points are not pairwise distinct")
 
-    values = x.array.tolist()
-    z: list = [None] * disk.n_vertices
-    for v, p in zip(disk.face_vertices(seed_face), seed_pts):
-        z[v] = p
+    # per row c -> n of directed_edges(): left apex, c, right apex, n and X;
+    # per face corner, the row of its edge, -1 on the boundary
+    quads = disk.edge_quads
+    apex, tail, across, head = np.vstack((quads, quads[:, [2, 3, 0, 1]])).T.tolist()
+    values = x.array.tolist() * 2
+    corner_row = np.full(3 * disk.n_faces, -1)
+    corner_row[disk.directed_edges()[:, 2]] = np.arange(2 * len(quads))
+    corner_rows = corner_row.reshape(-1, 3).tolist()
+
+    p, q = [None] * disk.n_vertices, [None] * disk.n_vertices
+    for v, z in zip(disk.face_vertices(seed_face), seed_pts):
+        p[v], q[v] = z.p, z.q
     max_mismatch = 0.0
     for f in [seed_face] + [g for (_, g, _) in disk.dual_tree(seed_face)]:
-        i0, j0, k0 = disk.face_vertices(f)
-        for (i, j) in ((i0, j0), (j0, k0), (k0, i0)):
-            if not disk.is_interior_edge(i, j):
+        for r in corner_rows[f]:
+            if r < 0:
                 continue
-            l = disk.apex(j, i)
-            x_ij = values[disk.edge_index[_canon(i, j)]]
-            z_l = _propagate(z[i], z[j], z[disk.apex(i, j)], x_ij)
-            if z[l] is None:
-                z[l] = z_l
-            else:
-                max_mismatch = max(max_mismatch, z[l].chordal(z_l))
+            i, j, k, l = tail[r], head[r], apex[r], across[r]
+            u, v = values[r] * (p[j] * q[k] - q[j] * p[k]), p[i] * q[k] - q[i] * p[k]
+            pl, ql = u * p[i] + v * p[j], u * q[i] + v * q[j]
+            s = max(abs(pl), abs(ql))
+            if not 0.0 < s < math.inf:
+                SpherePoint.from_homogeneous(pl, ql)  # raises CoincidentPoints
+            pl, ql = pl / s, ql / s
+            if p[l] is None:
+                p[l], q[l] = pl, ql
+            else:  # their chordal distance
+                norms = math.hypot(abs(p[l]), abs(q[l])) * math.hypot(abs(pl), abs(ql))
+                max_mismatch = max(max_mismatch, abs(p[l] * ql - q[l] * pl) / norms)
     if max_mismatch > TOL_TREE:
         raise ClosureViolation(
             f"tree-independence residual {max_mismatch:.2e} exceeds {TOL_TREE:.1e}"
         )
-    return CirclePattern(disk, z)
+    return CirclePattern(disk, np.array((p, q), dtype=complex).T)
 
 
 def _check_same_disk(x: CrossRatioSystem, y: CrossRatioSystem):

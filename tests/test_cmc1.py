@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ from horonet.moebius import (
     inner,
     on_horosphere,
 )
-from horonet.cmc1 import HorosphericalNet
 from horonet.pattern import CirclePattern, cross_ratios_of, shear_match
 from horonet.toda import cmc1_from_toda, square_grid_toda
+from test_kernels import net_of_objects
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +152,7 @@ class TestMeasure:
         theta = 0.5
         plane = horosphere(SpherePoint.infinity(), 1.0)
         ball = horosphere(SpherePoint.of(0), 0.5)  # sphere of diameter 2
-        net = HorosphericalNet(
+        net = net_of_objects(
             disk=disk,
             f=(
                 from_upper_half_space(1.0 + 0j, 1.0),
@@ -188,15 +189,11 @@ class TestIntegratedMeanCurvature:
             assert abs(ratio - 1.0) <= 1e-9
 
     def test_rescaled_horosphere_breaks_ratio(self, toda_net):
-        horos = list(toda_net.horospheres)
+        rows = toda_net.horosphere_rows.copy()
         v0 = toda_net.disk.interior_vertices[0]
-        horos[v0] = horos[v0].offset(0.3)
-        broken = HorosphericalNet(
-            disk=toda_net.disk,
-            f=toda_net.f,
-            horospheres=tuple(horos),
-            gauss=toda_net.gauss,
-        )
+        u = toda_net.horospheres[v0].offset(0.3).u
+        rows[v0] = (u.a, u.b, u.d)
+        broken = replace(toda_net, horosphere_rows=rows)
         measure_net(broken)
         worst = max(abs(broken.ratio[v] - 1.0) for v in broken.disk.interior_vertices)
         assert worst > 1e-3
@@ -353,13 +350,9 @@ class TestExtract:
             extract_patterns(net)
 
     def test_perturbed_vertex_detected(self, toda_net):
-        import copy
-
-        net = copy.deepcopy(toda_net)
-        f = list(net.f)
-        bad = f[3]
-        f[3] = HermitianPoint(bad.a * 1.001, bad.b, bad.d / 1.001)
-        net.f = tuple(f)
-        measure_net(net)
+        points = toda_net.points.copy()
+        a, b, d = points[3].tolist()
+        points[3] = (a.real * 1.001, b, d.real / 1.001)
+        net = replace(toda_net, points=points)
         with pytest.raises((EtaNotClosed, NotCMC1)):
             extract_patterns(net)

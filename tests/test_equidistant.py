@@ -68,13 +68,11 @@ class TestVerify:
     def test_perturbed_vertex_spikes(self, toda_equidistant):
         import copy
 
-        from horonet.moebius import HermitianPoint
-
         net = copy.deepcopy(toda_equidistant)
-        f = list(net.f)
-        bad = f[4]
-        f[4] = HermitianPoint(bad.a * 1.01, bad.b, bad.d / 1.01)
-        net.f = tuple(f)
+        points = net.points.copy()
+        a, b, d = points[4].tolist()
+        points[4] = (a.real * 1.01, b, d.real / 1.01)
+        net.points = points
         report = verify_equidistant(net)
         assert report.cosphericity_residual > 1e-4
 
@@ -82,14 +80,12 @@ class TestVerify:
         # after sending the edge tangencies to 0 and infinity, the two face
         # points share their chart direction (same ray from the origin)
         net = toda_equidistant
-        disk = net.disk
+        disk, gauss = net.disk, net.frame.target.z
         checked = 0
         for (i, j) in disk.interior_edges:
             fl, fr = disk.left_face(i, j), disk.right_face(i, j)
             k = disk.apex(i, j)
-            m = mobius_from_triples(
-                net.gauss[i], net.gauss[j], net.gauss[k], 0.0, "inf", 1.0
-            )
+            m = mobius_from_triples(gauss[i], gauss[j], gauss[k], 0.0, "inf", 1.0)
             wl, tl = to_upper_half_space(act_on_hermitian(m, net.f[fl]))
             wr, tr = to_upper_half_space(act_on_hermitian(m, net.f[fr]))
             nl = math.sqrt(abs(wl) ** 2 + tl * tl)
@@ -122,17 +118,15 @@ class TestExtract:
 
         import numpy as np
 
-        from horonet.moebius import HermitianPoint
-
         rng = np.random.default_rng(3)
         net = copy.deepcopy(toda_equidistant)
-        f = []
-        for x in net.f:
+        points = []
+        for _ in range(net.disk.n_faces):
             b = complex(rng.normal(), rng.normal()) * 0.1
             a = 1.0 + rng.random()
             d = (1.0 + abs(b) ** 2) / a
-            f.append(HermitianPoint(a, b, d))
-        net.f = tuple(f)
+            points.append((a, b, d))
+        net.points = np.array(points, dtype=complex)
         with pytest.raises(NotEquidistant):
             extract_equidistant_patterns(net)
 

@@ -1,7 +1,8 @@
 """Array kernels against the scalar code they replace: index tables, the
 coincident-vertex check, cross ratios, closure, frame maps, the coherent
-lift, the realization and horospheres, the lattice angle defects, and the
-net measurement and the exporters that reuse its charts."""
+lift, the realization and horospheres, the develop walk and the views of
+the stored rows, the lattice angle defects, and the net measurement and the
+exporters that reuse its charts."""
 
 import cmath
 import hashlib
@@ -22,6 +23,7 @@ from horonet.cmc1 import (
     flat_patch_net,
     measure_net,
 )
+from horonet import convergence
 from horonet.convergence import (
     _angle_defects,
     jet_exp,
@@ -33,12 +35,15 @@ from horonet.io import (
     dump_json,
     export_net_obj,
     export_net_ply,
+    net_report,
     save_cross_ratios,
     save_frame,
+    save_pattern,
 )
 from horonet.mesh import LatticeSpec, build_disk, interior_star, lattice_subcomplex
 from horonet.moebius import (
     HermitianPoint,
+    Horosphere,
     MoebiusMap,
     SpherePoint,
     act_on_hermitian,
@@ -46,6 +51,7 @@ from horonet.moebius import (
     chordal_rows,
     cmul,
     csqrt,
+    det2,
     edge_cross_ratio,
     from_upper_half_space,
     horosphere,
@@ -271,6 +277,63 @@ def test_realization_and_horospheres_equal_scalar_actions(toda_pair):
     assert net.incidence_residual == incidence
 
 
+def _scalar_develop(disk, x, seed):
+    """The SpherePoint walk that ``develop`` replaced, kept as its reference."""
+    z = [None] * disk.n_vertices
+    for v, p in zip(disk.face_vertices(0), map(SpherePoint.of, seed)):
+        z[v] = p
+    for f in [0] + [g for (_, g, _) in disk.dual_tree()]:
+        i0, j0, k0 = disk.face_vertices(f)
+        for (i, j) in ((i0, j0), (j0, k0), (k0, i0)):
+            if disk.is_interior_edge(i, j) and z[disk.apex(j, i)] is None:
+                zi, zj, zk = z[i], z[j], z[disk.apex(i, j)]
+                u, v = x.x(i, j) * det2(zj, zk), det2(zi, zk)
+                z[disk.apex(j, i)] = SpherePoint.from_homogeneous(
+                    u * zi.p + v * zj.p, u * zi.q + v * zj.q
+                )
+    return tuple(z)
+
+
+@pytest.mark.parametrize("case", ["toda6", "lattice"])
+def test_nets_store_rows_and_build_views_on_request(case, monkeypatch):
+    if case == "toda6":
+        cell, _, sol = square_grid_toda(6, 6)
+        net = cmc1_from_toda(cell, sol, 0.05)
+        tri, labeling = triangulate(cell), labeling_from(cell, sol)
+        seed = [tri.positions[v] for v in tri.disk.face_vertices(0)]
+        expected = [
+            _scalar_develop(tri.disk, family_xt(tri, labeling, t), seed)
+            for t in (0.05j, -0.05j)
+        ]
+    else:
+        layouts, layout = [], convergence._layout
+
+        def recording(*args):
+            layouts.append(layout(*args))
+            return layouts[-1]
+
+        monkeypatch.setattr(convergence, "_layout", recording)
+        net = _lattice_net(0.1)
+        expected = [tuple(map(SpherePoint.of, z)) for z in layouts]
+    measure_net(net)
+    source, target = net.frame.source, net.frame.target
+    assert not {"f", "horospheres", "gauss"} & vars(net).keys()
+    assert "z" not in vars(source) and "z" not in vars(target)
+    # once read, the views equal the scalar construction
+    assert [source.z, target.z] == expected
+    maps = net.frame.maps
+    assert net.f == tuple(act_on_hermitian(m, HermitianPoint.identity()) for m in maps)
+    assert net.horospheres == tuple(
+        Horosphere(act_on_hermitian(maps[f], horosphere(z, 1.0).u))
+        for f, z in zip(net.disk.first_faces.tolist(), source.z)
+    )
+    assert net.gauss == target.z
+    # of Python scalars, never numpy ones
+    x, u, g = net.f[-1], net.horospheres[-1].u, net.gauss[-1]
+    assert {type(x.a), type(x.d), type(u.a), type(u.d)} == {float}
+    assert {type(x.b), type(u.b), type(g.p), type(g.q), type(source.z[-1].q)} == {complex}
+
+
 def _face_angles(a, b, c):
     """Angles opposite the sides a, b, c by the law of cosines."""
     if a >= b + c:
@@ -452,6 +515,17 @@ def _scalar_measure(net):
     )
 
 
+def net_of_objects(disk, f, horospheres, gauss):
+    """HorosphericalNet of per-point HermitianPoint, Horosphere and
+    SpherePoint objects, stored as their rows."""
+    return HorosphericalNet(
+        disk=disk,
+        points=np.array([(x.a, x.b, x.d) for x in f], dtype=complex),
+        horosphere_rows=np.array([(h.u.a, h.u.b, h.u.d) for h in horospheres], dtype=complex),
+        gauss_zh=np.array([(z.p, z.q) for z in gauss], dtype=complex),
+    )
+
+
 def _toy_net(ball_size):
     """Fields of two faces in the plane x3 = 1 and, at vertex 1, a ball of
     diameter 1 / ball_size tangent at 0."""
@@ -494,9 +568,9 @@ def test_measure_net_equals_the_vertex_loop(case, toda_pair, hex_pattern):
         "toda6": lambda: build_cmc1(*toda_pair),
         "toda12": lambda: build_cmc1(*_toda_pair(12)),
         "lattice": lambda: _lattice_net(0.1),
-        "toy": lambda: HorosphericalNet(**_toy_net(0.5)),
+        "toy": lambda: net_of_objects(**_toy_net(0.5)),
         "hex": lambda: build_cmc1(hex_pattern, hex_pattern),
-        "flat": lambda: HorosphericalNet(**_hex_fan_net(hex_pattern)),
+        "flat": lambda: net_of_objects(**_hex_fan_net(hex_pattern)),
     }[case]()
     measure, area, h, ratio, residual, degenerate, maps, w, centers = _scalar_measure(net)
     assert net.edge_measure == measure
@@ -554,9 +628,26 @@ def test_frame_and_cross_ratio_files_are_pinned():
     assert type(m) is MoebiusMap and all(type(e) is complex for e in m.entries())
 
 
+# sha256 of the pattern files of the eps = 0.1 lattice patterns of criterion
+# 10 (jet_identity, jet_exp) and of the report of their net, from per-point
+# SpherePoint and HermitianPoint tuples
+LATTICE_PATTERN_SHA256 = (
+    "0936ca142a39b8896fc755ab36fdc79bd022937d9a91257d2f8075010130cbd9",
+    "52b3a9e27fe2d828d5df6aecb9414bcbcb1b855550c6afd523b81af12b83f19d",
+)
+LATTICE_REPORT_SHA256 = "878d4e999603539b9e18216c37e8a6fe8701b8cd2750727f25ebd9421f9c48f0"
+
+
+def test_lattice_pattern_and_report_files_are_pinned():
+    net = _lattice_net(0.1)
+    docs = (save_pattern(net.frame.source), save_pattern(net.frame.target), net_report(net))
+    digests = [hashlib.sha256(dump_json(doc).encode()).hexdigest() for doc in docs]
+    assert digests == [*LATTICE_PATTERN_SHA256, LATTICE_REPORT_SHA256]
+
+
 def _raises_as_the_loop(fields, message):
     with pytest.raises(NonIntersectingHorospheres, match=message):
-        HorosphericalNet(**fields)
+        net_of_objects(**fields)
     with pytest.raises(NonIntersectingHorospheres):
         _scalar_measure(SimpleNamespace(**fields))
 
@@ -567,7 +658,7 @@ def test_horosphere_off_its_gauss_point_raises(hex_pattern):
     message = "horosphere at vertex 0 does not match its tangency point"
     _raises_as_the_loop(_hex_fan_net(hex_pattern, gauss=(0, zero)), message)
     # boundary vertex 3 ends no interior edge first: it is not charted
-    net = HorosphericalNet(**_hex_fan_net(hex_pattern, gauss=(3, zero)))
+    net = net_of_objects(**_hex_fan_net(hex_pattern, gauss=(3, zero)))
     assert net.edge_measure == _scalar_measure(net)[0]
 
 

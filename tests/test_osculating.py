@@ -7,7 +7,7 @@ import pytest
 from horonet.convergence import jet_exp, shear_preserving_solve
 from horonet.errors import MeshMismatch, NotDelaunay
 from horonet.mesh import LatticeSpec, lattice_subcomplex
-from horonet.moebius import MoebiusMap, SpherePoint
+from horonet.moebius import MoebiusMap, SpherePoint, hermitian_points
 from horonet.osculating import (
     _rayleigh,
     coherent_lift,
@@ -218,7 +218,7 @@ class TestRealization:
                 log_ratio = math.log(abs(x.x(*e))) - math.log(abs(xt.x(*e)))
                 assert abs(2 * math.log(abs(lam)) - log_ratio) <= 1e-12
                 assert abs(2 * cmath.phase(lam) - (x.arg(*e) - xt.arg(*e))) <= 1e-12
-            for p in frame.realization():
+            for p in hermitian_points(frame.realization()):
                 assert abs(p.det() - 1) <= 1e-12
 
 
