@@ -34,7 +34,6 @@ from .errors import (
 )
 from .mesh import TriangulatedDisk, _canon
 from .moebius import (
-    HermitianPoint,
     Horosphere,
     SpherePoint,
     act_on_hermitian_rows,
@@ -44,7 +43,7 @@ from .moebius import (
     compose_rows,
     hermitian_points,
     ideal_circle_normal,
-    inner,
+    inner_rows,
     norm_rows,
     sq_abs,
     unit_horosphere_rows,
@@ -54,6 +53,13 @@ from .pattern import CirclePattern, cross_ratios_of, shear_match
 
 TOL_SHEAR = 1e-9
 TOL_DEGENERATE = 1e-12
+# the horospheres of a face coincide when their rows U / trace U agree to this
+TOL_COINCIDENT_HOROSPHERES = 1e-12
+# extract_patterns takes a net whose H/area is within this of 1 at every vertex
+TOL_RATIO = 1e-6
+# and whose ell tan(alpha/2) + Arg X~ lies in [-TOL_ARG_LOW, pi - TOL_ARG_HIGH)
+TOL_ARG_LOW = 1e-9
+TOL_ARG_HIGH = 1e-12
 # floor of the horosphere scale that the incidence residual is relative to
 SCALE_FLOOR = 1e-30
 
@@ -301,14 +307,25 @@ def integrated_mean_curvature(net: HorosphericalNet):
 # -- parallel surfaces ---------------------------------------------------
 
 
-def _offset_face_point(x: HermitianPoint, horos, t: float) -> HermitianPoint:
-    """Point of the offset horospheres e^t U_m that continues the face point x.
+def _blend(x, s, y, t) -> np.ndarray:
+    """Hermitian rows x s + y t, each term as HermitianPoint.scale forms it."""
+    (xa, xb, xd), (ya, yb, yd) = x.T, y.T
+    b = cmul(xb, s) + cmul(yb, t)
+    return np.column_stack((xa.real * s + ya.real * t, b, xd.real * s + yd.real * t))
 
-    Let P be the unit normal of the ideal circle through the three tangency
-    points: <P, U_m> = 0 and <P, P> = 1.  Every y = e^{-t} x + s P keeps the
-    offset incidences, -<y, e^t U_m> = -<x, U_m> = 1, so y moves along the
-    geodesic through x orthogonal to the plane of that circle.  With
-    c = <x, P>, the condition <y, y> = -1 reads
+
+def parallel_net(net: HorosphericalNet, t: float) -> HorosphericalNet:
+    """Net of the parallel horospheres at signed distance t (toward tangency).
+
+    Each face point x moves, in one array step over the faces, to the point
+    of the offset horospheres e^t U_m that continues it: along the exact
+    normal flow x cosh t + (U - x) sinh t where its three horospheres
+    coincide, and otherwise as follows.  Let P be the unit normal of the
+    ideal circle through the three tangency points: <P, U_m> = 0 and
+    <P, P> = 1.  Every y = e^{-t} x + s P keeps the offset incidences,
+    -<y, e^t U_m> = -<x, U_m> = 1, so y moves along the geodesic through x
+    orthogonal to the plane of that circle.  With c = <x, P>, the condition
+    <y, y> = -1 reads
 
         s^2 + 2 e^{-t} c s + (1 - e^{-2t}) = 0,
 
@@ -318,51 +335,30 @@ def _offset_face_point(x: HermitianPoint, horos, t: float) -> HermitianPoint:
         disc = e^{-2t} (c^2 + 1) - 1.
 
     disc < 0, i.e. t > log(1 + c^2) / 2, means the offset horospheres no
-    longer meet.
+    longer meet: OffsetTooLarge.
     """
-    us = [h.u for h in horos]
-    # coincident horospheres: exact normal flow
-    tr0 = us[0].trace()
-    if all(
-        max(
-            abs(u.a / u.trace() - us[0].a / tr0),
-            abs(u.b / u.trace() - us[0].b / tr0),
-            abs(u.d / u.trace() - us[0].d / tr0),
-        )
-        <= 1e-12
-        for u in us[1:]
-    ):
-        ch, sh = math.cosh(t), math.sinh(t)
-        moved = HermitianPoint(
-            x.a * ch + (us[0].a - x.a) * sh,
-            x.b * ch + (us[0].b - x.b) * sh,
-            x.d * ch + (us[0].d - x.d) * sh,
-        )
-        return moved
+    disk, x = net.disk, net.points
+    us = net.horosphere_rows[disk.face_array]  # (F, 3, 3), per face corner
+    tr = us[..., 0].real + us[..., 2].real
+    gap = cabs(cdiv(us, tr[..., None]) - cdiv(us[:, :1], tr[:, :1, None])).max(axis=2)
+    coincident = (gap[:, 1:] <= TOL_COINCIDENT_HOROSPHERES).all(axis=1)
 
-    p = ideal_circle_normal(us)
+    out, flow = np.empty_like(x), x[coincident]
+    out[coincident] = _blend(flow, math.cosh(t), us[coincident, 0] - flow, math.sinh(t))
+    p = ideal_circle_normal(us[~coincident])
     e = math.exp(-t)
-    c = inner(x, p)
+    c = inner_rows(x[~coincident], p)
     disc = e * e * (c * c + 1.0) - 1.0
-    if disc < 0:
+    if (disc < 0).any():
         raise OffsetTooLarge(
             f"offset horospheres no longer meet near the original vertex (t={t})"
         )
-    s = math.expm1(-2.0 * t) / (e * c + math.copysign(math.sqrt(disc), c))
-    return x.scale(e).add(p.scale(s))
-
-
-def parallel_net(net: HorosphericalNet, t: float) -> HorosphericalNet:
-    """Net of the parallel horospheres at signed distance t (toward tangency)."""
-    disk = net.disk
-    new_f = []
-    for fidx, (i, j, k) in enumerate(disk.faces):
-        horos = (net.horospheres[i], net.horospheres[j], net.horospheres[k])
-        new_f.append(_offset_face_point(net.f[fidx], horos, t))
+    s = math.expm1(-2.0 * t) / (e * c + np.copysign(np.sqrt(disc), c))
+    out[~coincident] = _blend(x[~coincident], e, p, s)
     try:
         return HorosphericalNet(
             disk=disk,
-            points=np.array([(x.a, x.b, x.d) for x in new_f], dtype=complex),
+            points=out,
             horosphere_rows=cmul(net.horosphere_rows, math.exp(t)),
             gauss_zh=net.gauss_zh,
         )
@@ -446,14 +442,14 @@ def extract_patterns(net: HorosphericalNet):
     xt = cross_ratios_of(gauss_pattern)
     for v in disk.interior_vertices:
         r = net.ratio.get(v)
-        if r is None or abs(r - 1.0) > 1e-6:
+        if r is None or abs(r - 1.0) > TOL_RATIO:
             raise NotCMC1(f"H/area at vertex {v} is {r}, not 1")
     lam = []
     for (i, j), arg in zip(disk.interior_edges, xt.arg_array.tolist()):
         em = net.edge_measure[(i, j)]
         s = em.ell * math.tan(em.alpha / 2.0) if not em.degenerate else 0.0
         total = s + arg
-        if total < -1e-9 or total >= math.pi - 1e-12:
+        if total < -TOL_ARG_LOW or total >= math.pi - TOL_ARG_HIGH:
             raise NotCMC1(
                 f"edge ({i},{j}): ell tan(alpha/2) + Arg X~ = {total} outside [0, pi)"
             )

@@ -194,7 +194,7 @@ def _sampled_geometry(net: HorosphericalNet, arc_samples: int):
     centers = net.centers.tolist()
     arcs = {}  # primal edge -> polyline, in the chart that sampled it
     for v, ring in zip(disk.interior_vertices, disk.interior_rings().tolist()):
-        ring = ring[: len(disk.ring_ccw(v))]
+        ring = [row for row in ring if row >= 0]  # -1 past the end of the ring
         new_w = []
         boundary_ids = []
         # segment m joins faces m and m + 1 across v -> ring[m + 1]

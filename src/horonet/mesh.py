@@ -72,8 +72,8 @@ class OrientedDisk:
     Everything is derived from the directed-edge table of the module
     docstring.  Immutable after construction, so instances can be shared
     read-only.  The checks and the edge, boundary and index tables are
-    built eagerly; the rings, fans, ``dual_adjacency`` and dual trees other
-    than the one from face 0 are built and cached on first request.
+    built eagerly; the rings, fans and dual trees other than the one from
+    face 0 are built and cached on first request.
     """
 
     def __init__(self, faces):
@@ -199,26 +199,12 @@ class OrientedDisk:
         walk = self._walk
         return _prefixes(np.take(face, walk, mode="clip"), (walk < len(face)).sum(axis=1))
 
-    @functools.cached_property
-    def dual_adjacency(self):
-        """Per face f, the pairs (g, (i, j)) sorted, f left of i -> j and g
-        right of it."""
-        tail, head = self._corners[:2, self._dual_edges].tolist()
-        return tuple(
-            tuple(
-                (g, (tail[k], head[k]))
-                for k, g in enumerate(row, start)
-                if g < self.n_faces
-            )
-            for row, start in zip(self._dual_rows, self._dual_starts)
-        )
-
     def dual_tree(self, root: int = 0):
         """Breadth-first dual spanning tree from face ``root``, cached per root.
 
         Entries ``(f, g, (i, j))`` come in visiting order: f is the root or an
         earlier g and lies left of i -> j, and g is the new face on its right;
-        the neighbours of f are visited in the order of ``dual_adjacency``.
+        the neighbours g of f are visited in increasing order.
         """
         tree = self._dual_trees.get(root)
         if tree is None:

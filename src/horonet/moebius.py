@@ -50,6 +50,8 @@ TOL_HYPERBOLOID = 1e-8
 TOL_ZERO_ENTRY = 1e-14
 # a triple whose frame determinant is this small is projectively degenerate
 TOL_DEGENERATE_TRIPLE = 1e-28
+# ideal_circle_normal scales a normal to <P, P> = 1 only above this norm
+TOL_NORMAL_NORM = 1e-20
 # det x = a d - |b|^2 and the pairing <x, y> of float Hermitian points are
 # known only to a few ulps of the terms they cancel; hyperboloid checks
 # allow this many of them on top of their absolute tolerance.
@@ -279,9 +281,6 @@ class HermitianPoint:
     def scale(self, s: float) -> "HermitianPoint":
         return HermitianPoint(self.a * s, self.b * s, self.d * s)
 
-    def add(self, other: "HermitianPoint") -> "HermitianPoint":
-        return HermitianPoint(self.a + other.a, self.b + other.b, self.d + other.d)
-
     def is_hyperboloid(self, tol: float = TOL_GEOMETRIC) -> bool:
         slack = tol + DET_ULPS * 2.0**-53 * (abs(self.a * self.d) + abs(self.b) ** 2)
         return abs(self.det() - 1.0) <= slack and self.trace() > 0
@@ -290,25 +289,6 @@ class HermitianPoint:
 def inner(u: HermitianPoint, v: HermitianPoint) -> float:
     """Minkowski bilinear form <U, V> = -1/2 trace(U cof(V)); <U,U> = -det U."""
     return -(u.a * v.d + u.d * v.a - 2.0 * (u.b * v.b.conjugate()).real) / 2.0
-
-
-def ideal_circle_normal(points) -> HermitianPoint:
-    """Spacelike Hermitian P with <U, P> = 0 for the given light-cone points.
-
-    The null space of the three Minkowski pairings; P spans the 1-dim
-    orthogonal complement of the ideal circle through the points, and is
-    scaled to <P, P> = 1 when that norm is not negligible.
-    """
-    rows = []
-    for u in points:
-        x0, x1, x2, x3 = u.minkowski()
-        rows.append([-x0, x1, x2, x3])
-    _, _, vt = np.linalg.svd(np.array(rows))
-    p = HermitianPoint.from_minkowski(*vt[-1].tolist())
-    n2 = -p.det()
-    if n2 > 1e-20:
-        p = p.scale(1.0 / math.sqrt(n2))
-    return p
 
 
 def act_on_hermitian(m: MoebiusMap, u: HermitianPoint) -> HermitianPoint:
@@ -629,3 +609,28 @@ def unit_horosphere_rows(z):
     p2, q2 = sq_abs(p), sq_abs(q)
     s = 2.0 / (p2 + q2)
     return s * p2, cmul(cmul(s, p), np.conj(q)), s * q2
+
+
+def inner_rows(x, y) -> np.ndarray:
+    """``inner`` of the Hermitian rows x[n] and y[n], both (N, 3)."""
+    (xa, xb, xd), (ya, yb, yd) = x.T, y.T
+    cross = cmul(xb, np.conj(yb)).real
+    return -(xa.real * yd.real + xd.real * ya.real - 2.0 * cross) / 2.0
+
+
+def ideal_circle_normal(rows) -> np.ndarray:
+    """Spacelike Hermitian P with <U, P> = 0 for each light-cone triple U of
+    the (F, 3, 3) Hermitian ``rows``, as (F, 3) rows.
+
+    P spans the null space of the three Minkowski pairings (one batched SVD),
+    the orthogonal complement of the ideal circle through the points, and is
+    scaled to <P, P> = 1 when that norm is not negligible.
+    """
+    a, b, d = rows[..., 0].real, rows[..., 1], rows[..., 2].real
+    pairing = np.stack((-((a + d) / 2.0), b.real, b.imag, (a - d) / 2.0), axis=-1)
+    x0, x1, x2, x3 = np.linalg.svd(pairing)[2][:, -1].T
+    pa, pb, pd = x0 + x3, _complex(x1, x2), x0 - x3
+    n2 = -(pa * pd - sq_abs(pb))
+    big = n2 > TOL_NORMAL_NORM
+    s = 1.0 / np.sqrt(np.where(big, n2, 1.0))  # 1 leaves a and d as they are
+    return np.column_stack((pa * s, np.where(big, cmul(pb, s), pb), pd * s))

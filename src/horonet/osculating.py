@@ -12,6 +12,10 @@ f = A A* in H^3.  Since 2 log |lambda| = log |X| - log |X~| and
 2 Arg lambda = Arg X - Arg X~, its two one-to-one cases are shear mismatch 0
 (|lambda| = 1: the CMC-1 net of ``cmc1.build_cmc1``) and angle mismatch 0
 (lambda > 0: the equidistant net of ``equidistant.build_equidistant``).
+
+Transitions, their eigenvalues, closed forms and vertex products run on map
+rows (``edge_eigenvalues``, ``transition_rows``, ``ring_products``) for
+``coherent_lift``, ``vertex_monodromy`` and ``integrate_eta``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 
 from .errors import (
     BoundaryEdge,
+    CoincidentPoints,
     CriticalPoint,
     DegenerateFace,
     DegenerateTriple,
@@ -37,14 +42,12 @@ from .errors import (
 from .mesh import TriangulatedDisk, _canon
 from .moebius import (
     MoebiusMap,
-    SpherePoint,
     act_on_hermitian_rows,
     cabs,
     cdiv,
     cmul,
     compose_rows,
-    det2,
-    hermitian_points,
+    det2_rows,
     mobius_rows,
     sq_abs,
 )
@@ -131,34 +134,52 @@ def osculating_frame(source: CirclePattern, target: CirclePattern) -> MoebiusFra
     return MoebiusFrame(source, target, entries)
 
 
-def _rayleigh(t: MoebiusMap, z: SpherePoint) -> complex:
-    """Eigenvalue of t at the known eigenvector z (inner-product quotient)."""
-    up = t.a * z.p + t.b * z.q
-    uq = t.c * z.p + t.d * z.q
-    den = abs(z.p) ** 2 + abs(z.q) ** 2
-    return (up * z.p.conjugate() + uq * z.q.conjugate()) / den
+def edge_eigenvalues(entries, zh, left, right, tail):
+    """Per row, the transition t = A_right^{-1} A_left of the frame
+    ``entries`` and its eigenvalue at the eigenvector zh[tail] (inner-product
+    quotient); left, right and tail are (N,) indices.  Returns (lambda, t),
+    t as (4, N) columns."""
+    ra, rb, rc, rd = entries[right].T  # right^{-1} left, as MoebiusMap.compose forms it
+    t = compose_rows((rd, -rb, -rc, ra), entries[left].T)
+    p, q = zh[tail].T
+    up, uq = cmul(t[0], p) + cmul(t[1], q), cmul(t[2], p) + cmul(t[3], q)
+    return cdiv(cmul(up, np.conj(p)) + cmul(uq, np.conj(q)), sq_abs(p) + sq_abs(q)), t
 
 
-def _rayleigh_rows(t, z) -> np.ndarray:
-    """``_rayleigh`` per row: t the columns of (N, 4) maps, z (N, 2) pairs."""
-    ta, tb, tc, td = t
-    p, q = z[:, 0], z[:, 1]
-    up = cmul(ta, p) + cmul(tb, q)
-    uq = cmul(tc, p) + cmul(td, q)
-    return cdiv(cmul(up, np.conj(p)) + cmul(uq, np.conj(q)), sq_abs(p) + sq_abs(q))
-
-
-def transition_closed_form(
-    z_i: SpherePoint, z_j: SpherePoint, lam: complex
-) -> MoebiusMap:
-    """Matrix with eigenvectors z_i, z_j and eigenvalues lam, 1/lam."""
-    d = det2(z_i, z_j)
+def transition_rows(zi, zj, lam) -> np.ndarray:
+    """Matrices with eigenvectors zi[n], zj[n] and eigenvalues lam[n],
+    1 / lam[n], as (4, N) columns (a, b, c, d); zi and zj are (N, 2)."""
+    (pi, qi), (pj, qj) = zi.T, zj.T
+    d = det2_rows(zi, zj)
     # P diag(lam, 1/lam) adj(P) / det(P) with P = [z_i z_j]
-    a = (lam * z_i.p * z_j.q - z_j.p * z_i.q / lam) / d
-    b = (z_j.p * z_i.p / lam - lam * z_i.p * z_j.p) / d
-    c = (lam * z_i.q * z_j.q - z_j.q * z_i.q / lam) / d
-    dd = (z_j.q * z_i.p / lam - lam * z_i.q * z_j.p) / d
-    return MoebiusMap(a, b, c, dd)
+    lp, lq = cmul(lam, pi), cmul(lam, qi)
+    return np.array((
+        cdiv(cmul(lp, qj) - cdiv(cmul(pj, qi), lam), d),
+        cdiv(cdiv(cmul(pj, pi), lam) - cmul(lp, pj), d),
+        cdiv(cmul(lq, qj) - cdiv(cmul(qj, qi), lam), d),
+        cdiv(cdiv(cmul(qj, pi), lam) - cmul(lq, pj), d),
+    ))
+
+
+def ring_products(disk: TriangulatedDisk, table) -> np.ndarray:
+    """Per interior vertex v, the product T_w ... T_w' over ``ring_ccw(v)``,
+    from its second neighbour w' to its first w, as (4, V_int) columns.
+
+    ``table`` holds one matrix T per row of ``disk.directed_edges()`` as
+    (4, 2E) columns; each vertex reads its rows from ``interior_rings()``,
+    whose -1 padding leaves a shorter ring's product as it is.
+    """
+    rings = np.roll(disk.interior_rings(), -1, axis=1)
+    prod = np.zeros((4, len(rings)), dtype=complex)
+    prod[[0, 3]] = 1.0
+    for row in rings.T:
+        prod = np.where(row >= 0, compose_rows(table[:, row], prod), prod)
+    return prod
+
+
+def _frobenius_distance(x, y) -> np.ndarray:
+    """``frobenius_distance`` between the maps of the columns x and y."""
+    return np.sqrt(sum(sq_abs(u - v) for u, v in zip(x, y)))
 
 
 def transition(frame: MoebiusFrame, i: int, j: int):
@@ -168,21 +189,18 @@ def transition(frame: MoebiusFrame, i: int, j: int):
     The matrix quotient is cross-checked against the closed form built
     from lambda and the endpoints.
     """
-    disk = frame.disk
+    disk, zh = frame.disk, frame.source.zh
     if not disk.is_interior_edge(i, j):
         raise BoundaryEdge(f"edge ({i},{j}) is not interior")
-    fl = disk.left_face(i, j)
-    fr = disk.right_face(i, j)
-    t = frame.maps[fr].inverse().compose(frame.maps[fl])
-    lam = _rayleigh(t, frame.source.z[i])
-    ref = transition_closed_form(frame.source.z[i], frame.source.z[j], lam)
-    if t.frobenius_distance(ref) > TOL_TRANSITION * max(
-        1.0, abs(lam), 1.0 / abs(lam)
-    ) * 10:
+    fl, fr = disk.left_face(i, j), disk.right_face(i, j)
+    lam, t = edge_eigenvalues(frame.entries, zh, [fl], [fr], [i])
+    gap = _frobenius_distance(t, transition_rows(zh[[i]], zh[[j]], lam))
+    (lam,) = lam.tolist()
+    if gap.item() > TOL_TRANSITION * max(1.0, abs(lam), 1.0 / abs(lam)) * 10:
         raise DegenerateFace(
             f"transition on edge ({i},{j}) fails the eigen closed form"
         )
-    return t, lam
+    return MoebiusMap(*t[:, 0].tolist()), lam
 
 
 def principal_sqrt_ratio(x, y):
@@ -232,11 +250,7 @@ def coherent_lift(
         entries[0] = -entries[0]
 
     left, right = disk.edge_faces.T
-    ra, rb, rc, rd = entries[right].T  # right^{-1} left, as the scalar code forms it
-    lam = _rayleigh_rows(
-        compose_rows((rd, -rb, -rc, ra), entries[left].T),
-        frame.source.zh[disk.edge_quads[:, 1]],
-    )
+    lam, _ = edge_eigenvalues(entries, frame.source.zh, left, right, disk.edge_quads[:, 1])
     flip = (np.abs(lam - target_lam) > np.abs(lam + target_lam)).tolist()
     sign = [1] * disk.n_faces
     for (f, g, e) in disk.dual_tree():
@@ -257,83 +271,77 @@ def coherent_lift(
     )
 
 
-def vertex_monodromy(frame: MoebiusFrame, v: int) -> MoebiusMap:
-    """Product of the closed-form transitions around an interior vertex.
+def vertex_monodromy(frame: MoebiusFrame) -> np.ndarray:
+    """Product of the closed-form transitions around each interior vertex,
+    as (V_int, 4) rows in the order of ``disk.interior_vertices``.
 
     For a coherent lift this is +I up to roundoff; the closed forms are
     built from the cached branch of lambda, so a -I product detects a
-    genuine obstruction rather than telescoping away.
+    genuine obstruction rather than telescoping away.  Crossing from face
+    (v, ring[m], w) to face (v, w, ring[m+2]) is right-to-left of v -> w.
     """
-    disk, z = frame.disk, frame.source.z
-    ring = disk.ring_ccw(v)
-    n = len(ring)
-    prod = MoebiusMap.identity()
-    for m in range(n):
-        w = ring[(m + 1) % n]
-        # crossing from face (v, ring[m], w) to face (v, w, ring[m+2]):
-        # right-to-left of the oriented edge v -> w
-        if frame.lambdas is not None:
-            lam = frame.lambdas[disk.edge_index[_canon(v, w)]].item()
-        else:  # inverse or projective frame: no cached eigenvalues
-            fl, fr = disk.left_face(v, w), disk.right_face(v, w)
-            lam = _rayleigh(frame.maps[fr].inverse().compose(frame.maps[fl]), z[v])
-        t = transition_closed_form(z[v], z[w], lam)
-        prod = t.inverse().compose(prod)
-    return prod
+    disk, zh = frame.disk, frame.source.zh
+    tail, head, left, right = disk.directed_edges().T
+    if frame.lambdas is not None:
+        lam = np.tile(frame.lambdas, 2)
+    else:  # inverse or projective frame: no cached eigenvalues
+        lam, _ = edge_eigenvalues(frame.entries, zh, left // 3, right // 3, tail)
+    a, b, c, d = transition_rows(zh[tail], zh[head], lam)
+    return ring_products(disk, np.array((d, -b, -c, a))).T
 
 
 def integrate_eta(gauss: CirclePattern, points, lam):
     """Frame A with A A* = f from measured eigenvalues on the Gauss pattern.
 
-    ``points`` holds f as (F, 3) rows (a, b, d), and ``lam`` is a sequence
-    in the order of ``disk.interior_edges``: for the edge (i, j), i < j,
-    the eigenvalue of eta_ij = transition_closed_form(z~_j, z~_i, lam), the
-    transition from the left face of i -> j to its right face.  eta must
-    close around every interior vertex; it is integrated over the dual tree
-    from face 0, the constant is the polar factor C C* = f[0], z = A^{-1} z~
-    is read off, and the frame's realization is checked against f.  Returns
-    (source pattern, ``gauss``, coherent frame), the result of both nets'
-    extracts.
+    ``points`` holds f as (F, 3) rows (a, b, d), and ``lam`` the (E,)
+    eigenvalues in the order of ``disk.interior_edges``: for the edge
+    (i, j), i < j, that of eta_ij = ``transition_rows(z~_j, z~_i, lam)``,
+    the transition from the left face of i -> j to its right face.  On map
+    rows throughout: eta must close around every interior vertex
+    (``ring_products``), it is integrated over the dual tree from face 0
+    one tree level at a time, the constant is the polar factor C C* = f[0],
+    z = A^{-1} z~ is read off, and the frame's realization is checked
+    against f.  Returns (source pattern, ``gauss``, coherent frame), the
+    result of both nets' extracts.
     """
-    disk = gauss.disk
-    z_t = gauss.z
-    etas = [
-        transition_closed_form(z_t[j], z_t[i], l)
-        for (i, j), l in zip(disk.interior_edges, lam)
-    ]
-
-    def eta_for(i, j):
-        if i < j:
-            return etas[disk.edge_index[(i, j)]]
-        return etas[disk.edge_index[(j, i)]].inverse()
-
-    worst = 0.0
-    for v in disk.interior_vertices:
-        ring = disk.ring_ccw(v)
-        prod = MoebiusMap.identity()
-        for m in range(len(ring)):
-            w = ring[(m + 1) % len(ring)]
-            prod = eta_for(v, w).inverse().compose(prod)
-        worst = max(worst, prod.frobenius_distance(MoebiusMap.identity()))
+    disk, zh = gauss.disk, gauss.zh
+    _, tail, _, head = disk.edge_quads.T
+    a, b, c, d = eta = transition_rows(zh[head], zh[tail], np.asarray(lam))
+    # per directed edge v -> w, eta crossed from the right face to the left
+    table = np.hstack((np.array((d, -b, -c, a)), eta))
+    closure = ring_products(disk, table)
+    worst = float(_frobenius_distance(closure, (1.0, 0.0, 0.0, 1.0)).max(initial=0.0))
     if worst > TOL_ETA:
         raise EtaNotClosed(f"per-vertex eta product deviates from I by {worst:.2e}")
 
-    b_maps: list = [None] * disk.n_faces
-    b_maps[0] = MoebiusMap.identity()
-    for (fl, fr, (i, j)) in disk.dual_tree():
-        b_maps[fr] = eta_for(i, j).compose(b_maps[fl])
+    # B_g = eta_ij B_f for the tree edge from f across i -> j to g, one
+    # array step per level of the breadth-first tree
+    depth, steps = [0] * disk.n_faces, []
+    for f, g, (i, j) in disk.dual_tree():
+        depth[g] = depth[f] + 1  # eta_ij is the table row of j -> i
+        steps.append((f, g, disk.edge_index[_canon(i, j)] + (0 if j < i else len(tail))))
+    steps = np.array(steps, dtype=int).reshape(-1, 3)
+    b_maps = np.zeros((4, disk.n_faces), dtype=complex)
+    b_maps[[0, 3], 0] = 1.0
+    for level in np.split(steps, np.flatnonzero(np.diff(np.take(depth, steps[:, 1]))) + 1):
+        f, g, row = level.T
+        b_maps[:, g] = compose_rows(table[:, row], b_maps[:, f])
 
     # right constant from C C* = f_root (principal PSD square root)
-    (f0,) = hermitian_points(points[:1])
-    s = math.sqrt(max(f0.det(), 0.0))
-    denom = math.sqrt(f0.trace() + 2.0 * s)
-    c = MoebiusMap(
-        (f0.a + s) / denom, f0.b / denom, f0.b.conjugate() / denom, (f0.d + s) / denom
-    )
-    a_maps = tuple(b.compose(c) for b in b_maps)
-    first = disk.first_faces.tolist()
-    source = CirclePattern(disk, [a_maps[f].inverse().apply(p) for f, p in zip(first, z_t)])
-    entries = np.array([a.entries() for a in a_maps], dtype=complex)
+    a, b, d = points[0].tolist()
+    a, d = a.real, d.real
+    s = math.sqrt(max(a * d - abs(b) ** 2, 0.0))
+    denom = math.sqrt(a + d + 2.0 * s)
+    root = ((a + s) / denom, b / denom, b.conjugate() / denom, (d + s) / denom)
+    entries = np.ascontiguousarray(compose_rows(b_maps, root).T)
+    # z = A^{-1} z~ in the first face of each vertex, scaled as SpherePoint is
+    ea, eb, ec, ed = entries[disk.first_faces].T
+    p, q = zh.T
+    z = np.column_stack((cmul(ed, p) + cmul(-eb, q), cmul(-ec, p) + cmul(ea, q)))
+    size = np.maximum(cabs(z[:, 0]), cabs(z[:, 1]))
+    if not (np.isfinite(size) & (size > 0)).all():
+        raise CoincidentPoints("homogeneous pair must be finite and nonzero")
+    source = CirclePattern(disk, cdiv(z, size[:, None]))
     frame = MoebiusFrame(source, gauss, entries, lift="coherent")
 
     scale = np.maximum(np.maximum(points[:, 0].real, points[:, 2].real), 1.0)

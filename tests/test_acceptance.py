@@ -183,10 +183,9 @@ def test_criterion_5_coherent_lift():
         source = _random_delaunay_pair(rng, patch, base)
         target = _random_delaunay_pair(rng, patch, base)
         frame = coherent_lift(osculating_frame(source, target))
-        for v in patch.disk.interior_vertices:
-            m = vertex_monodromy(frame, v)
+        for row in vertex_monodromy(frame).tolist():
             worst = max(
-                worst, m.frobenius_distance(MoebiusMap.identity())
+                worst, MoebiusMap(*row).frobenius_distance(MoebiusMap.identity())
             )
     # constructed non-Delaunay pair must be rejected
     fan = build_disk([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 6), (0, 6, 1)])

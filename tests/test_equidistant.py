@@ -11,6 +11,7 @@ from horonet.equidistant import (
 )
 from horonet.errors import FrameUnavailable, NotAngleMatched, NotEquidistant
 from horonet.moebius import (
+    hermitian_points,
     hyperbolic_distance,
     inner,
     mobius_from_triples,
@@ -60,7 +61,7 @@ class TestBuild:
         assert info.value.exit_code == 56
 
     def test_functional_is_spacelike(self, toda_equidistant):
-        for fidx, (p, c) in toda_equidistant.functionals.items():
+        for p in hermitian_points(toda_equidistant.normals):
             assert -p.det() > 0  # Minkowski norm positive
 
 

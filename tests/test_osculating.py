@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from test_kernels import _rayleigh
+
 from horonet.convergence import jet_exp, shear_preserving_solve
 from horonet.errors import MeshMismatch, NotDelaunay
 from horonet.mesh import LatticeSpec, lattice_subcomplex
 from horonet.moebius import MoebiusMap, SpherePoint, hermitian_points
 from horonet.osculating import (
-    _rayleigh,
     coherent_lift,
     compose_frames,
     osculating_frame,
@@ -17,7 +18,7 @@ from horonet.osculating import (
     smooth_osculating,
     smooth_pair_frame,
     transition,
-    transition_closed_form,
+    transition_rows,
     vertex_monodromy,
 )
 from horonet.pattern import CirclePattern, angle_match, cross_ratios_of, shear_match
@@ -115,7 +116,10 @@ class TestTransition:
         zi = SpherePoint.of(0.3 + 0.1j)
         zj = SpherePoint.of(-1.0 + 2.0j)
         lam = cmath.exp(0.3 + 0.2j)
-        t = transition_closed_form(zi, zj, lam)
+        (row,) = transition_rows(
+            np.array([(zi.p, zi.q)]), np.array([(zj.p, zj.q)]), np.array([lam])
+        ).T
+        t = MoebiusMap(*row.tolist())
         assert abs(t.det() - 1) < 1e-13
         assert t.apply(zi).chordal(zi) < 1e-13
         assert t.apply(zj).chordal(zj) < 1e-13
@@ -131,9 +135,10 @@ class TestCoherentLift:
     def test_monodromy_identity(self, lattice_pattern):
         target = smooth_image(lattice_pattern, lambda z: cmath.exp(0.5 * z))
         frame = coherent_lift(osculating_frame(lattice_pattern, target))
-        for v in lattice_pattern.disk.interior_vertices:
-            m = vertex_monodromy(frame, v)
-            assert m.frobenius_distance(MoebiusMap.identity()) < 1e-9
+        rows = vertex_monodromy(frame)
+        assert rows.shape == (len(lattice_pattern.disk.interior_vertices), 4)
+        for row in rows.tolist():
+            assert MoebiusMap(*row).frobenius_distance(MoebiusMap.identity()) < 1e-9
 
     def test_arg_lambda_in_range(self, lattice_pattern):
         target = smooth_image(lattice_pattern, lambda z: z * z + 2 * z + 3)
