@@ -7,6 +7,7 @@ import datetime
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import io as hio
 from .cmc1 import TOL_SHEAR, _net_from_frame, build_cmc1
@@ -36,6 +37,21 @@ def _read_json(path):
 def _write_text(path, text):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
+
+
+def float_list(text):
+    return [float(s) for s in text.split(",")]
+
+
+def lattice_spec(text):
+    """LatticeSpec of three comma-separated angles, at eps 1 on the unit square."""
+    a, b, g = float_list(text)
+    return LatticeSpec(a, b, g, 1.0, (0.0, 1.0, 0.0, 1.0))
+
+
+def grid_size(text):
+    n, m = (int(s) for s in text.lower().split("x"))
+    return n, m
 
 
 def _manifest(args, subcommand, inputs, tolerances, seed_face=None):
@@ -118,8 +134,7 @@ def cmd_equidistant(args):
 
 
 def cmd_toda(args):
-    n, m = (int(s) for s in args.grid.lower().split("x"))
-    cell, _, q = square_grid_toda(n, m)
+    cell, _, q = square_grid_toda(*args.grid)
     manifest = _manifest(args, "toda", [], {"t": args.t}, seed_face=0)
     if args.mode == "cmc1":
         _emit_net(args, cmc1_from_toda(cell, q, args.t), "cmc1", manifest)
@@ -143,9 +158,7 @@ def cmd_minimal(args):
 
 
 def cmd_converge(args):
-    a, b, g = (float(s) for s in args.lattice.split(","))
-    spec = LatticeSpec(a, b, g, 1.0, tuple(args.rect))
-    eps_list = [float(s) for s in args.eps.split(",")]
+    spec, eps_list = replace(args.lattice, rect=tuple(args.rect)), args.eps
     if args.case == "square-pair":
         report = surface_convergence(jet_identity(), JETS["square"](), spec, eps_list)
     elif args.case == "exp-pair":
@@ -197,7 +210,7 @@ def build_parser():
     p.set_defaults(func=cmd_equidistant)
 
     p = sub.add_parser("toda", help="nets from the square-grid Toda family")
-    p.add_argument("--grid", required=True, help="NxM vertex counts")
+    p.add_argument("--grid", type=grid_size, required=True, help="NxM vertex counts")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--mode", choices=("cmc1", "equidistant"), default="cmc1")
     p.add_argument("--out", default=None)
@@ -213,8 +226,8 @@ def build_parser():
 
     p = sub.add_parser("converge", help="lattice convergence reports")
     p.add_argument("--case", choices=("exp", "square", "moebius", "exp-pair", "square-pair"), default="exp")
-    p.add_argument("--eps", default="0.1,0.05,0.025")
-    p.add_argument("--lattice", default=f"{math.pi/3},{math.pi/3},{math.pi/3}")
+    p.add_argument("--eps", type=float_list, default="0.1,0.05,0.025")
+    p.add_argument("--lattice", type=lattice_spec, default=f"{math.pi/3},{math.pi/3},{math.pi/3}")
     p.add_argument("--rect", type=float, nargs=4, default=(0.0, 1.0, 0.0, 1.0))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_converge)

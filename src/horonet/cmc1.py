@@ -62,6 +62,14 @@ TOL_ARG_LOW = 1e-9
 TOL_ARG_HIGH = 1e-12
 # floor of the horosphere scale that the incidence residual is relative to
 SCALE_FLOOR = 1e-30
+# in a vertex chart a neighbour (P, Q) is a plane when |Q|^2 <= TOL_PLANE
+# (|P|^2 + |Q|^2); a plane must lie at height 1 to TOL_PLANE_HEIGHT, and a
+# sphere's diameter must exceed 1 by more than TOL_INTERSECT
+TOL_PLANE = 1e-13
+TOL_PLANE_HEIGHT = 1e-10
+TOL_INTERSECT = 1e-14
+# parallel_area_derivative's Richardson offsets
+PARALLEL_STEPS = (1e-2, 5e-3, 2.5e-3)
 
 
 @dataclass
@@ -173,7 +181,7 @@ def measure_net(net: HorosphericalNet) -> HorosphericalNet:
         big_p, big_q = cmul(ca, sp) + cmul(cb, sq), cmul(cc, sp) + cmul(cd, sq)
         q2 = sq_abs(big_q)
         n2 = sq_abs(big_p) + q2
-        plane = q2 <= 1e-13 * n2
+        plane = q2 <= TOL_PLANE * n2
         diameter = 2.0 / q2
         center = cdiv(big_p, big_q)
         r_tilde = np.where(plane, math.inf, np.sqrt(diameter - 1.0))
@@ -186,11 +194,11 @@ def measure_net(net: HorosphericalNet) -> HorosphericalNet:
     # non-degenerate ring segments
     star = (np.bincount(rings.ravel() + 1, minlength=2 * n_e + 1)[1:] > 0) & ~degenerate
     used = star | (np.arange(2 * n_e) < n_e)
-    if (bad := used & plane & (np.abs(n2 / 2.0 - 1.0) > 1e-10)).any():
+    if (bad := used & plane & (np.abs(n2 / 2.0 - 1.0) > TOL_PLANE_HEIGHT)).any():
         raise NonIntersectingHorospheres(
             f"parallel horospheres at distinct heights near vertex {c[bad.argmax()]}"
         )
-    if (bad := used & ~plane & (diameter <= 1.0 + 1e-14)).any():
+    if (bad := used & ~plane & (diameter <= 1.0 + TOL_INTERSECT)).any():
         k = bad.argmax()
         raise NonIntersectingHorospheres(
             f"horospheres across edge ({c[k]},{n[k]}) do not intersect"
@@ -366,7 +374,7 @@ def parallel_net(net: HorosphericalNet, t: float) -> HorosphericalNet:
         raise OffsetTooLarge(str(exc)) from exc
 
 
-def parallel_area_derivative(net: HorosphericalNet, steps=(1e-2, 5e-3, 2.5e-3)):
+def parallel_area_derivative(net: HorosphericalNet, steps=PARALLEL_STEPS):
     """Richardson-extrapolated d/dt area(f_t) per dual face, with -2H reference."""
     diffs = []
     for t in steps:

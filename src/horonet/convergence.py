@@ -8,6 +8,12 @@ interior vertices with boundary factors log |h'|.  The solved pattern
 shares the lattice's shear coordinates exactly up to layout roundoff, which
 is what the CMC-1 construction needs; pointwise samples h(v)
 (``sampled_pattern``) do not.
+
+The studies read the frame's entries, the net's points and the disk's edge
+tables.  The smooth references are ``smooth_osculating_rows`` at every face
+barycentre at once, with signs threaded along the dual tree by the walk of
+``coherent_lift`` (``tree_signs``); the Schwarzian and Hopf terms read the
+edges v -> shift_k(v) off ``edge_quads``.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import cmath
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,13 +38,15 @@ from .errors import (
     NotShearMatched,
 )
 from .mesh import LatticePatch, LatticeSpec, lattice_subcomplex
-from .moebius import HermitianPoint, act_on_hermitian, hyperbolic_distance
+from .moebius import cabs, cdiv, cmul, hyperbolic_distance_rows
 from .osculating import (
-    MoebiusFrame,
+    _frobenius_distance,
     coherent_lift,
     osculating_frame,
-    smooth_osculating,
-    smooth_pair_frame,
+    realization_rows,
+    smooth_osculating_rows,
+    smooth_pair_rows,
+    tree_signs,
 )
 from .pattern import CirclePattern, cross_ratios_of
 
@@ -51,6 +59,12 @@ COT_MARGIN = 1e-12
 # a solved pattern must be Delaunay to this tolerance
 TOL_SOLVED_DELAUNAY = 1e-12
 TOL_SCHWARZIAN_SHEAR = 1e-8
+# the report's columns: eps, the ConvergenceRow errors in field order, then
+# the orders of the frame, surface and Schwarzian errors
+CSV_COLUMNS = (
+    "eps", "frame_err", "surf_err", "s1_err", "hopf_err", "c1_err", "solver_dev",
+    "frame_order", "surf_order", "s1_order",
+)
 
 
 @dataclass(frozen=True)
@@ -194,12 +208,11 @@ def shear_preserving_solve(
         e: math.log(abs(patch.positions[e[1]] - patch.positions[e[0]]))
         for e in disk.edges
     }
-    u = np.empty(n)
-    for v, p in enumerate(patch.positions):
-        d1 = abs(jet.d1(p))
-        if d1 == 0:
-            raise CriticalPoint(f"h' vanishes at lattice vertex {v}, z = {p}")
-        u[v] = math.log(d1)
+    d1 = cabs(np.array(list(map(jet.d1, patch.positions)), dtype=complex))
+    if (zero := d1 == 0).any():
+        v = int(zero.argmax())
+        raise CriticalPoint(f"h' vanishes at lattice vertex {v}, z = {patch.positions[v]}")
+    u = np.array(list(map(math.log, d1.tolist())))
     faces = disk.face_array
     pos = np.array(patch.positions)
     log_len = np.log(np.abs(pos[faces[:, [2, 0, 1]]] - pos[faces[:, [1, 2, 0]]]))
@@ -284,26 +297,28 @@ def _third_point(za, zb, ra, rb):
 # -- discrete Schwarzians and derivatives ----------------------------------
 
 
-def discrete_schwarzian(
-    x,
-    x_target,
-    patch: LatticePatch,
-    k: int,
-):
+def _shift_edges(patch: LatticePatch, k: int):
+    """Vertices v, ascending, whose edge v -> shift_k(v) is interior, and the
+    row of that edge in ``disk.edge_quads``."""
+    _, i, _, j = patch.disk.edge_quads.T
+    shift = patch.shift(k)
+    tail = np.where(shift[i] == j, i, np.where(shift[j] == i, j, -1))
+    edge = np.argsort(tail)[np.count_nonzero(tail < 0):]  # the tails -1 sort first
+    return tail[edge], edge
+
+
+def discrete_schwarzian(x, x_target, patch: LatticePatch, k: int):
     """Field s_k(v) = log(X~/X)(e) / (i eps^2), e the edge v -> shift_k(v)."""
-    disk = patch.disk
     eps = patch.spec.eps
-    out = {}
-    for v, w in enumerate(patch.shift(k).tolist()):
-        if w < 0 or not disk.is_interior_edge(v, w):
-            continue
-        ratio = cmath.log(x_target.x(v, w) / x.x(v, w))
-        if abs(ratio.real) > TOL_SCHWARZIAN_SHEAR:
-            raise NotShearMatched(
-                f"|Re log (X~/X)| = {abs(ratio.real):.2e} on edge ({v},{w})"
-            )
-        out[v] = ratio.imag / (eps * eps)
-    return out
+    v, e = _shift_edges(patch, k)
+    ratio = np.array(list(map(cmath.log, cdiv(x_target.array[e], x.array[e]).tolist())))
+    if (bad := np.abs(ratio.real) > TOL_SCHWARZIAN_SHEAR).any():
+        n = bad.argmax()
+        raise NotShearMatched(
+            f"|Re log (X~/X)| = {abs(ratio[n].real):.2e} on edge "
+            f"({v[n]},{patch.shift(k)[v[n]]})"
+        )
+    return dict(zip(v.tolist(), (ratio.imag / (eps * eps)).tolist()))
 
 
 def interior_subset(patch: LatticePatch, vertices):
@@ -360,101 +375,22 @@ class ConvergenceReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "eps",
-                "frame_err",
-                "surf_err",
-                "s1_err",
-                "hopf_err",
-                "c1_err",
-                "solver_dev",
-                "frame_order",
-                "surf_order",
-                "s1_order",
-            ]
-        )
-        fo = [math.nan] + self.orders("frame_error")
-        so = [math.nan] + self.orders("surface_error")
-        s1o = [math.nan] + self.orders("schwarzian_error")
-        for r, a, b, c in zip(self.rows, fo, so, s1o):
-            writer.writerow(
-                [
-                    f"{r.eps:.6g}",
-                    f"{r.frame_error:.6e}",
-                    f"{r.surface_error:.6e}",
-                    f"{r.schwarzian_error:.6e}",
-                    f"{r.hopf_error:.6e}",
-                    f"{r.c1_error:.6e}",
-                    f"{r.solver_deviation:.6e}",
-                    f"{a:.3f}",
-                    f"{b:.3f}",
-                    f"{c:.3f}",
-                ]
-            )
+        writer.writerow(CSV_COLUMNS)
+        studied = ("frame_error", "surface_error", "schwarzian_error")
+        orders = zip(*([math.nan] + self.orders(attr) for attr in studied))
+        for r, o in zip(self.rows, orders):
+            eps, *errors = astuple(r)
+            writer.writerow([f"{eps:.6g}", *(f"{e:.6e}" for e in errors), *(f"{x:.3f}" for x in o)])
         return buf.getvalue()
 
 
-def _face_barycenters(patch: LatticePatch):
-    return [
-        (patch.positions[i] + patch.positions[j] + patch.positions[k]) / 3.0
-        for (i, j, k) in patch.disk.faces
-    ]
+def _barycenters(patch: LatticePatch) -> np.ndarray:
+    """Face barycentres (z_i + z_j + z_k) / 3, rounded as complex scalars are."""
+    i, j, k = np.array(patch.positions)[patch.disk.face_array].T
+    return cdiv(i + j + k, 3.0)
 
 
-def _threaded_references(jet: Jet, patch: LatticePatch):
-    """A_h at face barycenters with the square-root branch continued along
-    the dual tree (the principal branch is discontinuous where h'^3 crosses
-    the negative real axis)."""
-    barys = _face_barycenters(patch)
-    disk = patch.disk
-    refs: list = [None] * disk.n_faces
-    refs[0] = smooth_osculating(jet.f, jet.d1, jet.d2, barys[0])
-    for (f, g, _) in disk.dual_tree():
-        cand = smooth_osculating(jet.f, jet.d1, jet.d2, barys[g])
-        if cand.frobenius_distance(refs[f]) > cand.negate().frobenius_distance(
-            refs[f]
-        ):
-            cand = cand.negate()
-        refs[g] = cand
-    return refs
-
-
-def _aligned_frame_error(frame: MoebiusFrame, patch: LatticePatch, jet: Jet):
-    """sup_F |A_F - A_h(barycenter)| after one global sign alignment."""
-    refs = _threaded_references(jet, patch)
-    root = frame.maps[0]
-    sign = 1.0
-    if root.frobenius_distance(refs[0]) > root.negate().frobenius_distance(refs[0]):
-        sign = -1.0
-    worst = 0.0
-    for m, ref in zip(frame.maps, refs):
-        mm = m if sign > 0 else m.negate()
-        worst = max(worst, mm.frobenius_distance(ref))
-    return worst
-
-
-def _vertex_frame_field(frame: MoebiusFrame, patch: LatticePatch):
-    """Frame as a vertex field via the upward face (v, v+dir1, v+dir2)."""
-    disk = patch.disk
-    out = {}
-    for v, (a, b) in enumerate(zip(patch.shift(1).tolist(), patch.shift(2).tolist())):
-        if a < 0 or b < 0:
-            continue
-        try:
-            fidx = disk.left_face(v, a)
-        except KeyError:
-            continue
-        if disk.face_vertices(fidx) in ((v, a, b), (a, b, v), (b, v, a)):
-            out[v] = frame.entries[fidx].reshape(2, 2)
-    return out
-
-
-def frame_convergence(
-    jet: Jet,
-    spec_template: LatticeSpec,
-    eps_list,
-) -> ConvergenceReport:
+def frame_convergence(jet: Jet, spec_template: LatticeSpec, eps_list) -> ConvergenceReport:
     """Frame and Schwarzian errors against the smooth osculating map."""
     report = ConvergenceReport(jet.name)
     for eps in eps_list:
@@ -464,48 +400,46 @@ def frame_convergence(
         target = shear_preserving_solve(patch, jet)
         x, xt = cross_ratios_of(lattice), cross_ratios_of(target)
         frame = coherent_lift(osculating_frame(lattice, target), x, xt)
-        row = ConvergenceRow(eps)
-        row.frame_error = _aligned_frame_error(frame, patch, jet)
-        row.solver_deviation = max(
-            abs(p.value() - jet.f(w))
-            for p, w in zip(target.z, patch.positions)
-        )
+        disk, row = patch.disk, ConvergenceRow(eps)
+        # A_h at the barycentres, its sign continued along the dual tree
+        # (the principal branch jumps where h'^3 crosses the negative real
+        # axis), against the frame aligned once at face 0
+        ref = smooth_osculating_rows(jet.f, jet.d1, jet.d2, _barycenters(patch))
+        fl, fr = ref[:, disk.edge_faces[:, 0]], ref[:, disk.edge_faces[:, 1]]
+        flip = _frobenius_distance(fl, fr) > _frobenius_distance(-fl, fr)
+        ref = np.where(tree_signs(disk, flip), -ref, ref)
+        entries = frame.entries.T
+        plus, minus = _frobenius_distance(entries, ref), _frobenius_distance(-entries, ref)
+        row.frame_error = float((minus if plus[0] > minus[0] else plus).max())
+        h = np.array(list(map(jet.f, patch.positions)), dtype=complex)
+        row.solver_deviation = float(cabs(cdiv(target.zh[:, 0], target.zh[:, 1]) - h).max())
         s1 = discrete_schwarzian(x, xt, patch, 1)
+        half_l1, w23 = 0.5 * spec.length(1), spec.omega(2) * spec.omega(3)
         row.schwarzian_error = max(
-            abs(
-                s1[v]
-                - 0.5
-                * spec.length(1)
-                * (
-                    spec.omega(2) * spec.omega(3) * jet.schwarzian(
-                        patch.positions[v]
-                    )
-                ).real
-            )
-            for v in s1
+            abs(s1[v] - half_l1 * (w23 * jet.schwarzian(patch.positions[v])).real) for v in s1
         )
-        # C^1: forward difference of the frame field against dA_h
-        vf = _vertex_frame_field(frame, patch)
+        # C^1: forward difference of the frame as a vertex field, read on the
+        # up face (v, shift_1 v, shift_2 v), against dA_h = A_h (-S_h / 2)
+        # [[w, -w^2], [1, -w]]
+        i, j, k = disk.face_array.T
+        up = (patch.shift(1)[i] == j) & (patch.shift(2)[i] == k)
+        vf = dict(zip(i[up].tolist(), frame.entries[up].reshape(-1, 2, 2)))
         d1 = discrete_derivative(vf, patch, 1) if vf else {}
-        c1 = 0.0
-        for v, d in d1.items():
-            w = patch.positions[v]
-            ah = smooth_osculating(jet.f, jet.d1, jet.d2, w)
-            sh = jet.schwarzian(w)
-            mc = np.array([[w, -w * w], [1.0, -w]], dtype=complex) * (-sh / 2.0)
-            ref = np.array([[ah.a, ah.b], [ah.c, ah.d]]) @ mc
-            err = min(np.abs(d - ref).max(), np.abs(d + ref).max())
-            c1 = max(c1, err)
-        row.c1_error = c1 if d1 else math.nan
+        if d1:
+            w = np.array(patch.positions)[list(d1)]
+            ah = smooth_osculating_rows(jet.f, jet.d1, jet.d2, w).T.reshape(-1, 2, 2)
+            sh = np.array(list(map(jet.schwarzian, w.tolist())))
+            mc = np.array([[w, cmul(-w, w)], [np.ones_like(w), -w]]).transpose(2, 0, 1)
+            da = ah @ (mc * cdiv(-sh, 2.0)[:, None, None])
+            d = np.array(list(d1.values()))
+            err = np.minimum(np.abs(d - da).max(axis=(1, 2)), np.abs(d + da).max(axis=(1, 2)))
+            row.c1_error = float(err.max())
         report.rows.append(row)
     return report
 
 
 def surface_convergence(
-    jet_g: Jet,
-    jet_gt: Jet,
-    spec_template: LatticeSpec,
-    eps_list,
+    jet_g: Jet, jet_gt: Jet, spec_template: LatticeSpec, eps_list
 ) -> ConvergenceReport:
     """Net vertices against the smooth CMC-1 surface f = A A*, plus the
     Hopf-differential limit of (ell / eps^2) tan(alpha / 2) per direction 1."""
@@ -517,22 +451,14 @@ def surface_convergence(
         pat_gt = shear_preserving_solve(patch, jet_gt)
         net = build_cmc1(pat_g, pat_gt)
         row = ConvergenceRow(eps)
-        worst = 0.0
-        for fidx, w in enumerate(_face_barycenters(patch)):
-            a = smooth_pair_frame(jet_g, jet_gt, w)
-            ref = act_on_hermitian(a, HermitianPoint.identity())
-            worst = max(worst, hyperbolic_distance(net.f[fidx], ref))
-        row.surface_error = worst
+        ref = realization_rows(smooth_pair_rows(jet_g, jet_gt, _barycenters(patch)).T)
+        row.surface_error = float(hyperbolic_distance_rows(net.points, ref).max())
         hopf = 0.0
-        disk = patch.disk
-        for v, w in enumerate(patch.shift(1).tolist()):
-            if w < 0 or not disk.is_interior_edge(v, w):
-                continue
-            em = net.measure_of(v, w)
+        for v, e in zip(*(a.tolist() for a in _shift_edges(patch, 1))):
+            em = net.edge_measure[patch.disk.interior_edges[e]]
             val = em.ell * math.tan(em.alpha / 2.0) / (eps * eps)
-            q = (jet_g.schwarzian(patch.positions[v]) - jet_gt.schwarzian(
-                patch.positions[v]
-            )) / 2.0
+            z = patch.positions[v]
+            q = (jet_g.schwarzian(z) - jet_gt.schwarzian(z)) / 2.0
             ref = spec.length(1) * (spec.omega(2) * spec.omega(3) * q).real
             hopf = max(hopf, abs(val - ref))
         row.hopf_error = hopf

@@ -362,15 +362,10 @@ def on_horosphere(x: HermitianPoint, h: Horosphere, tol: float = TOL_GEOMETRIC):
 
 
 def hyperbolic_distance(x: HermitianPoint, y: HermitianPoint) -> float:
-    if not x.is_hyperboloid(TOL_HYPERBOLOID) or not y.is_hyperboloid(TOL_HYPERBOLOID):
-        raise NotInHyperboloid("distance requires hyperboloid points")
-    c = -inner(x, y)
-    roundoff = 2.0**-53 * (
-        abs(x.a * y.d) + abs(x.d * y.a) + 2.0 * abs(x.b) * abs(y.b)
-    )
-    if c < 1.0 - TOL_GEOMETRIC - DET_ULPS * roundoff:
-        raise NotInHyperboloid(f"pairing -<x,y> = {c} below 1")
-    return math.acosh(max(c, 1.0))
+    """``hyperbolic_distance_rows`` of the one pair x, y."""
+    return hyperbolic_distance_rows(
+        np.array([[x.a, x.b, x.d]], dtype=complex), np.array([[y.a, y.b, y.d]], dtype=complex)
+    ).item()
 
 
 def to_poincare_ball(x: HermitianPoint):
@@ -396,10 +391,7 @@ def chart_plane_to_ball(m: MoebiusMap, w) -> np.ndarray:
     x11 = u1.real**2 + u1.imag**2 + abs(m.a) ** 2
     x22 = u2.real**2 + u2.imag**2 + abs(m.c) ** 2
     x12 = u1 * u2.conj() + m.a * m.c.conjugate()
-    ad = x11 * x22
-    b2 = x12.real**2 + x12.imag**2
-    slack = TOL_HYPERBOLOID + DET_ULPS * 2.0**-53 * (np.abs(ad) + b2)
-    if not np.all((np.abs(ad - b2 - 1.0) <= slack) & (x11 + x22 > 0)):
+    if not _on_hyperboloid(x11, x12, x22).all():
         raise NotInHyperboloid("ball coordinates require a hyperboloid point")
     s = 1.0 + 0.5 * (x11 + x22)
     return np.column_stack((x12.real / s, x12.imag / s, 0.5 * (x11 - x22) / s))
@@ -634,3 +626,25 @@ def ideal_circle_normal(rows) -> np.ndarray:
     big = n2 > TOL_NORMAL_NORM
     s = 1.0 / np.sqrt(np.where(big, n2, 1.0))  # 1 leaves a and d as they are
     return np.column_stack((pa * s, np.where(big, cmul(pb, s), pb), pd * s))
+
+
+def _on_hyperboloid(a, b, d) -> np.ndarray:
+    """``is_hyperboloid(TOL_HYPERBOLOID)`` of the Hermitian points with real
+    entries a, d and complex entries b, elementwise."""
+    ad, b2 = a * d, sq_abs(b)
+    slack = TOL_HYPERBOLOID + DET_ULPS * 2.0**-53 * (np.abs(ad) + b2)
+    return (np.abs(ad - b2 - 1.0) <= slack) & (a + d > 0)
+
+
+def hyperbolic_distance_rows(x, y) -> np.ndarray:
+    """``hyperbolic_distance`` between the Hermitian rows x[n] and y[n], both
+    (N, 3); raises as it does at the first row it rejects."""
+    (xa, xb, xd), (ya, yb, yd) = x.T, y.T
+    xa, xd, ya, yd = xa.real, xd.real, ya.real, yd.real
+    if not (_on_hyperboloid(xa, xb, xd) & _on_hyperboloid(ya, yb, yd)).all():
+        raise NotInHyperboloid("distance requires hyperboloid points")
+    c = -inner_rows(x, y)
+    roundoff = 2.0**-53 * (np.abs(xa * yd) + np.abs(xd * ya) + 2.0 * cabs(xb) * cabs(yb))
+    if (low := c < 1.0 - TOL_GEOMETRIC - DET_ULPS * roundoff).any():
+        raise NotInHyperboloid(f"pairing -<x,y> = {c[low.argmax()]} below 1")
+    return np.array(list(map(math.acosh, np.maximum(c, 1.0).tolist())))

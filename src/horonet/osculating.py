@@ -15,7 +15,8 @@ f = A A* in H^3.  Since 2 log |lambda| = log |X| - log |X~| and
 
 Transitions, their eigenvalues, closed forms and vertex products run on map
 rows (``edge_eigenvalues``, ``transition_rows``, ``ring_products``) for
-``coherent_lift``, ``vertex_monodromy`` and ``integrate_eta``.
+``coherent_lift``, ``vertex_monodromy`` and ``integrate_eta``, and so do the
+smooth osculating maps of a jet (``smooth_osculating_rows``).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .moebius import (
     cdiv,
     cmul,
     compose_rows,
+    csqrt,
     det2_rows,
     mobius_rows,
     sq_abs,
@@ -114,12 +116,15 @@ class MoebiusFrame:
         (|lambda| = 1), an equidistant net when the angle mismatch is 0
         (lambda > 0).
         """
-        n = len(self.entries)
-        # act_on_hermitian(m, HermitianPoint.identity()) on every row
-        a, b, d = act_on_hermitian_rows(
-            self.entries, np.ones(n), np.zeros(n, dtype=complex), np.ones(n)
-        )
-        return np.column_stack((a, b, d))
+        return realization_rows(self.entries)
+
+
+def realization_rows(entries) -> np.ndarray:
+    """``act_on_hermitian(m, HermitianPoint.identity())`` = m m* per map row
+    m of ``entries``, (N, 4), as (N, 3) complex rows (a, b, d)."""
+    n = len(entries)
+    ones = np.ones(n)
+    return np.column_stack(act_on_hermitian_rows(entries, ones, np.zeros(n, dtype=complex), ones))
 
 
 def osculating_frame(source: CirclePattern, target: CirclePattern) -> MoebiusFrame:
@@ -208,6 +213,18 @@ def principal_sqrt_ratio(x, y):
     return np.exp(0.5 * (np.log(x) - np.log(y)))
 
 
+def tree_signs(disk: TriangulatedDisk, flip) -> np.ndarray:
+    """Per face, whether its sign is negated: face 0 keeps its sign, and each
+    face g reached from f across a dual tree edge e takes the sign of f,
+    negated where ``flip[e]`` is set; ``flip`` is (E,) in the order of
+    ``disk.interior_edges``.  Returns a (F,) bool array."""
+    flip = flip.tolist()
+    negated = [False] * disk.n_faces
+    for f, g, e in disk.dual_tree():
+        negated[g] = negated[f] != flip[disk.edge_index[_canon(*e)]]
+    return np.array(negated)
+
+
 def coherent_lift(
     frame: MoebiusFrame,
     x: CrossRatioSystem | None = None,
@@ -251,11 +268,7 @@ def coherent_lift(
 
     left, right = disk.edge_faces.T
     lam, _ = edge_eigenvalues(entries, frame.source.zh, left, right, disk.edge_quads[:, 1])
-    flip = (np.abs(lam - target_lam) > np.abs(lam + target_lam)).tolist()
-    sign = [1] * disk.n_faces
-    for (f, g, e) in disk.dual_tree():
-        sign[g] = -sign[f] if flip[disk.edge_index[_canon(*e)]] else sign[f]
-    negated = np.array(sign) < 0
+    negated = tree_signs(disk, np.abs(lam - target_lam) > np.abs(lam + target_lam))
     lam = np.where(negated[left] != negated[right], -lam, lam)
     # tree edges are on the branch by construction
     off = np.abs(lam - target_lam) > np.abs(lam + target_lam)
@@ -366,29 +379,46 @@ def compose_frames(f1: MoebiusFrame, f2: MoebiusFrame) -> MoebiusFrame:
     return MoebiusFrame(f1.source, f2.target, entries)
 
 
-def smooth_osculating(h, h1, h2, z: complex) -> MoebiusMap:
-    """Moebius map matching the 2-jet of h at z (value, h', h'').
+def smooth_osculating_rows(h, h1, h2, z) -> np.ndarray:
+    """Moebius maps matching the 2-jet of h (value, h', h'') at each point of
+    z, as (4, N) columns (a, b, c, d).
 
-    The square root of h'(z)^3 is the principal one, taken pointwise;
-    convergence._threaded_references continues its sign along a dual tree.
+    The jet's callables run on the Python scalars of z; the entries are
+    rounded as the scalar arithmetic rounds them.  The square root of
+    h'(z)^3 is the principal one, taken pointwise; ``tree_signs`` continues
+    its sign along a dual tree.  Raises CriticalPoint at the first point
+    where h' = 0.
     """
-    hv, d1, d2 = h(z), h1(z), h2(z)
-    if d1 == 0:
-        raise CriticalPoint(f"h'({z}) = 0")
-    denom = cmath.sqrt(d1 * d1 * d1)
-    a = d1 * d1 - hv * d2 / 2.0
-    b = z * hv * d2 / 2.0 + hv * d1 - z * d1 * d1
-    c = -d2 / 2.0
-    d = z * d2 / 2.0 + d1
-    return MoebiusMap(a / denom, b / denom, c / denom, d / denom)
+    z = np.asarray(z, dtype=complex)
+    zs = z.tolist()
+    hv, d1, d2 = (np.array(list(map(g, zs)), dtype=complex) for g in (h, h1, h2))
+    if (zero := d1 == 0).any():
+        raise CriticalPoint(f"h'({zs[zero.argmax()]}) = 0")
+    sq = cmul(d1, d1)
+    entries = (
+        sq - cdiv(cmul(hv, d2), 2.0),
+        cdiv(cmul(cmul(z, hv), d2), 2.0) + cmul(hv, d1) - cmul(cmul(z, d1), d1),
+        cdiv(-d2, 2.0),
+        cdiv(cmul(z, d2), 2.0) + d1,
+    )
+    denom = csqrt(cmul(sq, d1))
+    return np.array([cdiv(e, denom) for e in entries])
 
 
-def smooth_pair_frame(
-    jet_g,
-    jet_gt,
-    z: complex,
-) -> MoebiusMap:
-    """Osculating map A_g~ A_g^{-1} of a pair of locally univalent jets."""
-    ag = smooth_osculating(jet_g.f, jet_g.d1, jet_g.d2, z)
-    agt = smooth_osculating(jet_gt.f, jet_gt.d1, jet_gt.d2, z)
-    return agt.compose(ag.inverse())
+def smooth_pair_rows(jet_g, jet_gt, z) -> np.ndarray:
+    """Osculating maps A_g~ A_g^{-1} of a pair of locally univalent jets at
+    each point of z, as (4, N) columns."""
+    a, b, c, d = smooth_osculating_rows(jet_g.f, jet_g.d1, jet_g.d2, z)
+    return compose_rows(smooth_osculating_rows(jet_gt.f, jet_gt.d1, jet_gt.d2, z), (d, -b, -c, a))
+
+
+def smooth_osculating(h, h1, h2, z: complex) -> MoebiusMap:
+    """Moebius map matching the 2-jet of h at z: ``smooth_osculating_rows``
+    at the one point z."""
+    return MoebiusMap(*smooth_osculating_rows(h, h1, h2, [z])[:, 0].tolist())
+
+
+def smooth_pair_frame(jet_g, jet_gt, z: complex) -> MoebiusMap:
+    """Osculating map A_g~ A_g^{-1} of a pair of locally univalent jets:
+    ``smooth_pair_rows`` at the one point z."""
+    return MoebiusMap(*smooth_pair_rows(jet_g, jet_gt, [z])[:, 0].tolist())

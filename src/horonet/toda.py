@@ -25,6 +25,12 @@ from .mesh import OrientedDisk, TriangulatedDisk, _canon, build_disk
 from .pattern import CirclePattern, CrossRatioSystem, cross_ratios_of, develop
 
 TOL_LABELING = 1e-10
+# a TodaReport passes within TOL_TODA; square-grid edges whose ends' heights
+# differ by less than TOL_HORIZONTAL are horizontal; a labeling is real when
+# no value has an imaginary part above TOL_REAL_LABELING
+TOL_TODA = 1e-10
+TOL_HORIZONTAL = 1e-12
+TOL_REAL_LABELING = 1e-12
 POLE_MARGIN = 0.9
 TANGENT_STEPS = (1e-3, 5e-4)
 
@@ -63,7 +69,7 @@ class TodaReport:
     face_sum: float
     weighted_sum: float
 
-    def ok(self, tol=1e-10):
+    def ok(self, tol=TOL_TODA):
         return max(self.vertex_sum, self.face_sum, self.weighted_sum) <= tol
 
 
@@ -75,7 +81,7 @@ def square_grid_toda(n: int, m: int, stretch: complex = 1.0):
     cell = square_grid(n, m, stretch)
     q = {}
     for (i, j) in cell.edges:
-        horizontal = abs(cell.positions[i].imag - cell.positions[j].imag) < 1e-12
+        horizontal = abs(cell.positions[i].imag - cell.positions[j].imag) < TOL_HORIZONTAL
         q[(i, j)] = 1.0 + 0j if horizontal else -1.0 + 0j
     return cell, cell.positions, q
 
@@ -245,7 +251,7 @@ def _family_patterns(cell: CellDecomposition, labeling_or_q, ts, production: str
         labeling = labeling_or_q
     else:
         labeling = labeling_from(cell, labeling_or_q)
-    if max(abs(v.imag) for v in labeling.alpha.values()) > 1e-12:
+    if max(abs(v.imag) for v in labeling.alpha.values()) > TOL_REAL_LABELING:
         raise InconsistentLabeling(f"{production} production needs a real labeling")
     tri = triangulate(cell)
     xs = [family_xt(tri, labeling, t) for t in ts]

@@ -1,5 +1,7 @@
 import cmath
+import hashlib
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -18,6 +20,7 @@ from horonet.convergence import (
 )
 from horonet.errors import CriticalPoint, DomainExhausted, FoldOver, NotShearMatched
 from horonet.mesh import LatticeSpec, lattice_subcomplex
+from horonet.moebius import HermitianPoint, MoebiusMap
 from horonet.pattern import CirclePattern, cross_ratios_of, shear_match
 
 EQ = LatticeSpec.equilateral
@@ -221,3 +224,49 @@ class TestReports:
         lines = text.strip().splitlines()
         assert lines[0].startswith("eps,")
         assert len(lines) == 3
+
+
+# sha256 of repr of the float() of every ConvergenceRow field, per study
+U = (0.0, 1.0, 0.0, 1.0)
+STUDY_SHA256 = {
+    "frame exp": "ce65f2de53fecd82dfa62533888211130fbfce444518f5601b31871d5a0869ea",
+    "frame moebius": "d08e2f318d85318d11f9babaab0e2419a2c7ef96db0892ae8c874c80340453c1",
+    "surface id->exp": "3cf239560d607006e27c1c7c96fdc767f1022da3fccbae86450265fc1524e0f1",
+    "surface exp->exp": "eb2599663a2f516ce6d813c4bc3d2ea48c8019895363069fb5c21474d16cf665",
+}
+STUDIES = {
+    "frame exp": lambda: frame_convergence(jet_exp(), EQ(1.0, U), [0.1, 0.05]),
+    "frame moebius": lambda: frame_convergence(
+        jet_moebius(1, 0.2 + 0.1j, 0.15, 1), EQ(1.0, U), [0.2, 0.1]
+    ),
+    "surface id->exp": lambda: surface_convergence(
+        jet_identity(), jet_exp(), EQ(1.0, U), [0.1, 0.05]
+    ),
+    "surface exp->exp": lambda: surface_convergence(
+        jet_exp(), jet_exp(), EQ(1.0, U), [0.2, 0.1]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", STUDY_SHA256)
+def test_studies_are_pinned(case):
+    report = STUDIES[case]()
+    values = [[getattr(r, f.name) for f in fields(r)] for r in report.rows]
+    assert {type(v) for row in values for v in row} == {float}
+    digest = hashlib.sha256(repr([list(map(float, row)) for row in values]).encode())
+    assert digest.hexdigest() == STUDY_SHA256[case]
+
+
+def test_studies_build_no_scalar_maps_or_points(monkeypatch):
+    built = []
+    for cls in (MoebiusMap, HermitianPoint):
+        def counting(self, *args, init=cls.__init__, name=cls.__name__, **kw):
+            built.append(name)
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    frame_convergence(jet_exp(), EQ(1.0, U), [0.1])
+    surface_convergence(jet_identity(), jet_exp(), EQ(1.0, U), [0.1])
+    assert built == []
+    MoebiusMap.identity()  # the counter itself works
+    assert built == ["MoebiusMap"]

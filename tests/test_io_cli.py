@@ -242,6 +242,22 @@ class TestCli:
         assert err["error"] == "CriticalPoint"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["converge", "--lattice", "1,1,1"],
+            ["converge", "--eps", "0.1,abc"],
+            ["toda", "--grid", "4x", "--t", "0.05"],
+        ],
+    )
+    def test_malformed_option_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(out)])
+        assert info.value.code == 2
+        assert f"argument {argv[1]}: invalid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dual_subcommand(self, tmp_path, pattern_files):
         a, b = pattern_files
         frame = tmp_path / "frame.json"

@@ -2,8 +2,9 @@
 coincident-vertex check, cross ratios, closure, frame maps, the coherent
 lift, the realization and horospheres, the develop walk and the views of
 the stored rows, the lattice angle defects, the net measurement and the
-exporters that reuse its charts, and the read side of both nets (extracts,
-equidistant verification, parallel nets)."""
+exporters that reuse its charts, the read side of both nets (extracts,
+equidistant verification, parallel nets), and the smooth osculating maps
+and hyperbolic distances of the convergence studies."""
 
 import cmath
 import hashlib
@@ -31,6 +32,8 @@ from horonet.convergence import (
     _angle_defects,
     jet_exp,
     jet_identity,
+    jet_moebius,
+    jet_square,
     shear_preserving_solve,
 )
 from horonet.equidistant import (
@@ -38,7 +41,13 @@ from horonet.equidistant import (
     extract_equidistant_patterns,
     verify_equidistant,
 )
-from horonet.errors import DegenerateFace, EtaNotClosed, NonIntersectingHorospheres
+from horonet.errors import (
+    CriticalPoint,
+    DegenerateFace,
+    EtaNotClosed,
+    NonIntersectingHorospheres,
+    NotInHyperboloid,
+)
 from horonet.io import (
     dump_json,
     export_net_obj,
@@ -70,12 +79,15 @@ from horonet.moebius import (
     edge_cross_ratio,
     from_upper_half_space,
     horosphere,
+    hyperbolic_distance_rows,
     mobius_from_triples,
 )
 from horonet.osculating import (
     coherent_lift,
     osculating_frame,
     principal_sqrt_ratio,
+    smooth_osculating_rows,
+    smooth_pair_rows,
     vertex_monodromy,
 )
 from horonet.pattern import CirclePattern, cross_ratios_of, verify_closure
@@ -851,3 +863,60 @@ def test_exports_read_ring_sizes_from_the_padding(monkeypatch):
     monkeypatch.setattr(OrientedDisk, "ring_ccw", no_rings)
     for export, digest in ((export_net_obj, OBJ_SHA256), (export_net_ply, PLY_SHA256)):
         assert hashlib.sha256(export(net).encode()).hexdigest() == digest
+
+
+def _scalar_smooth_osculating(h, h1, h2, z):
+    """The scalar formula that ``smooth_osculating_rows`` replaced."""
+    hv, d1, d2 = h(z), h1(z), h2(z)
+    denom = cmath.sqrt(d1 * d1 * d1)
+    a = d1 * d1 - hv * d2 / 2.0
+    b = z * hv * d2 / 2.0 + hv * d1 - z * d1 * d1
+    c = -d2 / 2.0
+    d = z * d2 / 2.0 + d1
+    return MoebiusMap(a / denom, b / denom, c / denom, d / denom)
+
+
+@pytest.mark.parametrize("jet", [jet_exp, jet_square, lambda: jet_moebius(1.0, 0.2 + 0.1j, 0.15, 1.0)])
+def test_smooth_rows_equal_the_scalar_formula(jet):
+    jet, rng = jet(), np.random.default_rng(7)
+    z = rng.uniform(0.2, 2.0, 200) + 1j * rng.uniform(-2.0, 2.0, 200)
+    rows = smooth_osculating_rows(jet.f, jet.d1, jet.d2, z)
+    scalar = [_scalar_smooth_osculating(jet.f, jet.d1, jet.d2, w) for w in z.tolist()]
+    assert rows.T.tolist() == [list(m.entries()) for m in scalar]
+    # the pair A_exp A_jet^{-1}
+    exp = jet_exp()
+    pair = [
+        _scalar_smooth_osculating(exp.f, exp.d1, exp.d2, w).compose(m.inverse())
+        for w, m in zip(z.tolist(), scalar)
+    ]
+    assert smooth_pair_rows(jet, exp, z).T.tolist() == [list(m.entries()) for m in pair]
+
+
+def test_smooth_rows_raise_at_the_one_critical_point():
+    jet = jet_square()
+    z = np.array([0.5 + 0.1j, 1.0 + 0j, 0j, -0.3 + 0.2j])
+    with pytest.raises(CriticalPoint, match=re.escape("h'(0j) = 0")):
+        smooth_osculating_rows(jet.f, jet.d1, jet.d2, z)
+
+
+def _scalar_distance(x, y):
+    """The scalar formula that ``hyperbolic_distance_rows`` replaced."""
+    if not x.is_hyperboloid(1e-8) or not y.is_hyperboloid(1e-8):
+        raise NotInHyperboloid("distance requires hyperboloid points")
+    c = -inner(x, y)
+    roundoff = 2.0**-53 * (abs(x.a * y.d) + abs(x.d * y.a) + 2.0 * abs(x.b) * abs(y.b))
+    if c < 1.0 - 1e-10 - 32.0 * roundoff:
+        raise NotInHyperboloid(f"pairing -<x,y> = {c} below 1")
+    return math.acosh(max(c, 1.0))
+
+
+def test_distance_rows_equal_the_scalar_formula_and_reject_one_bad_row():
+    net, _ = _toda_nets(6)
+    x, y = net.points, np.roll(net.points, 7, axis=0)
+    assert hyperbolic_distance_rows(x, y).tolist() == [
+        _scalar_distance(a, b) for a, b in zip(net.f, net.f[-7:] + net.f[:-7])
+    ]
+    bad = y.copy()
+    bad[11, 0] *= 2.0  # det of that row moves off 1
+    with pytest.raises(NotInHyperboloid, match="distance requires hyperboloid points"):
+        hyperbolic_distance_rows(x, bad)
