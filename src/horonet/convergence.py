@@ -4,10 +4,12 @@ smooth counterparts.
 
 The studies take the pattern of a smooth map from the shear-preserving
 solve, which finds vertex scale factors making the rescaled lattice flat at
-interior vertices with boundary factors log |h'|.  The solved pattern
-shares the lattice's shear coordinates exactly up to layout roundoff, which
-is what the CMC-1 construction needs; pointwise samples h(v)
-(``sampled_pattern``) do not.
+interior vertices with boundary factors log |h'|, then lays the flat metric
+out one level of a dual tree at a time and hands the positions to
+``CirclePattern`` as one complex array.  The solved pattern shares the
+lattice's shear coordinates exactly up to layout roundoff, which is what
+the CMC-1 construction needs; pointwise samples h(v) (``sampled_pattern``)
+do not.
 
 The studies read the frame's entries, the net's points and the disk's edge
 tables.  The smooth references are ``smooth_osculating_rows`` at every face
@@ -200,14 +202,12 @@ def shear_preserving_solve(
 
     Newton iteration on vertex scale factors (boundary fixed at log |h'|)
     drives the interior angle defects to zero; the flat metric is then laid
-    out in the plane anchored at the most central vertex.
+    out in the plane from the most central vertex's first face, one level of
+    that face's dual tree per array step (``_layout``), and the positions
+    enter the pattern as one (V,) complex array.
     """
     disk = patch.disk
     n = disk.n_vertices
-    base_log_len = {
-        e: math.log(abs(patch.positions[e[1]] - patch.positions[e[0]]))
-        for e in disk.edges
-    }
     d1 = cabs(np.array(list(map(jet.d1, patch.positions)), dtype=complex))
     if (zero := d1 == 0).any():
         v = int(zero.argmax())
@@ -245,8 +245,7 @@ def shear_preserving_solve(
                 f"angle defects stalled at {np.abs(f_val).max():.2e}"
             )
 
-    z = _layout(patch, u, base_log_len, jet)
-    pattern = CirclePattern(disk, z)
+    pattern = CirclePattern(disk, _layout(patch, u, jet))
     xt = cross_ratios_of(pattern)
     bad = xt.delaunay_violations(TOL_SOLVED_DELAUNAY)
     if bad:
@@ -258,40 +257,54 @@ def shear_preserving_solve(
     return pattern
 
 
-def _layout(patch: LatticePatch, u, base_log_len, jet: Jet):
-    """Lay out the rescaled flat metric; anchored at the most central vertex."""
-    disk = patch.disk
+def _layout(patch: LatticePatch, u, jet: Jet) -> np.ndarray:
+    """Lay out the rescaled flat metric as a (V,) complex array from the
+    first face of the most central vertex.  Each other vertex l is placed
+    left of b -> a by the first entry of that face's dual tree crossing
+    some a -> b into a face with apex l, one tree level per array step."""
+    disk, pos = patch.disk, np.array(patch.positions)
     x0, x1, y0, y1 = patch.spec.rect
-    center = complex((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-    anchor = min(
-        range(disk.n_vertices), key=lambda v: abs(patch.positions[v] - center)
-    )
+    anchor = np.argmin(cabs(pos - complex((x0 + x1) / 2.0, (y0 + y1) / 2.0)))
     seed_face = int(disk.first_faces[anchor])
-
-    def length(a, b):
-        return math.exp(base_log_len[(min(a, b), max(a, b))] + (u[a] + u[b]) / 2)
-
-    z: list = [None] * disk.n_vertices
-    i, j, k = disk.face_vertices(seed_face)
-    z[i] = jet.f(patch.positions[i])
-    direction = jet.f(patch.positions[j]) - jet.f(patch.positions[i])
-    direction /= abs(direction)
-    z[j] = z[i] + length(i, j) * direction
-    z[k] = _third_point(z[i], z[j], length(i, k), length(j, k))
-    for (_, _, (a, b)) in disk.dual_tree(seed_face):
-        l = disk.apex(b, a)
-        if z[l] is None:
-            # face (b, a, l) is counterclockwise: l left of b -> a
-            z[l] = _third_point(z[b], z[a], length(b, l), length(a, l))
+    i, j, k = seed = disk.face_array[seed_face].tolist()
+    tree = disk.dual_tree(seed_face)
+    quads = disk.edge_quads
+    _, tail, across, head = np.vstack((quads, quads[:, [2, 3, 0, 1]]))[tree.edge].T
+    apex, first = np.unique(across, return_index=True)
+    first = np.sort(first[~np.isin(apex, seed)])
+    # the seed's k, left of i -> j, comes first, at depth 0
+    b, a, l = (np.append(v, w[first]) for v, w in ((i, head), (j, tail), (k, across)))
+    depth = np.append(0, tree.depth[first])
+    # side lengths exp(log |p_x - p_y| + (u_x + u_y) / 2) of (i, j), (b, l),
+    # (a, l), by math.log and math.exp: numpy's differ in the last bit
+    x, y = np.concatenate(([i], b, a)), np.concatenate(([j], l, l))
+    logs = np.array(list(map(math.log, cabs(pos[y] - pos[x]).tolist())))
+    lij, *r = map(math.exp, (logs + (u[x] + u[y]) / 2).tolist())
+    ra, rb = np.reshape(r, (2, -1))
+    z = np.zeros(disk.n_vertices, dtype=complex)
+    z[i] = zi = jet.f(patch.positions[i])
+    direction = jet.f(patch.positions[j]) - zi
+    z[j] = zi + lij * (direction / abs(direction))
+    for level in np.split(np.arange(len(l)), np.flatnonzero(np.diff(depth)) + 1):
+        # face (b, a, l) is counterclockwise: l left of b -> a
+        z[l[level]] = _third_point(z[b[level]], z[a[level]], ra[level], rb[level])
     return z
 
 
 def _third_point(za, zb, ra, rb):
-    """Point at distances (ra, rb) from (za, zb), left of za -> zb."""
-    d = abs(zb - za)
+    """Points at distances (ra, rb) from (za, zb), left of za -> zb, per row,
+    rounded as za + complex(x, y) * (zb - za) / d is: the quotient by the
+    float d as the quotient by complex(d, 0.0)."""
+    w = zb - za
+    d = cabs(w)
     x = (d * d + ra * ra - rb * rb) / (2.0 * d)
-    y = math.sqrt(max(ra * ra - x * x, 0.0))
-    return za + complex(x, y) * (zb - za) / d
+    y = ra * ra - x * x
+    y = np.sqrt(np.where(y < 0.0, 0.0, y))
+    re, im = x * w.real - y * w.imag, x * w.imag + y * w.real
+    z = za.copy()
+    z.real += (re + im * 0.0) / d
+    z.imag += (im - re * 0.0) / d
+    return z
 
 
 # -- discrete Schwarzians and derivatives ----------------------------------
@@ -396,7 +409,7 @@ def frame_convergence(jet: Jet, spec_template: LatticeSpec, eps_list) -> Converg
     for eps in eps_list:
         spec = replace(spec_template, eps=eps)
         patch = lattice_subcomplex(spec)
-        lattice = CirclePattern(patch.disk, patch.positions)
+        lattice = CirclePattern(patch.disk, np.array(patch.positions))
         target = shear_preserving_solve(patch, jet)
         x, xt = cross_ratios_of(lattice), cross_ratios_of(target)
         frame = coherent_lift(osculating_frame(lattice, target), x, xt)
@@ -453,14 +466,13 @@ def surface_convergence(
         row = ConvergenceRow(eps)
         ref = realization_rows(smooth_pair_rows(jet_g, jet_gt, _barycenters(patch)).T)
         row.surface_error = float(hyperbolic_distance_rows(net.points, ref).max())
-        hopf = 0.0
+        hopf, l1, w23 = 0.0, spec.length(1), spec.omega(2) * spec.omega(3)
         for v, e in zip(*(a.tolist() for a in _shift_edges(patch, 1))):
             em = net.edge_measure[patch.disk.interior_edges[e]]
             val = em.ell * math.tan(em.alpha / 2.0) / (eps * eps)
             z = patch.positions[v]
             q = (jet_g.schwarzian(z) - jet_gt.schwarzian(z)) / 2.0
-            ref = spec.length(1) * (spec.omega(2) * spec.omega(3) * q).real
-            hopf = max(hopf, abs(val - ref))
+            hopf = max(hopf, abs(val - l1 * (w23 * q).real))
         row.hopf_error = hopf
         report.rows.append(row)
     return report

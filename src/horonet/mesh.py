@@ -29,6 +29,7 @@ measured.
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import itertools
 import math
@@ -64,6 +65,9 @@ def _split(values: list, sizes: np.ndarray) -> tuple:
 def _prefixes(table: np.ndarray, sizes: np.ndarray) -> tuple:
     """The first ``sizes[r]`` entries of each row r of ``table``, as tuples."""
     return tuple([tuple(row[:k]) for row, k in zip(table.tolist(), sizes.tolist())])
+
+
+DualTree = collections.namedtuple("DualTree", "parent child edge depth")  # see dual_tree
 
 
 class OrientedDisk:
@@ -137,7 +141,11 @@ class OrientedDisk:
         self.edges = tuple(zip((canon[first] // n).tolist(), (canon[first] % n).tolist()))
         interior = np.append(~first[1:], False)[first]
         self.interior_edges = tuple(itertools.compress(self.edges, interior.tolist()))
-        self._forward = np.where(tail[a] < head[a], a, b)  # i -> j per interior edge
+        ij = self._forward = np.where(tail[a] < head[a], a, b)  # i -> j per interior edge
+        # per corner the row of its edge, e for interior_edges[e] as i -> j
+        # and E + e as j -> i; -1 on the boundary and past the end, at n_c
+        rows = self._corner_rows = np.full(n_c + 1, -1)
+        rows[ij], rows[twin[ij]] = np.arange(len(ij)), np.arange(len(ij), 2 * len(ij))
 
         # around v the corner after c (v -> w) is v -> before[c], the twin of
         # the corner before c; a walk starts at the first out-edge in key
@@ -162,21 +170,21 @@ class OrientedDisk:
 
         self._left = dict(zip(key.tolist(), face.tolist()))
         # dual edges sorted by (face f, neighbour g, directed edge): entry k
-        # has f left of the corner _dual_edges[k] and g right of it.  Row f
-        # of _dual_rows holds the g of the entries from _dual_starts[f] on,
-        # then F past the end.
+        # has f left of the edge of row _dual_edges[k] and g right of it.
+        # Row f of _dual_rows holds the g of the entries from _dual_starts[f]
+        # on, then F past the end.
         c = order[twin[order] < n_c]
         f, g = face[c], face[twin[c]]
         by_face = np.argsort(f * n_f + g, kind="stable")
         f, g = f[by_face], g[by_face]
-        self._dual_edges = c[by_face]
+        self._dual_edges = self._corner_rows[c[by_face]]
         per_face = np.bincount(f, minlength=n_f)
         starts = np.cumsum(per_face) - per_face
         rows = np.full((n_f, per_face.max()), n_f)
         rows[f, np.arange(len(c)) - starts[f]] = g
         self._dual_rows, self._dual_starts = rows.tolist(), starts.tolist()
         self._dual_trees: dict = {}
-        if len(self.dual_tree(0)) != n_f - 1:
+        if len(self.dual_tree(0).child) != n_f - 1:
             raise NotADisk("dual graph is disconnected")
         # a connected surface with Euler characteristic 2 - 2 genus - loops
         # equal to 1 has genus 0 and one boundary loop
@@ -199,12 +207,16 @@ class OrientedDisk:
         walk = self._walk
         return _prefixes(np.take(face, walk, mode="clip"), (walk < len(face)).sum(axis=1))
 
-    def dual_tree(self, root: int = 0):
+    def dual_tree(self, root: int = 0) -> DualTree:
         """Breadth-first dual spanning tree from face ``root``, cached per root.
 
-        Entries ``(f, g, (i, j))`` come in visiting order: f is the root or an
-        earlier g and lies left of i -> j, and g is the new face on its right;
-        the neighbours g of f are visited in increasing order.
+        Read-only (F - 1,) int arrays, one entry per face but the root, in
+        visiting order: entry k crosses from ``parent[k]``, the root or an
+        earlier child, to ``child[k]`` over the interior edge i -> j with the
+        parent on its left.  ``edge[k]`` is the row of i -> j, e for
+        ``interior_edges[e]`` as i -> j, i < j, and E + e as j -> i, and
+        ``depth[k]`` the child's depth, found by pointer jumping.  The
+        neighbours of a face are visited in increasing order.
         """
         tree = self._dual_trees.get(root)
         if tree is None:
@@ -220,8 +232,15 @@ class OrientedDisk:
                         order.append(g)
                         parent.append(f)
                         via.append(starts[f] + row.index(g))  # its first entry
-            edges = zip(*self._corners[:2, self._dual_edges[via]].tolist())
-            tree = self._dual_trees[root] = tuple(zip(parent, order[1:], edges))
+            child, parent = np.array(order[1:], dtype=np.intp), np.array(parent, dtype=np.intp)
+            up = np.arange(self.n_faces)  # per face an ancestor, hops up
+            up[child] = parent
+            hops = (up != np.arange(self.n_faces)).astype(np.intp)
+            while (up[up] != up).any():
+                hops, up = hops + hops[up], up[up]
+            tree = self._dual_trees[root] = DualTree(
+                *map(_readonly, (parent, child, self._dual_edges[via], hops[child]))
+            )
         return tree
 
     def is_interior_edge(self, i: int, j: int) -> bool:
@@ -290,7 +309,6 @@ class TriangulatedDisk(OrientedDisk):
         )
         self.edge_faces = _readonly(np.column_stack((face[ij], face[ji])))
         self.edge_index = dict(zip(self.interior_edges, itertools.count()))
-        self._vertex_sums = self.face_array.sum(axis=1).tolist()
         self._directed = self._rings = None
 
     def interior_stars(self):
@@ -323,22 +341,11 @@ class TriangulatedDisk(OrientedDisk):
         per interior vertex: (V_int, d) int with -1 past the end of a shorter
         ring.  Built on first request."""
         if self._rings is None:
-            twin = self._corners[4]
-            ij, n_e = self._forward, len(self._forward)
-            row = np.full(len(twin) + 1, -1)  # past the end of a walk: -1
-            row[ij], row[twin[ij]] = np.arange(n_e), np.arange(n_e, 2 * n_e)
             # corner m of an interior walk is v -> ring_ccw(v)[m]
-            table = row[self._walk[list(self.interior_vertices)]]
+            table = self._corner_rows[self._walk[list(self.interior_vertices)]]
             width = (table >= 0).sum(axis=1).max(initial=0)
             self._rings = _readonly(table[:, :width])
         return self._rings
-
-    def apex(self, i: int, j: int) -> int:
-        """Third vertex of the face left of i -> j: its vertex sum less i, j."""
-        n = self.n_vertices
-        if not 0 <= j < n:
-            raise KeyError((i, j))
-        return self._vertex_sums[self._left[i * n + j]] - i - j
 
 
 def build_disk(faces) -> TriangulatedDisk:

@@ -496,6 +496,16 @@ def norm_rows(z) -> np.ndarray:
     return np.reshape(list(map(math.hypot, *m)), np.shape(z)[:-1])
 
 
+def sphere_rows(z) -> np.ndarray:
+    """The pairs z, (N, 2), each divided by max(|p|, |q|) as
+    ``SpherePoint.from_homogeneous`` divides it; raises CoincidentPoints as
+    it does where that scale is zero or not finite."""
+    s = np.maximum(cabs(z[:, 0]), cabs(z[:, 1]))
+    if not (np.isfinite(s) & (s > 0)).all():
+        raise CoincidentPoints("homogeneous pair must be finite and nonzero")
+    return cdiv(z, s[:, None])
+
+
 def chordal_rows(z, pairs) -> np.ndarray:
     """``SpherePoint.chordal`` between z[i] and z[j] of the pairs z, (V, 2),
     per row (..., i, j) of ``pairs``."""

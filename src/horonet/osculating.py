@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import (
     BoundaryEdge,
-    CoincidentPoints,
     CriticalPoint,
     DegenerateFace,
     DegenerateTriple,
@@ -40,7 +39,7 @@ from .errors import (
     NotDelaunay,
     SingularMatrix,
 )
-from .mesh import TriangulatedDisk, _canon
+from .mesh import TriangulatedDisk
 from .moebius import (
     MoebiusMap,
     act_on_hermitian_rows,
@@ -51,6 +50,7 @@ from .moebius import (
     csqrt,
     det2_rows,
     mobius_rows,
+    sphere_rows,
     sq_abs,
 )
 from .pattern import CirclePattern, CrossRatioSystem, cross_ratios_of
@@ -217,12 +217,16 @@ def tree_signs(disk: TriangulatedDisk, flip) -> np.ndarray:
     """Per face, whether its sign is negated: face 0 keeps its sign, and each
     face g reached from f across a dual tree edge e takes the sign of f,
     negated where ``flip[e]`` is set; ``flip`` is (E,) in the order of
-    ``disk.interior_edges``.  Returns a (F,) bool array."""
-    flip = flip.tolist()
-    negated = [False] * disk.n_faces
-    for f, g, e in disk.dual_tree():
-        negated[g] = negated[f] != flip[disk.edge_index[_canon(*e)]]
-    return np.array(negated)
+    ``disk.interior_edges``.  The flips are XORed up the cached tree by
+    pointer jumping.  Returns a (F,) bool array."""
+    parent, child, edge, _ = disk.dual_tree()
+    up = np.arange(disk.n_faces)  # per face an ancestor, face 0 once all are reached
+    up[child] = parent
+    negated = np.zeros(disk.n_faces, dtype=bool)  # the flips' parity up to it
+    negated[child] = flip[edge % len(disk.interior_edges)]
+    while up.any():
+        negated, up = negated ^ negated[up], up[up]
+    return negated
 
 
 def coherent_lift(
@@ -237,7 +241,7 @@ def coherent_lift(
     (-pi/2, pi/2].  Then every interior edge e gets at once its eigenvalue
     lambda_e of A_right^{-1} A_left at the tail z_i, from the unsigned maps,
     and the sign c_e that moves lambda_e to the branch nearest
-    lambda*_e = sqrt(X / X~).  One integer walk over the cached dual tree
+    lambda*_e = sqrt(X / X~).  Pointer jumping up the cached dual tree
     gives each face g reached from f across e the sign s_g = s_f c_e, so the
     signed eigenvalue s_left s_right lambda_e is on that branch on every
     tree edge.  A non-tree edge off it means the vertex monodromy is -I and
@@ -328,17 +332,14 @@ def integrate_eta(gauss: CirclePattern, points, lam):
         raise EtaNotClosed(f"per-vertex eta product deviates from I by {worst:.2e}")
 
     # B_g = eta_ij B_f for the tree edge from f across i -> j to g, one
-    # array step per level of the breadth-first tree
-    depth, steps = [0] * disk.n_faces, []
-    for f, g, (i, j) in disk.dual_tree():
-        depth[g] = depth[f] + 1  # eta_ij is the table row of j -> i
-        steps.append((f, g, disk.edge_index[_canon(i, j)] + (0 if j < i else len(tail))))
-    steps = np.array(steps, dtype=int).reshape(-1, 3)
+    # array step per level of the breadth-first tree; eta_ij is the table
+    # row of j -> i
+    parent, child, edge, depth = disk.dual_tree()
+    row = (edge + len(tail)) % (2 * len(tail))
     b_maps = np.zeros((4, disk.n_faces), dtype=complex)
     b_maps[[0, 3], 0] = 1.0
-    for level in np.split(steps, np.flatnonzero(np.diff(np.take(depth, steps[:, 1]))) + 1):
-        f, g, row = level.T
-        b_maps[:, g] = compose_rows(table[:, row], b_maps[:, f])
+    for level in np.split(np.arange(len(row)), np.flatnonzero(np.diff(depth)) + 1):
+        b_maps[:, child[level]] = compose_rows(table[:, row[level]], b_maps[:, parent[level]])
 
     # right constant from C C* = f_root (principal PSD square root)
     a, b, d = points[0].tolist()
@@ -351,10 +352,7 @@ def integrate_eta(gauss: CirclePattern, points, lam):
     ea, eb, ec, ed = entries[disk.first_faces].T
     p, q = zh.T
     z = np.column_stack((cmul(ed, p) + cmul(-eb, q), cmul(-ec, p) + cmul(ea, q)))
-    size = np.maximum(cabs(z[:, 0]), cabs(z[:, 1]))
-    if not (np.isfinite(size) & (size > 0)).all():
-        raise CoincidentPoints("homogeneous pair must be finite and nonzero")
-    source = CirclePattern(disk, cdiv(z, size[:, None]))
+    source = CirclePattern(disk, sphere_rows(z))
     frame = MoebiusFrame(source, gauss, entries, lift="coherent")
 
     scale = np.maximum(np.maximum(points[:, 0].real, points[:, 2].real), 1.0)

@@ -16,6 +16,7 @@ from .moebius import (
     chordal_rows,
     cmul,
     cross_ratio_rows,
+    sphere_rows,
 )
 
 TOL_CLOSURE_INPUT = 1e-8
@@ -35,8 +36,10 @@ class CirclePattern:
     """Realization of a triangulated disk in the Riemann sphere.
 
     ``zh`` holds the points as a read-only (V, 2) complex array of pairs
-    (p, q), scaled as SpherePoint.of scales them.  Positions pass through
-    SpherePoint.of, or come as such an array from ``develop`` and the nets.
+    (p, q), scaled as SpherePoint.of scales them.  Positions come as such an
+    array from ``develop`` and the nets, as a (V,) complex array whose pairs
+    (z, 1) are scaled here as SpherePoint.of scales them, or as a sequence
+    whose items pass through SpherePoint.of.
     """
 
     def __init__(self, disk: TriangulatedDisk, z):
@@ -45,6 +48,8 @@ class CirclePattern:
         self.disk = disk
         if isinstance(z, np.ndarray) and z.ndim == 2:
             self.zh = z
+        elif isinstance(z, np.ndarray):
+            self.zh = sphere_rows(np.column_stack((z, np.ones(len(z)))))
         else:
             self.zh = np.array([(p.p, p.q) for p in map(SpherePoint.of, z)], dtype=complex)
         self.zh.setflags(write=False)
@@ -185,15 +190,13 @@ def develop(
     quads = disk.edge_quads
     apex, tail, across, head = np.vstack((quads, quads[:, [2, 3, 0, 1]])).T.tolist()
     values = x.array.tolist() * 2
-    corner_row = np.full(3 * disk.n_faces, -1)
-    corner_row[disk.directed_edges()[:, 2]] = np.arange(2 * len(quads))
-    corner_rows = corner_row.reshape(-1, 3).tolist()
+    corner_rows = disk._corner_rows[:-1].reshape(-1, 3).tolist()
 
     p, q = [None] * disk.n_vertices, [None] * disk.n_vertices
     for v, z in zip(disk.face_vertices(seed_face), seed_pts):
         p[v], q[v] = z.p, z.q
     max_mismatch = 0.0
-    for f in [seed_face] + [g for (_, g, _) in disk.dual_tree(seed_face)]:
+    for f in [seed_face] + disk.dual_tree(seed_face).child.tolist():
         for r in corner_rows[f]:
             if r < 0:
                 continue

@@ -1,5 +1,4 @@
 import cmath
-import itertools
 import math
 from dataclasses import replace
 
@@ -37,6 +36,7 @@ from horonet.moebius import (
 )
 from horonet.pattern import CirclePattern, cross_ratios_of, shear_match
 from horonet.toda import cmc1_from_toda, square_grid_toda
+from test_acceptance import pair_distances
 from test_kernels import net_of_objects
 
 
@@ -99,11 +99,8 @@ class TestBuildCmc1:
         src = toda_net.frame.source.moebius_image(u)
         tgt = toda_net.frame.target.moebius_image(m)
         moved = build_cmc1(src, tgt)
-        faces = list(range(0, toda_net.disk.n_faces, 5))
-        for a, b in itertools.combinations(faces, 2):
-            d0 = hyperbolic_distance(toda_net.f[a], toda_net.f[b])
-            d1 = hyperbolic_distance(moved.f[a], moved.f[b])
-            assert abs(d0 - d1) < 1e-10 * max(1.0, d0)
+        d0, d1 = pair_distances(toda_net, 5), pair_distances(moved, 5)
+        assert (np.abs(d0 - d1) < 1e-10 * np.maximum(1.0, d0)).all()
 
 
 class TestMeasure:
@@ -303,11 +300,8 @@ class TestDual:
 
     def test_double_dual_distances(self, toda_net):
         dd = dual_surface(dual_surface(toda_net))
-        faces = list(range(0, toda_net.disk.n_faces, 6))
-        for a, b in itertools.combinations(faces, 2):
-            d0 = hyperbolic_distance(toda_net.f[a], toda_net.f[b])
-            d1 = hyperbolic_distance(dd.f[a], dd.f[b])
-            assert abs(d0 - d1) <= 1e-9
+        d0, d1 = pair_distances(toda_net, 6), pair_distances(dd, 6)
+        assert (np.abs(d0 - d1) <= 1e-9).all()
 
     def test_dual_ratio_one(self, toda_net):
         dual = dual_surface(toda_net)
@@ -329,11 +323,8 @@ class TestExtract:
         assert shear_match(x, xt) <= 1e-8
         assert x.is_delaunay(1e-8) and xt.is_delaunay(1e-8)
         rebuilt = build_cmc1(zsrc, ztgt)
-        faces = list(range(0, toda_net.disk.n_faces, 6))
-        for a, b in itertools.combinations(faces, 2):
-            d0 = hyperbolic_distance(toda_net.f[a], toda_net.f[b])
-            d1 = hyperbolic_distance(rebuilt.f[a], rebuilt.f[b])
-            assert abs(d0 - d1) <= 1e-8
+        d0, d1 = pair_distances(toda_net, 6), pair_distances(rebuilt, 6)
+        assert (np.abs(d0 - d1) <= 1e-8).all()
 
     def test_degenerate_rejected(self, hex_pattern):
         net = build_cmc1(hex_pattern, hex_pattern)

@@ -20,7 +20,7 @@ from horonet.convergence import (
 )
 from horonet.errors import CriticalPoint, DomainExhausted, FoldOver, NotShearMatched
 from horonet.mesh import LatticeSpec, lattice_subcomplex
-from horonet.moebius import HermitianPoint, MoebiusMap
+from horonet.moebius import HermitianPoint, MoebiusMap, SpherePoint
 from horonet.pattern import CirclePattern, cross_ratios_of, shear_match
 
 EQ = LatticeSpec.equilateral
@@ -270,3 +270,18 @@ def test_studies_build_no_scalar_maps_or_points(monkeypatch):
     assert built == []
     MoebiusMap.identity()  # the counter itself works
     assert built == ["MoebiusMap"]
+
+
+def test_solve_and_frame_study_make_no_sphere_points(monkeypatch):
+    made, of = [], SpherePoint.of
+
+    def counting(value):
+        made.append(value)
+        return of(value)
+
+    monkeypatch.setattr(SpherePoint, "of", staticmethod(counting))
+    shear_preserving_solve(lattice_subcomplex(EQ(0.1, U)), jet_exp())
+    frame_convergence(jet_exp(), EQ(1.0, U), [0.1])
+    assert made == []
+    SpherePoint.of(0.5)  # the counter itself works
+    assert made == [0.5]

@@ -1,6 +1,6 @@
-import itertools
 import math
 
+import numpy as np
 import pytest
 
 from horonet.equidistant import (
@@ -12,7 +12,6 @@ from horonet.equidistant import (
 from horonet.errors import FrameUnavailable, NotAngleMatched, NotEquidistant
 from horonet.moebius import (
     hermitian_points,
-    hyperbolic_distance,
     inner,
     mobius_from_triples,
     act_on_hermitian,
@@ -20,6 +19,8 @@ from horonet.moebius import (
 )
 from horonet.pattern import CirclePattern, angle_match, cross_ratios_of
 from horonet.toda import equidistant_from_toda, square_grid_toda
+from test_acceptance import pair_distances
+from test_mesh import apex
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +86,7 @@ class TestVerify:
         checked = 0
         for (i, j) in disk.interior_edges:
             fl, fr = disk.left_face(i, j), disk.right_face(i, j)
-            k = disk.apex(i, j)
+            k = apex(disk, i, j)
             m = mobius_from_triples(gauss[i], gauss[j], gauss[k], 0.0, "inf", 1.0)
             wl, tl = to_upper_half_space(act_on_hermitian(m, net.f[fl]))
             wr, tr = to_upper_half_space(act_on_hermitian(m, net.f[fr]))
@@ -103,11 +104,8 @@ class TestExtract:
         x, xt = cross_ratios_of(zsrc), cross_ratios_of(ztgt)
         assert angle_match(x, xt) <= 1e-8
         rebuilt = build_equidistant(zsrc, ztgt)
-        faces = list(range(0, toda_equidistant.disk.n_faces, 6))
-        for a, b in itertools.combinations(faces, 2):
-            d0 = hyperbolic_distance(toda_equidistant.f[a], toda_equidistant.f[b])
-            d1 = hyperbolic_distance(rebuilt.f[a], rebuilt.f[b])
-            assert abs(d0 - d1) <= 1e-8
+        d0, d1 = pair_distances(toda_equidistant, 6), pair_distances(rebuilt, 6)
+        assert (np.abs(d0 - d1) <= 1e-8).all()
 
     def test_degenerate_flagged(self, hex_pattern):
         net = build_equidistant(hex_pattern, hex_pattern)

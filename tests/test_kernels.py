@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from test_acceptance import _random_delaunay_pair
+from test_mesh import apex, tree_entries
 
 from horonet.cmc1 import (
     EdgeMeasure,
@@ -29,6 +30,7 @@ from horonet.cmc1 import (
 )
 from horonet import convergence
 from horonet.convergence import (
+    JETS,
     _angle_defects,
     jet_exp,
     jet_identity,
@@ -173,7 +175,7 @@ def test_index_tables(toda_pair):
     assert len(disk.edge_quads) == len(disk.edge_faces) == len(disk.interior_edges)
     for e, (i, j) in enumerate(disk.interior_edges):
         assert disk.edge_index[(i, j)] == e
-        assert tuple(disk.edge_quads[e]) == (disk.apex(i, j), i, disk.apex(j, i), j)
+        assert tuple(disk.edge_quads[e]) == (apex(disk, i, j), i, apex(disk, j, i), j)
         faces = (disk.left_face(i, j), disk.right_face(i, j))
         assert tuple(disk.edge_faces[e]) == faces
     for v, star in zip(disk.interior_vertices, disk.interior_stars()):
@@ -265,7 +267,7 @@ def _sequential_lift(frame, x, xt):
     if phi <= -math.pi / 2 or phi > math.pi / 2:
         maps[0] = m.negate()
     lambdas = {}
-    for (f, g, (i, j)) in disk.dual_tree():
+    for (f, g, (i, j)) in tree_entries(disk, disk.dual_tree()):
         left, right = (f, g) if i < j else (g, f)
         t = maps[right].inverse().compose(maps[left])
         lam = _rayleigh(t, z[min(i, j)])
@@ -376,16 +378,82 @@ def _scalar_develop(disk, x, seed):
     z = [None] * disk.n_vertices
     for v, p in zip(disk.face_vertices(0), map(SpherePoint.of, seed)):
         z[v] = p
-    for f in [0] + [g for (_, g, _) in disk.dual_tree()]:
+    for f in [0] + disk.dual_tree().child.tolist():
         i0, j0, k0 = disk.face_vertices(f)
         for (i, j) in ((i0, j0), (j0, k0), (k0, i0)):
-            if disk.is_interior_edge(i, j) and z[disk.apex(j, i)] is None:
-                zi, zj, zk = z[i], z[j], z[disk.apex(i, j)]
+            if disk.is_interior_edge(i, j) and z[apex(disk, j, i)] is None:
+                zi, zj, zk = z[i], z[j], z[apex(disk, i, j)]
                 u, v = x.x(i, j) * det2(zj, zk), det2(zi, zk)
-                z[disk.apex(j, i)] = SpherePoint.from_homogeneous(
+                z[apex(disk, j, i)] = SpherePoint.from_homogeneous(
                     u * zi.p + v * zj.p, u * zi.q + v * zj.q
                 )
     return tuple(z)
+
+
+def _scalar_layout(patch, u, jet):
+    """The scalar walk that ``convergence._layout`` replaced, kept as its
+    reference: one ``_scalar_third_point`` per vertex, in the visiting order
+    of the seed face's dual tree."""
+    disk = patch.disk
+    base_log_len = {
+        e: math.log(abs(patch.positions[e[1]] - patch.positions[e[0]]))
+        for e in disk.edges
+    }
+    x0, x1, y0, y1 = patch.spec.rect
+    center = complex((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+    anchor = min(
+        range(disk.n_vertices), key=lambda v: abs(patch.positions[v] - center)
+    )
+    seed_face = int(disk.first_faces[anchor])
+
+    def length(a, b):
+        return math.exp(base_log_len[(min(a, b), max(a, b))] + (u[a] + u[b]) / 2)
+
+    z: list = [None] * disk.n_vertices
+    i, j, k = disk.face_vertices(seed_face)
+    z[i] = jet.f(patch.positions[i])
+    direction = jet.f(patch.positions[j]) - jet.f(patch.positions[i])
+    direction /= abs(direction)
+    z[j] = z[i] + length(i, j) * direction
+    z[k] = _scalar_third_point(z[i], z[j], length(i, k), length(j, k))
+    for (_, _, (a, b)) in tree_entries(disk, disk.dual_tree(seed_face)):
+        l = apex(disk, b, a)
+        if z[l] is None:
+            # face (b, a, l) is counterclockwise: l left of b -> a
+            z[l] = _scalar_third_point(z[b], z[a], length(b, l), length(a, l))
+    return z
+
+
+def _scalar_third_point(za, zb, ra, rb):
+    """Point at distances (ra, rb) from (za, zb), left of za -> zb."""
+    d = abs(zb - za)
+    x = (d * d + ra * ra - rb * rb) / (2.0 * d)
+    y = math.sqrt(max(ra * ra - x * x, 0.0))
+    return za + complex(x, y) * (zb - za) / d
+
+
+@pytest.mark.parametrize(
+    "jet, eps",
+    [(jet, eps) for jet in ("id", "exp", "moebius") for eps in (0.1, 0.05)]
+    + [("square", 0.05), ("square", 0.025)],
+)
+def test_layout_matches_the_scalar_walk(jet, eps, monkeypatch):
+    """The solve's pattern is, bit for bit, the pattern of the scalar walk's
+    list of positions over the same scale factors; h(z) = z^2 on a patch
+    off its critical point."""
+    calls, layout = [], convergence._layout
+
+    def recording(*args):
+        calls.append(args)
+        return layout(*args)
+
+    monkeypatch.setattr(convergence, "_layout", recording)
+    rect = (0.5, 1.5, 0.5, 1.5) if jet == "square" else (0.0, 1.0, 0.0, 1.0)
+    patch = lattice_subcomplex(EQ(eps, rect))
+    solved = shear_preserving_solve(patch, JETS[jet]())
+    ((_, u, smooth),) = calls
+    reference = CirclePattern(patch.disk, _scalar_layout(patch, u, smooth))
+    assert solved.zh.tobytes() == reference.zh.tobytes()
 
 
 @pytest.mark.parametrize("case", ["toda6", "lattice"])

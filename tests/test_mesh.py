@@ -22,14 +22,26 @@ from horonet.mesh import (
 from horonet.toda import CellDecomposition, square_grid, triangulate
 
 
+def apex(disk, i, j):
+    """Third vertex of the face left of i -> j."""
+    return sum(disk.faces[disk.left_face(i, j)]) - i - j
+
+
+def tree_entries(disk, tree):
+    """A dual tree's entries as (f, g, (i, j)) tuples, in visiting order."""
+    n_e = len(disk.interior_edges)
+    crossed = [disk.interior_edges[r % n_e][:: 1 if r < n_e else -1] for r in tree.edge.tolist()]
+    return list(zip(tree.parent.tolist(), tree.child.tolist(), crossed))
+
+
 class TestBuildDisk:
     def test_two_triangle_disk(self):
         disk = build_disk([(0, 1, 2), (1, 0, 3)])
         assert disk.interior_edges == ((0, 1),)
         assert disk.left_face(0, 1) == 0
         assert disk.right_face(0, 1) == 1
-        assert disk.apex(0, 1) == 2
-        assert disk.apex(1, 0) == 3
+        assert apex(disk, 0, 1) == 2
+        assert apex(disk, 1, 0) == 3
 
     def test_single_triangle(self):
         disk = build_disk([(0, 1, 2)])
@@ -113,15 +125,18 @@ class TestBuildDisk:
         assert central_face != 0
         for root in (0, central_face):
             tree = disk.dual_tree(root)
-            assert len(tree) == disk.n_faces - 1
-            reached = [root]
-            for (f, g, (i, j)) in tree:
+            assert len(tree.child) == disk.n_faces - 1
+            reached, depth = [root], {root: 0}
+            for (f, g, (i, j)), d in zip(tree_entries(disk, tree), tree.depth.tolist()):
                 assert f in reached and g not in reached
                 assert disk.left_face(i, j) == f
                 assert disk.right_face(i, j) == g
+                assert d == depth[f] + 1
+                depth[g] = d
                 reached.append(g)
             assert sorted(reached) == list(range(disk.n_faces))
             assert disk.dual_tree(root) is tree
+            assert not any(a.flags.writeable for a in tree)
 
 
 class TestInteriorStar:
@@ -438,13 +453,13 @@ def test_tables_match_reference_walk(name):
     assert disk.is_boundary_vertex == ref.is_boundary_vertex
     assert disk.interior_vertices == ref.interior_vertices
     for root in (0, disk.n_faces // 2, disk.n_faces - 1):
-        assert disk.dual_tree(root) == ref.dual_tree(root)
+        assert tree_entries(disk, disk.dual_tree(root)) == list(ref.dual_tree(root))
     for (u, v), (face, before) in ref.left.items():
         assert disk.left_face(u, v) == face
         assert disk.right_face(v, u) == face
         assert disk.is_interior_edge(u, v) == ((v, u) in ref.left)
         if triangles:
-            assert disk.apex(u, v) == before
+            assert apex(disk, u, v) == before
     if triangles:
         quads, sides, first, directed, rings = ref.triangle_tables()
         assert disk.edge_quads.tolist() == quads

@@ -3,9 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from horonet.errors import ClosureViolation, DegenerateFace, MeshMismatch
-from horonet.mesh import LatticeSpec, lattice_subcomplex
+from horonet.errors import (
+    ClosureViolation,
+    CoincidentPoints,
+    DegenerateFace,
+    HoronetError,
+    MeshMismatch,
+)
+from horonet.mesh import LatticeSpec, build_disk, lattice_subcomplex
 from horonet.moebius import MoebiusMap, SpherePoint
 from horonet.pattern import (
     CirclePattern,
@@ -16,6 +24,7 @@ from horonet.pattern import (
     shear_match,
     verify_closure,
 )
+from test_mesh import apex
 
 OMEGA = cmath.exp(1j * math.pi / 3)
 
@@ -23,6 +32,47 @@ OMEGA = cmath.exp(1j * math.pi / 3)
 @pytest.fixture
 def lattice_pattern(equilateral_patch):
     return CirclePattern(equilateral_patch.disk, equilateral_patch.positions)
+
+
+TRIANGLE = build_disk([(0, 1, 2)])
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+# |z| stays finite: where it overflows, SpherePoint.of raises OverflowError
+# from abs(z) and the array path CoincidentPoints
+PART = st.floats(-1e300, 1e300)
+# anywhere in the plane, on the unit circle, or with a signed zero part
+POSITION = st.one_of(
+    st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+    st.floats(-math.pi, math.pi).map(lambda t: cmath.exp(1j * t)),
+    st.sampled_from([1 + 0j, -1 + 0j, 1j, -1j, 0.6 + 0.8j, complex(-0.0, 1.0)]),
+    st.builds(complex, SIGNED_ZERO, PART),
+    st.builds(complex, PART, SIGNED_ZERO),
+)
+
+
+def _outcome(z):
+    """The scaled pairs of a pattern on one triangle, as bytes, or the error."""
+    try:
+        return CirclePattern(TRIANGLE, z).zh.tobytes()
+    except HoronetError as exc:
+        return type(exc), str(exc)
+
+
+class TestPositionArrays:
+    @given(st.lists(POSITION, min_size=3, max_size=3))
+    @example([0.25 - 0.5j, 1.0 + 0j, 3.0 + 4.0j])  # |z| < 1, = 1, > 1
+    @example([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+    @example([complex(-0.0, 2.0), complex(-3.0, -0.0), complex(0.5, -0.0)])
+    def test_array_scales_as_the_list(self, z):
+        assert _outcome(np.array(z, dtype=complex)) == _outcome(z)
+
+    @pytest.mark.parametrize(
+        "bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, math.nan)]
+    )
+    def test_non_finite_entries_raise(self, bad):
+        z = [0.5 + 0j, bad, 1j]
+        for positions in (z, np.array(z)):
+            with pytest.raises(CoincidentPoints):
+                CirclePattern(TRIANGLE, positions)
 
 
 class TestCrossRatios:
@@ -92,7 +142,7 @@ class TestDevelop:
         seed = [0, 1, (1 + math.sqrt(3) * 1j) / 2]
         pattern = develop(hex_fan, x, seed)
         # apex of the right face of 0 -> 1 lands at (1 - sqrt3 i)/2
-        l = hex_fan.apex(1, 0)
+        l = apex(hex_fan, 1, 0)
         expect = SpherePoint.of((1 - math.sqrt(3) * 1j) / 2)
         assert pattern.z[l].chordal(expect) < 1e-12
 
