@@ -149,10 +149,7 @@ def cmd_minimal(args):
     zdot = [hio.complex_from_json(o) for o in dot_doc["dot"]]
     frame = osculating_vector_field(pattern, zdot)
     points = minimal_surface(frame)
-    edges = []
-    disk = pattern.disk
-    for (i, j) in disk.interior_edges:
-        edges.append((disk.left_face(i, j), disk.right_face(i, j)))
+    edges = pattern.disk.edge_faces.tolist()
     _write_text(args.out, hio.export_points_obj(points, edges))
     return 0
 

@@ -8,16 +8,17 @@ canonical unordered pairs (min, max); orientation is supplied at call sites.
 
 Every adjacency comes from one flat table of directed edges, one per face
 corner: corner c of face f is the edge u -> v from its vertex u to the next
-vertex of f, with f on its left, the vertex before u in f, and its twin, the
-corner of v -> u.  Two stable sorts index the table: by the keys u V + v,
-which finds repeated edges and the first out-edge of each vertex, and by the
-edges (min, max), in whose order the two sides of an interior edge are
-neighbours.  Around a vertex the corner after c is the twin of the corner
-before c in its face, so the rings and fans of all vertices are walked
-together, one array step per neighbour.  The edge lists, rings, fans,
-boundary flags, dual graph and the index tables below are read off that
-table, and the scalar accessors read a dict from the keys u V + v to the
-left face, made from it in one step.
+vertex of f, with f on its left, the vertex before u in f, its twin, the
+corner of v -> u, and the next corner of f, the one of v.  A corner is also
+the incidence of u with f.  Two stable sorts index the table: by the keys
+u V + v, which finds repeated edges and the first out-edge of each vertex,
+and by the edges (min, max), in whose order the two sides of an interior
+edge are neighbours.  Around a vertex the corner after c is the twin of the
+corner before c in its face, so the rings and fans of all vertices are
+walked together, one array step per neighbour.  The edge lists, rings,
+fans, boundary flags, dual graph and the index tables below are read off
+that table, and the scalar accessors read a dict from the keys u V + v to
+the corner of u -> v, made from it in one step.
 
 ``TriangulatedDisk`` also holds read-only integer index tables on which the
 array kernels of patterns, frames and the lattice solve run: ``face_array``
@@ -137,7 +138,7 @@ class OrientedDisk:
         a, b = side[pair], side[pair + 1]
         twin = np.full(n_c, n_c)  # n_c on the boundary
         twin[a], twin[b] = b, a
-        self._corners = _readonly(np.array((tail, head, before, face, twin)))  # the table
+        self._corners = _readonly(np.array((tail, head, before, face, twin, nxt)))  # the table
         self.edges = tuple(zip((canon[first] // n).tolist(), (canon[first] % n).tolist()))
         interior = np.append(~first[1:], False)[first]
         self.interior_edges = tuple(itertools.compress(self.edges, interior.tolist()))
@@ -168,7 +169,7 @@ class OrientedDisk:
         self.is_boundary_vertex = tuple(boundary.tolist())
         self.interior_vertices = tuple(np.flatnonzero(~boundary).tolist())
 
-        self._left = dict(zip(key.tolist(), face.tolist()))
+        self._corner = dict(zip(key.tolist(), range(n_c)))
         # dual edges sorted by (face f, neighbour g, directed edge): entry k
         # has f left of the edge of row _dual_edges[k] and g right of it.
         # Row f of _dual_rows holds the g of the entries from _dual_starts[f]
@@ -195,7 +196,7 @@ class OrientedDisk:
     def _ring_ccw(self):
         # the head of the first corner, then the vertex before v in each
         # face; an interior ring closes on its first vertex
-        _, head, before, _, twin = self._corners
+        _, head, before, _, twin, _ = self._corners
         walk = self._walk
         ring = np.column_stack((head[walk[:, 0]], np.take(before, walk, mode="clip")))
         sizes = (walk < len(twin)).sum(axis=1) + (twin[walk[:, 0]] == len(twin))
@@ -245,21 +246,22 @@ class OrientedDisk:
 
     def is_interior_edge(self, i: int, j: int) -> bool:
         n = self.n_vertices
-        left = self._left
-        return 0 <= i < n and 0 <= j < n and i * n + j in left and j * n + i in left
+        c = self._corner
+        return 0 <= i < n and 0 <= j < n and i * n + j in c and j * n + i in c
 
-    def left_face(self, i: int, j: int) -> int:
-        """Face containing the directed edge i -> j."""
+    def corner(self, i: int, j: int) -> int:
+        """Corner of the directed edge i -> j, its column in the table."""
         n = self.n_vertices
         if not 0 <= j < n:
             raise KeyError((i, j))
-        return self._left[i * n + j]
+        return self._corner[i * n + j]
+
+    def left_face(self, i: int, j: int) -> int:
+        """Face containing the directed edge i -> j."""
+        return int(self._corners[3, self.corner(i, j)])
 
     def right_face(self, i: int, j: int) -> int:
-        n = self.n_vertices
-        if not 0 <= i < n:
-            raise KeyError((j, i))
-        return self._left[j * n + i]
+        return self.left_face(j, i)
 
     def ring_ccw(self, v: int):
         """Neighbors of v in counterclockwise order (cycle if interior)."""
@@ -297,7 +299,7 @@ class TriangulatedDisk(OrientedDisk):
 
     def __init__(self, faces):
         super().__init__(faces)
-        tail, _, before, face, twin = self._corners
+        tail, _, before, face, twin, _ = self._corners
         if len(tail) != 3 * self.n_faces:  # no face has fewer than 3 corners
             bad = next(f for f in self.faces if len(f) != 3)
             raise NotADisk(f"not a triangle: {bad}")

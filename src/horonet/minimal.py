@@ -118,10 +118,8 @@ def edge_compatibility(frame: MoebiusVectorFrame, pattern: CirclePattern):
     """
     disk = frame.disk
     worst = 0.0
-    for (i, j) in disk.interior_edges:
-        left = frame.a[disk.left_face(i, j)]
-        right = frame.a[disk.right_face(i, j)]
-        diff = left.minus(right)
+    for (i, j), (left, right) in zip(disk.interior_edges, disk.edge_faces.tolist()):
+        diff = frame.a[left].minus(frame.a[right])
         for v in (i, j):
             worst = max(worst, abs(diff.field_at(pattern.z[v].value())))
     return worst

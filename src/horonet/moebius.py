@@ -72,7 +72,10 @@ class SpherePoint:
     @staticmethod
     def from_homogeneous(p: complex, q: complex) -> "SpherePoint":
         p, q = complex(p), complex(q)
-        s = max(abs(p), abs(q))
+        try:
+            s = max(abs(p), abs(q))
+        except OverflowError:  # finite parts whose modulus overflows
+            s = math.inf
         if s == 0.0 or not (math.isfinite(s)):
             raise CoincidentPoints("homogeneous pair must be finite and nonzero")
         return SpherePoint(p / s, q / s)
@@ -500,7 +503,8 @@ def sphere_rows(z) -> np.ndarray:
     """The pairs z, (N, 2), each divided by max(|p|, |q|) as
     ``SpherePoint.from_homogeneous`` divides it; raises CoincidentPoints as
     it does where that scale is zero or not finite."""
-    s = np.maximum(cabs(z[:, 0]), cabs(z[:, 1]))
+    with np.errstate(over="ignore"):  # an overflowing modulus raises below
+        s = np.maximum(cabs(z[:, 0]), cabs(z[:, 1]))
     if not (np.isfinite(s) & (s > 0)).all():
         raise CoincidentPoints("homogeneous pair must be finite and nonzero")
     return cdiv(z, s[:, None])

@@ -203,7 +203,10 @@ def develop(
             i, j, k, l = tail[r], head[r], apex[r], across[r]
             u, v = values[r] * (p[j] * q[k] - q[j] * p[k]), p[i] * q[k] - q[i] * p[k]
             pl, ql = u * p[i] + v * p[j], u * q[i] + v * q[j]
-            s = max(abs(pl), abs(ql))
+            try:
+                s = max(abs(pl), abs(ql))
+            except OverflowError:
+                s = math.inf
             if not 0.0 < s < math.inf:
                 SpherePoint.from_homogeneous(pl, ql)  # raises CoincidentPoints
             pl, ql = pl / s, ql / s

@@ -5,12 +5,20 @@ the double mesh (unique up to a constant) and through it a one-parameter
 deformation of the cross ratios of any triangulation.  Real solutions give
 angle-preserving deformations at real t and shear-matched pairs at +-it,
 feeding the CMC-1 and equidistant constructions.
+
+All of it runs on the cell's directed-edge table (see ``mesh``): the
+incidence (v, f) of the double mesh is the corner of v in f, and X_t holds
+one row per interior edge of the triangulation, whose primal rows follow
+the cell's interior edges.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .cmc1 import HorosphericalNet, build_cmc1
 from .equidistant import EquidistantNet, build_equidistant
@@ -22,6 +30,7 @@ from .errors import (
     TooSmall,
 )
 from .mesh import OrientedDisk, TriangulatedDisk, _canon, build_disk
+from .moebius import cabs, cdiv, cmul
 from .pattern import CirclePattern, CrossRatioSystem, cross_ratios_of, develop
 
 TOL_LABELING = 1e-10
@@ -42,9 +51,7 @@ class CellDecomposition(OrientedDisk):
         super().__init__(faces)
         self.positions = tuple(complex(p) for p in positions)
         if len(self.positions) != self.n_vertices:
-            raise NotADisk(
-                f"{len(self.positions)} positions for {self.n_vertices} vertices"
-            )
+            raise NotADisk(f"{len(self.positions)} positions for {self.n_vertices} vertices")
 
 
 def square_grid(n: int, m: int, stretch: complex = 1.0) -> CellDecomposition:
@@ -52,15 +59,8 @@ def square_grid(n: int, m: int, stretch: complex = 1.0) -> CellDecomposition:
     if n < 2 or m < 2:
         raise TooSmall("grid needs at least 2 x 2 vertices")
     positions = [a * stretch + 1j * b for b in range(m) for a in range(n)]
-
-    def vid(a, b):
-        return b * n + a
-
-    faces = []
-    for b in range(m - 1):
-        for a in range(n - 1):
-            faces.append((vid(a, b), vid(a + 1, b), vid(a + 1, b + 1), vid(a, b + 1)))
-    return CellDecomposition(faces, positions)
+    v = np.arange(n * m).reshape(m, n)[:-1, :-1].ravel()  # b n + a per square
+    return CellDecomposition(np.column_stack((v, v + 1, v + n + 1, v + n)), positions)
 
 
 @dataclass(frozen=True)
@@ -107,80 +107,94 @@ def verify_toda(cell: CellDecomposition, z, q) -> TodaReport:
     return TodaReport(vs, fs, ws)
 
 
-@dataclass
+@dataclass(eq=False)
 class Labeling:
-    """Edge function on the double mesh, keyed by incidences (vertex, face)."""
+    """Edge function on the double mesh, one value per incidence (v, f).
+
+    The incidence of vertex v with face f is the corner of ``cell`` whose
+    tail is v in f, so ``alpha`` is a read-only (corners,) complex array
+    in the order of the cell's directed-edge table.
+    """
 
     cell: CellDecomposition
-    alpha: dict  # (vertex, face index) -> complex
+    alpha: np.ndarray
 
     def plus(self, i, j):
         """alpha_{ij+}: incidence of i with the face left of i -> j."""
-        return self.alpha[(i, self.cell.left_face(i, j))]
+        return self.alpha[self.cell.corner(i, j)].item()
 
     def minus(self, i, j):
-        return self.alpha[(i, self.cell.right_face(i, j))]
+        """alpha_{ij-}: incidence of i with the face right of i -> j."""
+        return self.alpha[self.cell._corners[5, self.cell.corner(j, i)]].item()
 
     def max_abs(self):
-        return max((abs(v) for v in self.alpha.values()), default=0.0)
+        return float(cabs(self.alpha).max(initial=0.0))
 
 
 def labeling_from(cell: CellDecomposition, q) -> Labeling:
     """Labeling alpha with q_ij = alpha_{ij+} - alpha_{ij-}, zero at the root.
 
     Propagates the quadrilateral constraints of the double mesh (opposite
-    edges equal, differences across a primal edge equal q) breadth-first;
-    a closed loop disagreeing by more than ``TOL_LABELING`` raises
+    edges equal, differences across a primal edge equal q) breadth-first
+    over the corners, from roots taken in (vertex, face) order; a closed
+    loop disagreeing by more than ``TOL_LABELING`` raises
     InconsistentLabeling.  Only quads over interior primal edges constrain
-    alpha; untouched boundary incidences default to zero.
+    alpha; untouched boundary incidences are zero.
     """
-    # constraint edges between incidence nodes: (node_a, node_b, offset)
-    constraints = {}
-
-    def add(a, b, off):
-        constraints.setdefault(a, []).append((b, off))
-        constraints.setdefault(b, []).append((a, -off))
-
-    for (i, j) in cell.interior_edges:
-        fl = cell.left_face(i, j)
-        fr = cell.right_face(i, j)
-        add((i, fl), (j, fr), 0.0)  # opposite quad edges carry equal alpha
-        add((i, fr), (j, fl), 0.0)
-        add((i, fl), (i, fr), q[(i, j)])  # q = alpha_plus - alpha_minus
-        add((j, fr), (j, fl), q[(i, j)])  # seen from j the faces swap sides
-    alpha = {}
-    nodes = sorted(constraints)
-    for root in nodes:
-        if root in alpha:
+    tail, _, _, face, twin, nxt = cell._corners
+    c = cell._forward  # i -> j per interior edge (i, j), with (i, fl)
+    t = twin[c]  # j -> i, with (j, fr); the corners after them are (j, fl), (i, fr)
+    # per interior edge four constraints (a, b, alpha_a - alpha_b): opposite
+    # quad edges carry equal alpha, q = alpha_plus - alpha_minus, and seen
+    # from j the faces swap sides.  Each is an entry a -> b and one b -> a;
+    # a stable sort lists the entries of each corner in constraint order.
+    a = np.column_stack((c, nxt[t], c, t)).ravel()
+    b = np.column_stack((t, nxt[c], nxt[t], nxt[c])).ravel()
+    src = np.column_stack((a, b)).ravel()
+    by_src = np.argsort(src, kind="stable")
+    dst = np.column_stack((b, a)).ravel()[by_src].tolist()
+    off = [(0.0, -0.0, 0.0, -0.0, q[e], -q[e], q[e], -q[e]) for e in cell.interior_edges]
+    off = np.array(off, dtype=complex).ravel()[by_src].tolist()
+    bounds = np.searchsorted(src[by_src], np.arange(len(tail) + 1)).tolist()
+    alpha = [None] * len(tail)
+    for root in np.lexsort((face, tail)).tolist():
+        if alpha[root] is not None:
             continue
         alpha[root] = 0.0 + 0j
         order = [root]
-        for a in order:
-            for (b, off) in constraints[a]:
-                val = alpha[a] - off  # off = alpha[a] - alpha[b]
-                if b in alpha:
-                    if abs(alpha[b] - val) > TOL_LABELING:
-                        raise InconsistentLabeling(
-                            f"labeling loop mismatch {abs(alpha[b] - val):.2e} at {b}"
-                        )
-                else:
-                    alpha[b] = val
-                    order.append(b)
-    # boundary incidences not adjacent to any interior edge
-    for fi, f in enumerate(cell.faces):
-        for v in f:
-            alpha.setdefault((v, fi), 0.0 + 0j)
+        for x in order:
+            for k in range(bounds[x], bounds[x + 1]):
+                y, val = dst[k], alpha[x] - off[k]  # off = alpha[x] - alpha[y]
+                if alpha[y] is None:
+                    alpha[y] = val
+                    order.append(y)
+                elif abs(alpha[y] - val) > TOL_LABELING:
+                    raise InconsistentLabeling(
+                        f"labeling loop mismatch {abs(alpha[y] - val):.2e} "
+                        f"at {(int(tail[y]), int(face[y]))}"
+                    )
+    alpha = np.array(alpha, dtype=complex)
+    alpha.setflags(write=False)
     return Labeling(cell, alpha)
 
 
-@dataclass
+@dataclass(eq=False)
 class TriangulatedCell:
-    """Triangulation of a cell decomposition with its realization."""
+    """Triangulation of a cell decomposition with its realization.
+
+    ``primal``, a read-only (E,) bool over ``disk.interior_edges``, is True
+    on the edges of the cell, whose rows follow ``cell.interior_edges``, and
+    False on the diagonals.  The base pattern at ``positions`` and its cross
+    ratios are built on first request.
+    """
 
     cell: CellDecomposition
     disk: TriangulatedDisk
     positions: tuple
-    diagonal_edges: set  # canonical pairs in E(TM) - E(M)
+    primal: np.ndarray
+
+    pattern = cached_property(lambda self: CirclePattern(self.disk, np.array(self.positions)))
+    cross_ratios = cached_property(lambda self: cross_ratios_of(self.pattern))
 
 
 def triangulate(cell: CellDecomposition, rule: str = "lex") -> TriangulatedCell:
@@ -190,7 +204,6 @@ def triangulate(cell: CellDecomposition, rule: str = "lex") -> TriangulatedCell:
     pair, ``anti`` the other one; quadrilaterals only.
     """
     faces = []
-    diagonals = set()
     for f in cell.faces:
         if len(f) == 3:
             faces.append(f)
@@ -198,42 +211,35 @@ def triangulate(cell: CellDecomposition, rule: str = "lex") -> TriangulatedCell:
         if len(f) != 4:
             raise TooSmall("only quad faces are triangulated")
         a, b, c, d = f
-        d1, d2 = _canon(a, c), _canon(b, d)
-        pick_first = d1 < d2
+        pick_first = _canon(a, c) < _canon(b, d)
         if rule == "anti":
             pick_first = not pick_first
-        if pick_first:
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-            diagonals.add(d1)
-        else:
-            faces.append((a, b, d))
-            faces.append((b, c, d))
-            diagonals.add(d2)
+        faces += [(a, b, c), (a, c, d)] if pick_first else [(a, b, d), (b, c, d)]
     disk = build_disk(faces)
-    return TriangulatedCell(cell, disk, cell.positions, diagonals)
+    # the cell face of each triangle: an edge is primal where they differ
+    parent = np.repeat(np.arange(cell.n_faces), [len(f) - 2 for f in cell.faces])
+    primal = parent[disk.edge_faces[:, 0]] != parent[disk.edge_faces[:, 1]]
+    primal.setflags(write=False)
+    return TriangulatedCell(cell, disk, cell.positions, primal)
 
 
-def family_xt(
-    tri: TriangulatedCell,
-    labeling: Labeling,
-    t: complex,
-) -> CrossRatioSystem:
-    """Cross ratios X_t: scaled by (1 - t a_-)/(1 - t a_+) on primal edges."""
+def family_xt(tri: TriangulatedCell, labeling: Labeling, t: complex) -> CrossRatioSystem:
+    """Cross ratios X_t: scaled by (1 - t a_-)/(1 - t a_+) on primal edges.
+
+    a_+ and a_- are alpha_{ij+} and alpha_{ij-} of each primal row i -> j,
+    i < j; t is promoted to complex, and the products and the quotient are
+    rounded as CPython rounds them.  Diagonal rows keep the base value.
+    """
     if abs(t) * labeling.max_abs() >= POLE_MARGIN:
         raise PoleInFamily(
             f"|t| max|alpha| = {abs(t) * labeling.max_abs():.3f} >= {POLE_MARGIN}"
         )
-    base = cross_ratios_of(CirclePattern(tri.disk, tri.positions))
-    values = []
-    for (i, j), x in zip(tri.disk.interior_edges, base.array.tolist()):
-        if (i, j) in tri.diagonal_edges:
-            values.append(x)
-        else:
-            num = 1.0 - t * labeling.minus(i, j)
-            den = 1.0 - t * labeling.plus(i, j)
-            values.append((num / den) * x)
-    return CrossRatioSystem(tri.disk, values)
+    cell, t, x = labeling.cell, complex(t), tri.cross_ratios.array.copy()
+    ij = cell._forward  # the edges i -> j of the primal rows
+    minus = labeling.alpha[cell._corners[5][cell._corners[4, ij]]]  # after j -> i
+    num, den = 1.0 - cmul(t, minus), 1.0 - cmul(t, labeling.alpha[ij])
+    x[tri.primal] = cmul(cdiv(num, den), x[tri.primal])
+    return CrossRatioSystem(tri.disk, x)
 
 
 def develop_family(tri: TriangulatedCell, x: CrossRatioSystem) -> CirclePattern:
@@ -242,16 +248,14 @@ def develop_family(tri: TriangulatedCell, x: CrossRatioSystem) -> CirclePattern:
     return develop(tri.disk, x, seed)
 
 
-def _family_patterns(cell: CellDecomposition, labeling_or_q, ts, production: str):
+def _family_patterns(cell: CellDecomposition, q, ts, production: str):
     """Triangulation of ``cell`` and the developed pattern z_t for each t in ts.
 
-    The labeling must be real, and every X_t must lie in the Delaunay cone.
+    The labeling of q must be real, and every X_t must lie in the Delaunay
+    cone.
     """
-    if isinstance(labeling_or_q, Labeling):
-        labeling = labeling_or_q
-    else:
-        labeling = labeling_from(cell, labeling_or_q)
-    if max(abs(v.imag) for v in labeling.alpha.values()) > TOL_REAL_LABELING:
+    labeling = labeling_from(cell, q)
+    if np.abs(labeling.alpha.imag).max() > TOL_REAL_LABELING:
         raise InconsistentLabeling(f"{production} production needs a real labeling")
     tri = triangulate(cell)
     xs = [family_xt(tri, labeling, t) for t in ts]
@@ -262,50 +266,31 @@ def _family_patterns(cell: CellDecomposition, labeling_or_q, ts, production: str
     return tri, [develop_family(tri, x) for x in xs]
 
 
-def cmc1_from_toda(
-    cell: CellDecomposition,
-    labeling_or_q,
-    t: float,
-) -> HorosphericalNet:
+def cmc1_from_toda(cell: CellDecomposition, q, t: float) -> HorosphericalNet:
     """Discrete CMC-1 net of the pair (z_{it}, z_{-it}) for real t > 0."""
-    _, (z_plus, z_minus) = _family_patterns(
-        cell, labeling_or_q, (1j * t, -1j * t), "CMC-1"
-    )
+    _, (z_plus, z_minus) = _family_patterns(cell, q, (1j * t, -1j * t), "CMC-1")
     return build_cmc1(z_plus, z_minus)
 
 
-def equidistant_from_toda(
-    cell: CellDecomposition,
-    labeling_or_q,
-    t: float,
-) -> EquidistantNet:
+def equidistant_from_toda(cell: CellDecomposition, q, t: float) -> EquidistantNet:
     """Equidistant net of the angle-preserving pair (z, z_t) for real t."""
-    tri, (z_t,) = _family_patterns(cell, labeling_or_q, (t,), "equidistant")
-    return build_equidistant(CirclePattern(tri.disk, tri.positions), z_t)
+    tri, (z_t,) = _family_patterns(cell, q, (t,), "equidistant")
+    return build_equidistant(tri.pattern, z_t)
 
 
-def tangent_check(
-    cell: CellDecomposition,
-    q,
-) -> float:
+def tangent_check(cell: CellDecomposition, q) -> float:
     """Residual of d/dt log X_t |_{t=0} against q (zero on diagonals)."""
     labeling = labeling_from(cell, q)
     tri = triangulate(cell)
     derivs = []
     for h in TANGENT_STEPS:
-        xp = family_xt(tri, labeling, h)
-        xm = family_xt(tri, labeling, -h)
-        derivs.append(
-            [
-                (cmath.log(p) - cmath.log(m)) / (2 * h)
-                for p, m in zip(xp.array.tolist(), xm.array.tolist())
-            ]
-        )
+        xp, xm = (family_xt(tri, labeling, s).array.tolist() for s in (h, -h))
+        derivs.append([(cmath.log(p) - cmath.log(m)) / (2 * h) for p, m in zip(xp, xm)])
     # Richardson on the central differences (error O(h^2))
     r = (TANGENT_STEPS[0] / TANGENT_STEPS[1]) ** 2
     worst = 0.0
-    for e, d0, d1 in zip(tri.disk.interior_edges, *derivs):
+    for e, primal, d0, d1 in zip(tri.disk.interior_edges, tri.primal.tolist(), *derivs):
         d = (r * d1 - d0) / (r - 1.0)
-        expect = 0.0 if e in tri.diagonal_edges else q[e]
+        expect = q[e] if primal else 0.0
         worst = max(worst, abs(d - expect))
     return worst

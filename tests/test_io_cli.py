@@ -221,6 +221,10 @@ class TestCli:
         out = tmp_path / "surf.obj"
         assert main(["minimal", "--pattern", a, "--dot", str(dot), "--out", str(out)]) == 0
         assert out.read_text().count("v ") >= 1
+        # one line per interior edge, between the faces left and right of it
+        disk = hio.load_pattern(doc).disk
+        lines = [ln.split() for ln in out.read_text().splitlines() if ln.startswith("l ")]
+        assert [[int(a), int(b)] for _, a, b in lines] == (disk.edge_faces + 1).tolist()
 
     def test_converge_subcommand(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -1,10 +1,11 @@
 """Array kernels against the scalar code they replace: index tables, the
 coincident-vertex check, cross ratios, closure, frame maps, the coherent
 lift, the realization and horospheres, the develop walk and the views of
-the stored rows, the lattice angle defects, the net measurement and the
-exporters that reuse its charts, the read side of both nets (extracts,
-equidistant verification, parallel nets), and the smooth osculating maps
-and hyperbolic distances of the convergence studies."""
+the stored rows, the Toda labeling and X_t family, the lattice angle
+defects, the net measurement and the exporters that reuse its charts, the
+read side of both nets (extracts, equidistant verification, parallel nets),
+and the smooth osculating maps and hyperbolic distances of the convergence
+studies."""
 
 import cmath
 import hashlib
@@ -47,8 +48,10 @@ from horonet.errors import (
     CriticalPoint,
     DegenerateFace,
     EtaNotClosed,
+    InconsistentLabeling,
     NonIntersectingHorospheres,
     NotInHyperboloid,
+    PoleInFamily,
 )
 from horonet.io import (
     dump_json,
@@ -94,6 +97,8 @@ from horonet.osculating import (
 )
 from horonet.pattern import CirclePattern, cross_ratios_of, verify_closure
 from horonet.toda import (
+    POLE_MARGIN,
+    TOL_LABELING,
     cmc1_from_toda,
     develop_family,
     equidistant_from_toda,
@@ -390,6 +395,61 @@ def _scalar_develop(disk, x, seed):
     return tuple(z)
 
 
+def _dict_labeling(cell, q):
+    """The (vertex, face)-keyed walk that ``labeling_from`` replaced, kept as
+    its reference: alpha per incidence, as a dict."""
+    constraints = {}
+
+    def add(a, b, off):
+        constraints.setdefault(a, []).append((b, off))
+        constraints.setdefault(b, []).append((a, -off))
+
+    for (i, j) in cell.interior_edges:
+        fl, fr = cell.left_face(i, j), cell.right_face(i, j)
+        add((i, fl), (j, fr), 0.0)
+        add((i, fr), (j, fl), 0.0)
+        add((i, fl), (i, fr), q[(i, j)])
+        add((j, fr), (j, fl), q[(i, j)])
+    alpha = {}
+    for root in sorted(constraints):
+        if root in alpha:
+            continue
+        alpha[root] = 0.0 + 0j
+        order = [root]
+        for a in order:
+            for (b, off) in constraints[a]:
+                val = alpha[a] - off
+                if b not in alpha:
+                    alpha[b] = val
+                    order.append(b)
+                elif abs(alpha[b] - val) > TOL_LABELING:
+                    raise InconsistentLabeling(
+                        f"labeling loop mismatch {abs(alpha[b] - val):.2e} at {b}"
+                    )
+    for fi, f in enumerate(cell.faces):
+        for v in f:
+            alpha.setdefault((v, fi), 0.0 + 0j)
+    return alpha
+
+
+def _loop_family_xt(tri, alpha, t):
+    """The per-edge loop that ``family_xt`` replaced, over a dict labeling,
+    kept as its reference: the values of X_t, or the error."""
+    cell = tri.cell
+    if abs(t) * max(map(abs, alpha.values())) >= POLE_MARGIN:
+        return PoleInFamily
+    base = cross_ratios_of(CirclePattern(tri.disk, list(tri.positions)))
+    values = []
+    primal = set(cell.edges)
+    for (i, j), x in zip(tri.disk.interior_edges, base.array.tolist()):
+        if (i, j) in primal:
+            num = 1.0 - t * alpha[(i, cell.right_face(i, j))]
+            den = 1.0 - t * alpha[(i, cell.left_face(i, j))]
+            x = (num / den) * x
+        values.append(x)
+    return values
+
+
 def _scalar_layout(patch, u, jet):
     """The scalar walk that ``convergence._layout`` replaced, kept as its
     reference: one ``_scalar_third_point`` per vertex, in the visiting order
@@ -454,6 +514,108 @@ def test_layout_matches_the_scalar_walk(jet, eps, monkeypatch):
     ((_, u, smooth),) = calls
     reference = CirclePattern(patch.disk, _scalar_layout(patch, u, smooth))
     assert solved.zh.tobytes() == reference.zh.tobytes()
+
+
+def _toda_q(n, m, stretch, scale):
+    """The grid's solution q times ``scale``, or, for "random", the q of a
+    random labeling: one value per class of incidences that the opposite-edge
+    constraints join, differenced across each interior edge, so that the
+    walk's sums round by the order of its steps."""
+    cell, _, sol = square_grid_toda(n, m, stretch)
+    if scale != "random":
+        return cell, {e: scale * v for e, v in sol.items()}
+    sides = {
+        (i, j): (cell.left_face(i, j), cell.right_face(i, j))
+        for (i, j) in cell.interior_edges
+    }
+    root = {}
+
+    def find(a):
+        while root.setdefault(a, a) != a:
+            a = root[a]
+        return a
+
+    for (i, j), (fl, fr) in sides.items():
+        root[find((i, fl))] = find((j, fr))
+        root[find((i, fr))] = find((j, fl))
+    rng, value = np.random.default_rng(n * m), {}
+
+    def alpha(a):
+        return value.setdefault(find(a), complex(*rng.normal(0.0, 0.2, 2)))
+
+    return cell, {
+        (i, j): alpha((i, fl)) - alpha((i, fr)) for (i, j), (fl, fr) in sides.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "n, m, stretch", [(4, 4, 1.0), (6, 6, 1.0), (7, 4, 1.7), (12, 12, 1.0)]
+)
+@pytest.mark.parametrize("scale", [1.0, 0.3 + 0.1j, "random"])
+def test_labeling_matches_the_dict_walk(n, m, stretch, scale):
+    """alpha per incidence (v, f), at the corner of v in f, equals the
+    reference value for value, signed zeros included."""
+    cell, q = _toda_q(n, m, stretch, scale)
+    alpha = labeling_from(cell, q).alpha.tolist()
+    corners = {
+        (v, f): cell.corner(v, face[(k + 1) % len(face)])
+        for f, face in enumerate(cell.faces)
+        for k, v in enumerate(face)
+    }
+    expected = _dict_labeling(cell, q)
+    assert expected.keys() == corners.keys()
+    assert {k: repr(alpha[c]) for k, c in corners.items()} == {
+        k: repr(v) for k, v in expected.items()
+    }
+
+
+def test_inconsistent_labeling_raises_as_the_dict_walk():
+    cell, _, sol = square_grid_toda(4, 4)
+    q = dict(sol)
+    q[cell.interior_edges[len(cell.interior_edges) // 2]] += 0.37
+    with pytest.raises(InconsistentLabeling) as reference:
+        _dict_labeling(cell, q)
+    with pytest.raises(InconsistentLabeling) as raised:
+        labeling_from(cell, q)
+    assert str(raised.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 12, 20])
+@pytest.mark.parametrize("rule", ["lex", "anti"])
+@pytest.mark.parametrize("scale", [1.0, 0.3 + 0.1j, "random"])
+def test_family_matches_the_edge_loop(n, rule, scale):
+    cell, q = _toda_q(n, n, 1.0, scale)
+    labeling, alpha = labeling_from(cell, q), _dict_labeling(cell, q)
+    tri = triangulate(cell, rule)
+    for t in (0, 0.02j, -0.05j, 0.1j, 0.05, -0.15, 0.1 + 0.05j, 0.95):
+        expected = _loop_family_xt(tri, alpha, t)
+        if expected is PoleInFamily:
+            with pytest.raises(PoleInFamily):
+                family_xt(tri, labeling, t)
+        else:
+            x = family_xt(tri, labeling, t).array.tolist()
+            assert list(map(repr, x)) == list(map(repr, expected))
+
+
+def test_toda_pipelines_make_sphere_points_only_for_seeds(monkeypatch):
+    """The base pattern and its cross ratios come from the position array;
+    SpherePoint.of is left to the seeds of ``develop``."""
+    made, of = [], SpherePoint.of
+
+    def counting(value):
+        made.append(value)
+        return of(value)
+
+    monkeypatch.setattr(SpherePoint, "of", staticmethod(counting))
+    cell, _, sol = square_grid_toda(6, 6)
+    seed = {cell.positions[v] for v in triangulate(cell).disk.face_vertices(0)}
+    cmc1_from_toda(cell, sol, 0.05)
+    assert len(made) <= 6 and set(made) <= seed
+    made.clear()
+    equidistant_from_toda(cell, sol, 0.05)
+    assert len(made) <= 3 and set(made) <= seed
+    SpherePoint.of(0.5)  # the counter itself works
+    assert made[-1] == 0.5
 
 
 @pytest.mark.parametrize("case", ["toda6", "lattice"])

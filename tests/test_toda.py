@@ -81,9 +81,9 @@ class TestLabeling:
     def test_square_grid_two_valued(self):
         cell, _, sol = square_grid_toda(3, 3)
         lab = labeling_from(cell, sol)
-        values = sorted({round(v.real, 9) for v in lab.alpha.values()})
+        values = sorted({round(v.real, 9) for v in lab.alpha.tolist()})
         assert values == [0.0, 1.0]
-        assert all(abs(v.imag) < 1e-15 for v in lab.alpha.values())
+        assert all(abs(v.imag) < 1e-15 for v in lab.alpha.tolist())
 
     def test_difference_recovers_q(self):
         cell, _, sol = square_grid_toda(4, 4)
@@ -94,16 +94,16 @@ class TestLabeling:
     def test_opposite_quad_edges_equal(self):
         cell, _, sol = square_grid_toda(4, 4)
         lab = labeling_from(cell, sol)
+        # (i, fl) against (j, fr), and (i, fr) against (j, fl)
         for (i, j) in cell.interior_edges:
-            fl, fr = cell.left_face(i, j), cell.right_face(i, j)
-            assert abs(lab.alpha[(i, fl)] - lab.alpha[(j, fr)]) < 1e-15
-            assert abs(lab.alpha[(i, fr)] - lab.alpha[(j, fl)]) < 1e-15
+            assert abs(lab.plus(i, j) - lab.plus(j, i)) < 1e-15
+            assert abs(lab.minus(i, j) - lab.minus(j, i)) < 1e-15
 
     def test_trivial_q_gives_constant(self):
         cell, _, _ = square_grid_toda(4, 4)
         q = {e: 0j for e in cell.edges}
         lab = labeling_from(cell, q)
-        assert all(abs(v) < 1e-15 for v in lab.alpha.values())
+        assert all(abs(v) < 1e-15 for v in lab.alpha.tolist())
 
     def test_inconsistent_q_detected(self):
         cell, _, sol = square_grid_toda(4, 4)
