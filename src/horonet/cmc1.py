@@ -101,8 +101,8 @@ class HorosphericalNet:
     ratio: dict = field(init=False, repr=False)
     chart_residual: float = field(init=False)
     degenerate: bool = field(init=False)
-    # for the exporters: chart maps (V, 4), corner chart positions (F, 3) and
-    # circle centres per ``disk.directed_edges()`` row, nan for a plane
+    # read by the exporters in one array pass: chart maps (V, 4), corner chart
+    # positions (F, 3), circle centres per ``directed_edges()`` row (nan: plane)
     charts: np.ndarray = field(init=False, repr=False)
     chart_w: np.ndarray = field(init=False, repr=False)
     centers: np.ndarray = field(init=False, repr=False)

@@ -8,7 +8,6 @@ explicitly requested).
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import json
 import math
@@ -16,10 +15,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cmc1 import HorosphericalNet
+from .cmc1 import HorosphericalNet, _atan2
 from .errors import DegenerateFace, HoronetError, MeshMismatch
-from .mesh import TriangulatedDisk, _canon, build_disk
-from .moebius import MoebiusMap, SpherePoint, chart_plane_to_ball, to_poincare_ball
+from .mesh import TriangulatedDisk, build_disk
+from .moebius import SpherePoint, _complex, ball_rows, cdiv, chart_plane_to_ball, cmul
 from .osculating import MoebiusFrame
 from .pattern import CirclePattern, CrossRatioSystem
 
@@ -134,29 +133,16 @@ def load_frame(doc: dict) -> MoebiusFrame:
 
 
 def net_report(net: HorosphericalNet, kind: str = "cmc1") -> dict:
-    edges = []
-    for (i, j) in sorted(net.edge_measure):
-        m = net.edge_measure[(i, j)]
-        edges.append(
-            {
-                "i": i,
-                "j": j,
-                "ell": m.ell,
-                "alpha": m.alpha,
-                "theta": m.theta,
-                "degenerate": m.degenerate,
-            }
-        )
-    faces = []
-    for v in sorted(net.area):
-        faces.append(
-            {
-                "vertex": v,
-                "area": net.area[v],
-                "H": net.mean_curvature[v],
-                "ratio": net.ratio.get(v, math.nan),
-            }
-        )
+    edges = [
+        {"i": i, "j": j, "ell": m.ell, "alpha": m.alpha, "theta": m.theta,
+         "degenerate": m.degenerate}
+        for (i, j), m in sorted(net.edge_measure.items())
+    ]
+    faces = [
+        {"vertex": v, "area": area, "H": net.mean_curvature[v],
+         "ratio": net.ratio.get(v, math.nan)}
+        for v, area in sorted(net.area.items())
+    ]
     return {
         "kind": kind,
         "degenerate": net.degenerate,
@@ -168,70 +154,80 @@ def net_report(net: HorosphericalNet, kind: str = "cmc1") -> dict:
 
 
 def _sampled_geometry(net: HorosphericalNet, arc_samples: int):
-    """Ball-coordinate vertices, edge polylines and dual-face fan triangles.
+    """Ball coordinates (N, 3), edge polylines and dual-face fan triangles (T, 3).
 
-    Indices are 0-based into the vertex list of (x, y, z) tuples, whose
-    first entries are the face points in face order.  Each dual edge is
-    sampled once along its arc, in the chart of its first interior end
-    vertex; the chart of the other end reuses that polyline reversed.  The
-    arc lies on the plane x3 = 1 of both charts, where the angle is
-    proportional to hyperbolic arc length, so both charts place the same
-    points; an edge that ``measure_net`` calls degenerate is just its two
-    face points.  The dual face of each interior primal vertex becomes a
-    fan of triangles around its chart centroid.  Charts and circles are the
-    ones ``measure_net`` kept; a chart's new samples map to the ball in one
-    array step.  A degenerate net has only face points.
+    Row indices: the face points in face order, then per interior primal
+    vertex the arc samples it takes and its chart centroid.  Rings are
+    walked from their second entry, entry m joining faces m and m + 1.  A
+    dual edge is sampled at its first entry, in that vertex's chart, and
+    reused reversed at the other; in both charts the arc lies on x3 = 1 with
+    angle proportional to arc length, so both place the same points.  An
+    edge ``measure_net`` calls degenerate is just its two face points.  Each
+    dual face is a fan around its centroid.  The chart points round as in
+    the scalar loop; one ``chart_plane_to_ball`` call maps them all.
     """
-    disk = net.disk
-    vertices = [to_poincare_ball(x) for x in net.f]
-    polylines = []
-    triangles = []
-    if net.degenerate:
-        return vertices, polylines, triangles
+    disk, (a, b, d) = net.disk, net.points.T
+    vertices = ball_rows(a.real, b, d.real)
+    rings = disk.interior_rings()
+    if net.degenerate or not len(rings):
+        return vertices, [], np.empty((0, 3), dtype=np.intp)
 
-    _, nbr, left, right = disk.directed_edges().T.tolist()
-    w = net.chart_w.ravel().tolist()
-    centers = net.centers.tolist()
-    arcs = {}  # primal edge -> polyline, in the chart that sampled it
-    for v, ring in zip(disk.interior_vertices, disk.interior_rings().tolist()):
-        ring = [row for row in ring if row >= 0]  # -1 past the end of the ring
-        new_w = []
-        boundary_ids = []
-        # segment m joins faces m and m + 1 across v -> ring[m + 1]
-        for row in ring[1:] + ring[:1]:
-            a, b = right[row], left[row]
-            edge = _canon(v, nbr[row])
-            if edge in arcs:
-                ids = arcs[edge][::-1]
-            else:
-                first = len(vertices) + len(new_w)
-                if not net.edge_measure[edge].degenerate:
-                    new_w += _arc_interior(centers[row], w[a], w[b], arc_samples)
-                ids = [a // 3, *range(first, len(vertices) + len(new_w)), b // 3]
-                arcs[edge] = ids
-                polylines.append(ids)
-            boundary_ids.extend(ids[:-1])
-        cid = len(vertices) + len(new_w)
-        new_w.append(sum(w[left[row]] for row in ring) / len(ring))
-        chart = MoebiusMap(*net.charts[v].tolist()).inverse()
-        vertices += map(tuple, chart_plane_to_ball(chart, new_w).tolist())
-        triangles += [
-            (cid, a, b) for a, b in zip(boundary_ids, boundary_ids[1:] + boundary_ids[:1])
-        ]
-    return vertices, polylines, triangles
+    n_f, n_e = disk.n_faces, len(disk.interior_edges)
+    _, _, left, right = disk.directed_edges().T
+    sizes = (rings >= 0).sum(axis=1)
+    col = np.arange(rings.shape[1])
+    row = np.take_along_axis(rings, (col + 1) % sizes[:, None], axis=1)[col < sizes[:, None]]
+    owner = np.repeat(np.arange(len(rings)), sizes)
+    # an edge is sampled at its first entry, its source
+    _, first, inverse = np.unique(row % n_e, return_index=True, return_inverse=True)
+    source = first[inverse]
+    forward = source == np.arange(len(row))
+    degenerate = np.fromiter((m.degenerate for m in net.edge_measure.values()), bool, n_e)
+    count = np.where(forward & ~degenerate[row % n_e], max(arc_samples - 1, 0), 0)
+    # each vertex adds its samples, then its centroid
+    start = n_f + np.cumsum(count) - count + owner
+    last = np.cumsum(sizes) - 1
+    centroid = start[last] + count[last]
+
+    w, k, m = net.chart_w.ravel(), np.flatnonzero(count), np.arange(1, arc_samples)
+    w_a, w_b, c = w[right[row[k]], None], w[left[row[k]], None], net.centers[row[k], None]
+    samples = np.empty((len(k), len(m)), dtype=complex)
+    line = np.isnan(c[:, 0])  # the neighbour is a plane: a straight segment
+    step = cmul(w_b[line] - w_a[line], m + 0j)
+    samples[line] = w_a[line] + cdiv(step, complex(arc_samples))
+    c, w_a, w_b = c[~line], w_a[~line], w_b[~line]
+    angle = _atan2(cdiv(w_b - c, w_a - c)[:, 0])[:, None] * m / arc_samples
+    samples[~line] = c + cmul(w_a - c, np.exp(_complex(np.zeros_like(angle), angle)))
+    chart_w = np.empty(centroid[-1] + 1 - n_f, dtype=complex)
+    chart_w[(start[k, None] + m - 1 - n_f).ravel()] = samples.ravel()
+    ring_w = np.where(rings >= 0, w[left[rings]], 0.0)  # summed in ring order
+    chart_w[centroid - n_f] = cdiv(sum(ring_w.T, 0j), sizes.astype(complex))
+    inverse_charts = net.charts[list(disk.interior_vertices)][:, [3, 1, 2, 0]]
+    inverse_charts[:, 1:3] = -inverse_charts[:, 1:3]
+    blocks = np.diff(centroid, prepend=n_f - 1)
+    ball = chart_plane_to_ball(np.repeat(inverse_charts, blocks, axis=0), chart_w)
+
+    # entry k adds its right face, then its edge's samples from that face on
+    n = count[source]
+    entry = np.repeat(np.arange(len(row)), 1 + n)
+    end = np.cumsum(1 + n)
+    t = np.arange(end[-1]) - (end - 1 - n)[entry]  # 0 at the face
+    ids = start[source][entry] + np.where(forward[entry], t - 1, n[entry] - t)
+    ids = np.where(t == 0, right[row[entry]] // 3, ids)
+    after = np.arange(1, end[-1] + 1)
+    after[end[last] - 1] = (end - 1 - n)[last - sizes + 1]  # a ring closes on its first id
+    triangles = np.column_stack((centroid[owner[entry]], ids, ids[after]))
+
+    k = np.sort(first)
+    ends = (right[row[k]] // 3, start[k], start[k] + count[k], left[row[k]] // 3)
+    polylines = [[a, *range(s, e), b] for a, s, e, b in zip(*(x.tolist() for x in ends))]
+    return np.vstack((vertices, ball)), polylines, triangles
 
 
-def _arc_interior(center, w_a, w_b, count):
-    """Chart points that cut the arc from w_a to w_b into count equal parts."""
-    if count <= 1:
-        return []
-    if cmath.isnan(center):  # the neighbour is a plane: a straight segment
-        return [w_a + (w_b - w_a) * m / count for m in range(1, count)]
-    phi = cmath.phase((w_b - center) / (w_a - center))
-    return [
-        center + (w_a - center) * cmath.exp(1j * phi * m / count)
-        for m in range(1, count)
-    ]
+def _block(line: str, rows) -> str:
+    """One ``line`` per row of ``rows``, formatted with a single %."""
+    rows = np.asarray(rows)
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def export_net_obj(net: HorosphericalNet, arc_samples: int = 16) -> str:
@@ -243,13 +239,12 @@ def export_net_obj(net: HorosphericalNet, arc_samples: int = 16) -> str:
     throughout.
     """
     vertices, polylines, triangles = _sampled_geometry(net, arc_samples)
-    lines = ["# horospherical net"]
-    lines += ["v %.17g %.17g %.17g" % v for v in vertices]
+    text = "# horospherical net\n" + _block("v %.17g %.17g %.17g\n", vertices)
     if net.degenerate:
-        lines.append("# degenerate net: all dual vertices coincide")
-    lines += ["l " + " ".join(str(i + 1) for i in ids) for ids in polylines]
-    lines += ["f %d %d %d" % (a + 1, b + 1, c + 1) for (a, b, c) in triangles]
-    return "\n".join(lines) + "\n"
+        text += "# degenerate net: all dual vertices coincide\n"
+    ids = [i + 1 for line in polylines for i in line]
+    text += "".join(["l" + " %d" * len(line) + "\n" for line in polylines]) % tuple(ids)
+    return text + _block("f %d %d %d\n", triangles + 1)
 
 
 def export_net_ply(net: HorosphericalNet, arc_samples: int = 16) -> str:
@@ -266,19 +261,14 @@ def export_net_ply(net: HorosphericalNet, arc_samples: int = 16) -> str:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    body = ["%.17g %.17g %.17g" % v for v in vertices]
-    body += ["3 %d %d %d" % t for t in triangles]
-    return "\n".join(head + body) + "\n"
+    body = _block("%.17g %.17g %.17g\n", vertices) + _block("3 %d %d %d\n", triangles)
+    return "\n".join(head) + "\n" + body
 
 
 def export_points_obj(points, edges=None) -> str:
     """OBJ of a point set in R^3 with optional straight edges."""
-    lines = ["# trivalent surface"]
-    for (x, y, z) in points:
-        lines.append("v %.17g %.17g %.17g" % (x, y, z))
-    for (a, b) in edges or []:
-        lines.append(f"l {a + 1} {b + 1}")
-    return "\n".join(lines) + "\n"
+    text = "# trivalent surface\n" + _block("v %.17g %.17g %.17g\n", points)
+    return text + _block("l %d %d\n", np.asarray(edges or [], dtype=np.intp) + 1)
 
 
 @dataclass

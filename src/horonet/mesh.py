@@ -290,7 +290,6 @@ class TriangulatedDisk(OrientedDisk):
       i -> j and l the apex of the face right of it, so a pattern's cross
       ratio on row e reads its points at ``edge_quads[e]``.
     * ``edge_faces``, (E, 2): the faces left and right of i -> j.
-    * ``edge_index``: interior edge (i, j), i < j, -> its row.
     * ``first_faces``, (V,): the first face of ``vertex_faces_ccw(v)``.
 
     A face's corners are numbered 3 f + k, so ``face_array.ravel()`` is the
@@ -310,7 +309,6 @@ class TriangulatedDisk(OrientedDisk):
             np.column_stack((before[ij], tail[ij], before[ji], tail[ji]))
         )
         self.edge_faces = _readonly(np.column_stack((face[ij], face[ji])))
-        self.edge_index = dict(zip(self.interior_edges, itertools.count()))
         self._directed = self._rings = None
 
     def interior_stars(self):

@@ -372,32 +372,36 @@ def hyperbolic_distance(x: HermitianPoint, y: HermitianPoint) -> float:
 
 
 def to_poincare_ball(x: HermitianPoint):
-    if not x.is_hyperboloid(TOL_HYPERBOLOID):
+    """``ball_rows`` of the one point x."""
+    return tuple(ball_rows(np.array([x.a]), np.array([x.b]), np.array([x.d]))[0].tolist())
+
+
+def ball_rows(a, b, d) -> np.ndarray:
+    """``to_poincare_ball`` of the Hermitian points with real entries a, d
+    and complex entries b, (N,) each, as (N, 3)."""
+    if not _on_hyperboloid(a, b, d).all():
         raise NotInHyperboloid("ball coordinates require a hyperboloid point")
-    x0, x1, x2, x3 = x.minkowski()
-    s = 1.0 + x0
-    return (x1 / s, x2 / s, x3 / s)
+    s = 1.0 + (a + d) / 2.0
+    return np.column_stack((b.real / s, b.imag / s, (a - d) / 2.0 / s))
 
 
-def chart_plane_to_ball(m: MoebiusMap, w) -> np.ndarray:
-    """Ball coordinates of the images under m of the points (w, 1), as (k, 3).
+def chart_plane_to_ball(m, w) -> np.ndarray:
+    """Ball coordinates of the images of the points (w[k], 1) under the maps
+    m[k], (k, 4) rows (a, b, c, d), as (k, 3): ``to_poincare_ball(
+    act_on_hermitian(m[k], from_upper_half_space(w[k], 1.0)))`` per row.
 
-    The array form of ``to_poincare_ball(act_on_hermitian(m,
-    from_upper_half_space(w, 1.0)))`` over a sequence w.  The point (w, 1)
-    is sigma sigma* + e1 e1* with sigma = (w, 1), so its image is
-    X = u u* + e e* with u = m sigma and e = m e1 = (a, c).  Every image
-    passes the hyperboloid check of ``to_poincare_ball``.
+    The point (w, 1) is sigma sigma* + e1 e1* with sigma = (w, 1), so its
+    image is X = u u* + e e* with u = m sigma and e = m e1 = (a, c).  The
+    products with w use numpy's complex multiply; a conj(c), |a|^2 and
+    |c|^2 round as CPython forms them.
     """
+    ma, mb, mc, md = np.asarray(m, dtype=complex).T
     w = np.asarray(w, dtype=complex)
-    u1 = m.a * w + m.b
-    u2 = m.c * w + m.d
-    x11 = u1.real**2 + u1.imag**2 + abs(m.a) ** 2
-    x22 = u2.real**2 + u2.imag**2 + abs(m.c) ** 2
-    x12 = u1 * u2.conj() + m.a * m.c.conjugate()
-    if not _on_hyperboloid(x11, x12, x22).all():
-        raise NotInHyperboloid("ball coordinates require a hyperboloid point")
-    s = 1.0 + 0.5 * (x11 + x22)
-    return np.column_stack((x12.real / s, x12.imag / s, 0.5 * (x11 - x22) / s))
+    u1 = ma * w + mb
+    u2 = mc * w + md
+    x11 = u1.real**2 + u1.imag**2 + sq_abs(ma)
+    x22 = u2.real**2 + u2.imag**2 + sq_abs(mc)
+    return ball_rows(x11, u1 * u2.conj() + cmul(ma, np.conj(mc)), x22)
 
 
 def from_poincare_ball(v) -> HermitianPoint:

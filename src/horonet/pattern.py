@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ClosureViolation, DegenerateFace, DegenerateSeed, MeshMismatch
-from .mesh import TriangulatedDisk, _canon
+from .mesh import TriangulatedDisk
 from .moebius import (
     SpherePoint,
     cabs,
@@ -53,10 +53,12 @@ class CirclePattern:
         else:
             self.zh = np.array([(p.p, p.q) for p in map(SpherePoint.of, z)], dtype=complex)
         self.zh.setflags(write=False)
-        sides = disk.face_array[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2)
-        near = (chordal_rows(self.zh, sides) < TOL_COINCIDENT).any(axis=1)
-        if near.any():
-            i, j, k = disk.faces[np.argmax(near)]
+        tail, head, _, face, twin, _ = disk._corners
+        once = np.flatnonzero((tail < head) | (twin == len(twin)))  # one corner per edge
+        near = once[chordal_rows(self.zh, disk._corners[:2, once].T) < TOL_COINCIDENT]
+        if len(near):  # name the first face on either side of a near edge
+            sides = np.append(near, twin[near])
+            i, j, k = disk.faces[face[sides[sides < len(twin)]].min()]
             raise DegenerateFace(f"face ({i},{j},{k}) has coincident vertices")
 
     # the pairs as SpherePoint objects, built on first access
@@ -94,11 +96,17 @@ class CrossRatioSystem:
         self.array.setflags(write=False)
         self.arg_array.setflags(write=False)
 
+    def _row(self, i: int, j: int) -> int:
+        row = self.disk._corner_rows[self.disk.corner(i, j)]
+        if row < 0:
+            raise KeyError((i, j))  # a boundary edge
+        return row % len(self.array)
+
     def x(self, i: int, j: int) -> complex:
-        return self.array[self.disk.edge_index[_canon(i, j)]].item()
+        return self.array[self._row(i, j)].item()
 
     def arg(self, i: int, j: int) -> float:
-        return self.arg_array[self.disk.edge_index[_canon(i, j)]].item()
+        return self.arg_array[self._row(i, j)].item()
 
     def is_delaunay(self, tol: float = TOL_DELAUNAY) -> bool:
         return not self.delaunay_violations(tol)

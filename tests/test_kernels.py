@@ -24,12 +24,13 @@ from horonet.cmc1 import (
     EdgeMeasure,
     HorosphericalNet,
     build_cmc1,
+    dual_surface,
     extract_patterns,
     flat_patch_net,
     measure_net,
     parallel_net,
 )
-from horonet import convergence
+from horonet import convergence, io as hio
 from horonet.convergence import (
     JETS,
     _angle_defects,
@@ -70,6 +71,7 @@ from horonet.mesh import (
     lattice_subcomplex,
 )
 from horonet.moebius import (
+    TOL_HYPERBOLOID,
     HermitianPoint,
     Horosphere,
     MoebiusMap,
@@ -179,7 +181,7 @@ def test_index_tables(toda_pair):
     assert disk.face_array.tolist() == [list(f) for f in disk.faces]
     assert len(disk.edge_quads) == len(disk.edge_faces) == len(disk.interior_edges)
     for e, (i, j) in enumerate(disk.interior_edges):
-        assert disk.edge_index[(i, j)] == e
+        assert disk._corner_rows[disk.corner(i, j)] == e
         assert tuple(disk.edge_quads[e]) == (apex(disk, i, j), i, apex(disk, j, i), j)
         faces = (disk.left_face(i, j), disk.right_face(i, j))
         assert tuple(disk.edge_faces[e]) == faces
@@ -320,7 +322,8 @@ def _scalar_monodromy(frame, v):
     prod = MoebiusMap.identity()
     for w in ring[1:] + ring[:1]:
         if frame.lambdas is not None:
-            lam = frame.lambdas[disk.edge_index[(min(v, w), max(v, w))]].item()
+            row = disk._corner_rows[disk.corner(v, w)] % len(disk.interior_edges)
+            lam = frame.lambdas[row].item()
         else:
             t = maps[disk.right_face(v, w)].inverse().compose(maps[disk.left_face(v, w)])
             lam = _rayleigh(t, z[v])
@@ -514,6 +517,160 @@ def test_layout_matches_the_scalar_walk(jet, eps, monkeypatch):
     ((_, u, smooth),) = calls
     reference = CirclePattern(patch.disk, _scalar_layout(patch, u, smooth))
     assert solved.zh.tobytes() == reference.zh.tobytes()
+
+
+def _scalar_sampled_geometry(net, arc_samples):
+    """The per-vertex loop that ``io._sampled_geometry`` replaced, kept as
+    its reference: lists of vertex tuples, polylines and fan triangles, one
+    ``cmath.exp`` per arc sample and one ball map per interior vertex."""
+    disk = net.disk
+    vertices = [_scalar_ball(x) for x in net.f]
+    polylines, triangles = [], []
+    if net.degenerate:
+        return vertices, polylines, triangles
+    _, nbr, left, right = disk.directed_edges().T.tolist()
+    w = net.chart_w.ravel().tolist()
+    centers = net.centers.tolist()
+    arcs = {}  # primal edge -> polyline, in the chart that sampled it
+    for v, ring in zip(disk.interior_vertices, disk.interior_rings().tolist()):
+        ring = [row for row in ring if row >= 0]
+        new_w, boundary_ids = [], []
+        for row in ring[1:] + ring[:1]:
+            a, b = right[row], left[row]
+            edge = tuple(sorted((v, nbr[row])))
+            if edge in arcs:
+                ids = arcs[edge][::-1]
+            else:
+                first = len(vertices) + len(new_w)
+                if not net.edge_measure[edge].degenerate:
+                    new_w += _scalar_arc_interior(centers[row], w[a], w[b], arc_samples)
+                ids = [a // 3, *range(first, len(vertices) + len(new_w)), b // 3]
+                arcs[edge] = ids
+                polylines.append(ids)
+            boundary_ids.extend(ids[:-1])
+        cid = len(vertices) + len(new_w)
+        new_w.append(sum(w[left[row]] for row in ring) / len(ring))
+        chart = MoebiusMap(*net.charts[v].tolist()).inverse()
+        vertices += map(tuple, _scalar_chart_to_ball(chart, new_w).tolist())
+        triangles += [
+            (cid, a, b) for a, b in zip(boundary_ids, boundary_ids[1:] + boundary_ids[:1])
+        ]
+    return vertices, polylines, triangles
+
+
+def _scalar_ball(x):
+    """Ball point of the hyperboloid point x, by the scalar formula."""
+    assert x.is_hyperboloid(TOL_HYPERBOLOID)
+    x0, x1, x2, x3 = x.minkowski()
+    s = 1.0 + x0
+    return (x1 / s, x2 / s, x3 / s)
+
+
+def _scalar_arc_interior(center, w_a, w_b, count):
+    """Chart points that cut the arc from w_a to w_b into count equal parts."""
+    if count <= 1:
+        return []
+    if cmath.isnan(center):  # the neighbour is a plane: a straight segment
+        return [w_a + (w_b - w_a) * m / count for m in range(1, count)]
+    phi = cmath.phase((w_b - center) / (w_a - center))
+    return [
+        center + (w_a - center) * cmath.exp(1j * phi * m / count)
+        for m in range(1, count)
+    ]
+
+
+def _scalar_chart_to_ball(m, w):
+    """Ball points of the chart points w under the one map m."""
+    w = np.asarray(w, dtype=complex)
+    u1 = m.a * w + m.b
+    u2 = m.c * w + m.d
+    x11 = u1.real**2 + u1.imag**2 + abs(m.a) ** 2
+    x22 = u2.real**2 + u2.imag**2 + abs(m.c) ** 2
+    x12 = u1 * u2.conj() + m.a * m.c.conjugate()
+    s = 1.0 + 0.5 * (x11 + x22)
+    return np.column_stack((x12.real / s, x12.imag / s, 0.5 * (x11 - x22) / s))
+
+
+def _scalar_exports(net, arc_samples):
+    """OBJ and PLY text of the scalar geometry, one formatted line at a time."""
+    vertices, polylines, triangles = _scalar_sampled_geometry(net, arc_samples)
+    obj = ["# horospherical net"] + ["v %.17g %.17g %.17g" % v for v in vertices]
+    if net.degenerate:
+        obj.append("# degenerate net: all dual vertices coincide")
+    obj += ["l " + " ".join(str(i + 1) for i in ids) for ids in polylines]
+    obj += ["f %d %d %d" % (a + 1, b + 1, c + 1) for (a, b, c) in triangles]
+    ply = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {len(vertices)}",
+        "property double x",
+        "property double y",
+        "property double z",
+        f"element face {len(triangles)}",
+        "property list uchar int vertex_indices",
+        "end_header",
+    ]
+    ply += ["%.17g %.17g %.17g" % v for v in vertices]
+    ply += ["3 %d %d %d" % t for t in triangles]
+    return "\n".join(obj) + "\n", "\n".join(ply) + "\n"
+
+
+@pytest.mark.parametrize("case", ["toda4", "toda6", "toda10", "toda12", "dual", "lattice", "flat", "hex"])
+def test_exports_match_the_scalar_loop(case, hex_pattern):
+    """OBJ and PLY bytes equal those of the per-vertex loop: Toda nets at
+    t = 0.05 (12 x 12 included), the dual of the 6 x 6 one, the eps = 0.1
+    lattice net, the flat hexagon net, whose edges are straight segments,
+    and the degenerate hexagon net."""
+    net = {
+        "toda4": lambda: _toda_nets(4)[0],
+        "toda6": lambda: _toda_nets(6)[0],
+        "toda10": lambda: _toda_nets(10)[0],
+        "toda12": lambda: _toda_nets(12)[0],
+        "dual": lambda: dual_surface(_toda_nets(6)[0]),
+        "lattice": lambda: _lattice_net(0.1),
+        "flat": lambda: net_of_objects(**_hex_fan_net(hex_pattern)),
+        "hex": lambda: build_cmc1(hex_pattern, hex_pattern),
+    }[case]()
+    assert np.isnan(net.centers).any() == (case == "flat")
+    for arc_samples in (1, 2, 16):
+        exports = (export_net_obj(net, arc_samples), export_net_ply(net, arc_samples))
+        assert exports == _scalar_exports(net, arc_samples)
+
+
+def test_large_lattice_geometry_within_roundoff_of_the_scalar_loop():
+    """On the 4797-face eps = 0.025 lattice net the polylines and triangles
+    are the scalar loop's; ball points may differ in the last bit, because
+    numpy rounds a complex product of a Python scalar and an array apart
+    from one of two arrays."""
+    net = _lattice_net(0.025)
+    vertices, polylines, triangles = hio._sampled_geometry(net, 16)
+    ref_vertices, ref_polylines, ref_triangles = _scalar_sampled_geometry(net, 16)
+    assert net.disk.n_faces == 4797
+    assert polylines == ref_polylines
+    assert triangles.tolist() == [list(t) for t in ref_triangles]
+    assert np.abs(vertices - np.array(ref_vertices)).max() <= 1e-15
+
+
+def test_export_makes_one_ball_map_and_no_scalar_points(monkeypatch):
+    net = _toda_nets(6)[0]
+    calls = []
+    ball_map, exp, init = hio.chart_plane_to_ball, cmath.exp, HermitianPoint.__init__
+
+    def count(name, f):
+        def counting(*args, **kw):
+            calls.append(name)
+            return f(*args, **kw)
+
+        return counting
+
+    monkeypatch.setattr(hio, "chart_plane_to_ball", count("ball", ball_map))
+    monkeypatch.setattr(cmath, "exp", count("exp", exp))
+    monkeypatch.setattr(HermitianPoint, "__init__", count("point", init))
+    export_net_obj(net)
+    assert calls == ["ball"]
+    HermitianPoint(1.0, 0j, 1.0)  # the counters themselves work
+    cmath.exp(0j)
+    assert calls == ["ball", "point", "exp"]
 
 
 def _toda_q(n, m, stretch, scale):
@@ -948,6 +1105,11 @@ def test_frame_and_cross_ratio_files_are_pinned():
     # the scalar views hand out Python objects, never numpy scalars
     i, j = net.disk.interior_edges[-1]
     assert type(x.x(j, i)) is complex and type(x.arg(j, i)) is float
+    # a boundary edge has no row, either way round
+    i, j = next(e for e in net.disk.edges if e not in set(net.disk.interior_edges))
+    for edge in ((i, j), (j, i)):
+        with pytest.raises(KeyError):
+            x.x(*edge)
     m = net.frame.maps[-1]
     assert type(m) is MoebiusMap and all(type(e) is complex for e in m.entries())
 

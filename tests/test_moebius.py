@@ -277,10 +277,11 @@ class TestDistanceAndCharts:
         bound = 1e-9 * max(1.0, d0) + 8 * 2.0**-53 * terms / math.sinh(d0)
         assert abs(d0 - d1) < bound
 
-    @given(chart_maps, st.lists(small_complex, min_size=1, max_size=8))
-    def test_chart_plane_to_ball_matches_scalar_chain(self, m, ws):
-        ball = chart_plane_to_ball(m, ws)
-        for w, row in zip(ws, ball.tolist()):
+    @given(st.lists(st.tuples(chart_maps, small_complex), min_size=1, max_size=8))
+    def test_chart_plane_to_ball_matches_scalar_chain(self, pairs):
+        maps, ws = zip(*pairs)
+        ball = chart_plane_to_ball([m.entries() for m in maps], ws)
+        for m, w, row in zip(maps, ws, ball.tolist()):
             ref = to_poincare_ball(act_on_hermitian(m, from_upper_half_space(w, 1.0)))
             assert max(abs(p - q) for p, q in zip(row, ref)) <= 1e-12
 
@@ -289,7 +290,9 @@ class TestDistanceAndCharts:
         with pytest.raises(NotInHyperboloid):
             to_poincare_ball(act_on_hermitian(m, from_upper_half_space(0.5, 1.0)))
         with pytest.raises(NotInHyperboloid):
-            chart_plane_to_ball(m, [0.5])
+            chart_plane_to_ball([m.entries()], [0.5])
+        with pytest.raises(NotInHyperboloid):  # one bad row among good ones
+            chart_plane_to_ball([MoebiusMap.identity().entries(), m.entries()], [0.5, 0.5])
 
     def test_ball_round_trip(self):
         x = HermitianPoint(2.0, 0.4 - 0.2j, (1 + abs(0.4 - 0.2j) ** 2) / 2.0)

@@ -99,6 +99,16 @@ class TestCrossRatios:
         with pytest.raises(DegenerateFace):
             CirclePattern(hex_fan, [0, 1, 1, 2, 3, 4, 5])
 
+    @pytest.mark.parametrize("moved, onto, face", [(0, 3, "(0,2,3)"), (6, 1, "(0,6,1)")])
+    def test_coincident_vertices_name_the_first_face(self, hex_fan, moved, onto, face):
+        """The first face in face order that holds both points is named, also
+        where the corner i -> j, i < j, of their edge lies in a later face."""
+        z = [0j] + [cmath.exp(1j * math.pi / 3 * k) for k in range(6)]
+        z[moved] = z[onto]
+        with pytest.raises(DegenerateFace) as info:
+            CirclePattern(hex_fan, z)
+        assert str(info.value) == f"face {face} has coincident vertices"
+
     def test_wrong_length_rejected(self, hex_fan):
         with pytest.raises(MeshMismatch, match="expected 6 cross ratios"):
             CrossRatioSystem(hex_fan, [OMEGA] * 5)
