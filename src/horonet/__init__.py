@@ -7,7 +7,6 @@ from .cmc1 import (
     dual_surface,
     extract_patterns,
     flat_patch_net,
-    integrated_mean_curvature,
     measure_net,
     parallel_area_derivative,
     parallel_net,
@@ -48,10 +47,8 @@ from .moebius import (
 from .osculating import (
     MoebiusFrame,
     coherent_lift,
-    compose_frames,
     osculating_frame,
     smooth_osculating,
-    smooth_pair_frame,
     transition,
 )
 from .pattern import (

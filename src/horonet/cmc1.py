@@ -12,11 +12,18 @@ of circular-arc polygons.  It runs as one array pass over the disk's
 ``directed_edges`` (the edge c -> n read in the chart of c) and
 ``interior_rings``, summing each ring in order, so it equals the
 vertex-by-vertex loop bit for bit.
+
+The measurements are stored once, as the net's read-only structured arrays
+``edge_rows`` (theta, ell, alpha, r_tilde, degenerate, flat per interior edge)
+and ``dual_face_rows`` (area and integrated mean curvature H per interior
+vertex).  The package reads only these rows; the dicts ``edge_measure``,
+``area``, ``mean_curvature`` and ``ratio`` are views built on request.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,9 +37,8 @@ from .errors import (
     NotCMC1,
     NotShearMatched,
     OffsetTooLarge,
-    ZeroArea,
 )
-from .mesh import TriangulatedDisk, _canon
+from .mesh import TriangulatedDisk, _canon, _readonly
 from .moebius import (
     Horosphere,
     SpherePoint,
@@ -82,11 +88,23 @@ class EdgeMeasure:
     flat: bool = False  # neighboring horospheres coincide
 
 
+# one row per interior edge, the fields of EdgeMeasure; one per dual face
+EDGE_ROW = np.dtype([("theta", float), ("ell", float), ("alpha", float),
+                     ("r_tilde", float), ("degenerate", bool), ("flat", bool)])
+DUAL_FACE_ROW = np.dtype([("area", float), ("H", float)])
+
+
 @dataclass(eq=False)
 class HorosphericalNet:
     """Realization of the dual graph with one horosphere per primal vertex,
     stored as read-only complex arrays of Hermitian rows (a, b, d) and pairs
     (p, q).  It is measured when built; ``measure_net`` measures it again.
+
+    The measurements are ``edge_rows`` (E,) of ``EDGE_ROW`` in
+    ``disk.interior_edges`` order and ``dual_face_rows`` (V_int,) of
+    ``DUAL_FACE_ROW`` in ``disk.interior_vertices`` order, both read-only.
+    The dicts ``edge_measure``, ``area``, ``mean_curvature`` and ``ratio``
+    (H / area where the area is positive) are views of them built when read.
     """
 
     disk: TriangulatedDisk
@@ -95,12 +113,9 @@ class HorosphericalNet:
     gauss_zh: np.ndarray = field(repr=False)  # (V, 2), per primal vertex
     frame: MoebiusFrame | None = None
     incidence_residual: float = 0.0  # horosphere disagreement between faces
-    edge_measure: dict = field(init=False, repr=False)
-    area: dict = field(init=False, repr=False)
-    mean_curvature: dict = field(init=False, repr=False)
-    ratio: dict = field(init=False, repr=False)
+    edge_rows: np.ndarray = field(init=False, repr=False)
+    dual_face_rows: np.ndarray = field(init=False, repr=False)
     chart_residual: float = field(init=False)
-    degenerate: bool = field(init=False)
     # read by the exporters in one array pass: chart maps (V, 4), corner chart
     # positions (F, 3), circle centres per ``directed_edges()`` row (nan: plane)
     charts: np.ndarray = field(init=False, repr=False)
@@ -118,6 +133,39 @@ class HorosphericalNet:
         lambda self: tuple(map(Horosphere, hermitian_points(self.horosphere_rows)))
     )
     gauss = cached_property(lambda self: tuple(map(SpherePoint, *self.gauss_zh.T.tolist())))
+    # the measurements as dicts of Python scalars, built when read and
+    # dropped when the net is measured again
+    _VIEWS = ("edge_measure", "area", "mean_curvature", "ratio")
+
+    @cached_property
+    def edge_measure(self) -> dict:
+        rows = self.edge_rows.tolist()
+        return dict(zip(self.disk.interior_edges, itertools.starmap(EdgeMeasure, rows)))
+
+    @cached_property
+    def area(self) -> dict:
+        return dict(zip(self.disk.interior_vertices, self.dual_face_rows["area"].tolist()))
+
+    @cached_property
+    def mean_curvature(self) -> dict:
+        return dict(zip(self.disk.interior_vertices, self.dual_face_rows["H"].tolist()))
+
+    @cached_property
+    def ratio(self) -> dict:
+        pairs = zip(self.disk.interior_vertices, self.ratios().tolist())
+        return dict(itertools.compress(pairs, (self.dual_face_rows["area"] > 0).tolist()))
+
+    @property
+    def degenerate(self) -> bool:
+        """Every edge has coincident endpoints: the net is a single point."""
+        flags = self.edge_rows["degenerate"]
+        return bool(len(flags)) and bool(flags.all())
+
+    def ratios(self) -> np.ndarray:
+        """H / area per dual face, nan where the area is not positive."""
+        area, h = self.dual_face_rows["area"], self.dual_face_rows["H"]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(area > 0, h / area, math.nan)
 
     def measure_of(self, i: int, j: int) -> EdgeMeasure:
         return self.edge_measure[_canon(i, j)]
@@ -129,7 +177,8 @@ def _atan2(z) -> np.ndarray:
 
 
 def measure_net(net: HorosphericalNet) -> HorosphericalNet:
-    """Populate arc lengths, dihedral angles, rotation angles, and areas.
+    """Store arc lengths, dihedral angles, rotation angles, areas and H as
+    the net's ``edge_rows`` and ``dual_face_rows``, dropping its dict views.
 
     All quantities are read off vertex charts; nothing here touches cross
     ratios, so measurement is an independent path from the construction.
@@ -233,18 +282,16 @@ def measure_net(net: HorosphericalNet) -> HorosphericalNet:
         corr += corrections[seg]
         half_sum += half[col]
     area = np.abs(area + corr)
-    areas, curvatures = area.tolist(), (area + half_sum).tolist()
 
+    edges, faces = np.empty(n_e, dtype=EDGE_ROW), np.empty(len(rings), dtype=DUAL_FACE_ROW)
     r_edge = np.where(arc, r_points, r_tilde)[:n_e]
-    columns = (theta, ell, alpha, r_edge, degenerate[:n_e], plane[:n_e])
-    measures = map(EdgeMeasure, *(a.tolist() for a in columns))
-    net.edge_measure = dict(zip(disk.interior_edges, measures))
-    vertices = disk.interior_vertices
-    net.area = dict(zip(vertices, areas))
-    net.mean_curvature = dict(zip(vertices, curvatures))
-    net.ratio = {v: h / a for v, a, h in zip(vertices, areas, curvatures) if a > 0}
+    for name, col in zip(EDGE_ROW.names, (theta, ell, alpha, r_edge, degenerate, plane)):
+        edges[name] = col[:n_e]
+    faces["area"], faces["H"] = area, area + half_sum
+    net.edge_rows, net.dual_face_rows = _readonly(edges), _readonly(faces)
+    for view in HorosphericalNet._VIEWS:
+        net.__dict__.pop(view, None)
     net.chart_residual = float(max(plane_residual, radius_gap.max(initial=0.0)))
-    net.degenerate = bool(n_e) and bool(degenerate[:n_e].all())
     net.charts, net.chart_w = charts.T, w.reshape(-1, 3)
     net.centers = np.where(plane, complex(math.nan), center)
     return net
@@ -296,20 +343,6 @@ def _net_from_frame(frame: MoebiusFrame) -> HorosphericalNet:
         frame=frame,
         incidence_residual=incidence,
     )
-
-
-def integrated_mean_curvature(net: HorosphericalNet):
-    """Per dual face: integrated mean curvature H and the ratio H / area."""
-    out = {}
-    for v in net.disk.interior_vertices:
-        area = net.area[v]
-        if area <= 0:
-            if net.degenerate:
-                out[v] = (net.mean_curvature[v], math.nan)
-                continue
-            raise ZeroArea(f"dual face at vertex {v} has zero area")
-        out[v] = (net.mean_curvature[v], net.mean_curvature[v] / area)
-    return out
 
 
 # -- parallel surfaces ---------------------------------------------------
@@ -376,32 +409,15 @@ def parallel_net(net: HorosphericalNet, t: float) -> HorosphericalNet:
 
 def parallel_area_derivative(net: HorosphericalNet, steps=PARALLEL_STEPS):
     """Richardson-extrapolated d/dt area(f_t) per dual face, with -2H reference."""
-    diffs = []
-    for t in steps:
-        offset = parallel_net(net, t)
-        diffs.append(
-            {
-                v: (offset.area[v] - net.area[v]) / t
-                for v in net.disk.interior_vertices
-            }
-        )
-    out = {}
-    for v in net.disk.interior_vertices:
-        seq = [d[v] for d in diffs]
-        hs = list(steps)
-        # Richardson chain; stage p removes the O(t^p) term of the quotient
-        p = 1
-        while len(seq) > 1:
-            nxt = []
-            for k in range(len(seq) - 1):
-                r = (hs[k] / hs[k + 1]) ** p
-                nxt.append((r * seq[k + 1] - seq[k]) / (r - 1.0))
-            seq = nxt
-            hs = hs[1:]
-            p += 1
-        reference = -2.0 * net.mean_curvature[v]
-        out[v] = (seq[0], reference)
-    return out
+    area, h = net.dual_face_rows["area"], net.dual_face_rows["H"]
+    seq = [(parallel_net(net, t).dual_face_rows["area"] - area) / t for t in steps]
+    hs, p = list(steps), 1
+    # Richardson chain; stage p removes the O(t^p) term of the quotient
+    while len(seq) > 1:
+        rs = [(a / b) ** p for a, b in zip(hs, hs[1:])]
+        seq = [(r * b - a) / (r - 1.0) for r, a, b in zip(rs, seq, seq[1:])]
+        hs, p = hs[1:], p + 1
+    return dict(zip(net.disk.interior_vertices, zip(seq[0].tolist(), (-2.0 * h).tolist())))
 
 
 def flat_patch_net(disk: TriangulatedDisk, chart_points) -> HorosphericalNet:
@@ -448,18 +464,20 @@ def extract_patterns(net: HorosphericalNet):
         raise NotCMC1("degenerate (single-point) net carries no pattern pair")
     gauss_pattern = CirclePattern(disk, net.gauss_zh)
     xt = cross_ratios_of(gauss_pattern)
-    for v in disk.interior_vertices:
-        r = net.ratio.get(v)
-        if r is None or abs(r - 1.0) > TOL_RATIO:
-            raise NotCMC1(f"H/area at vertex {v} is {r}, not 1")
-    lam = []
-    for (i, j), arg in zip(disk.interior_edges, xt.arg_array.tolist()):
-        em = net.edge_measure[(i, j)]
-        s = em.ell * math.tan(em.alpha / 2.0) if not em.degenerate else 0.0
-        total = s + arg
-        if total < -TOL_ARG_LOW or total >= math.pi - TOL_ARG_HIGH:
-            raise NotCMC1(
-                f"edge ({i},{j}): ell tan(alpha/2) + Arg X~ = {total} outside [0, pi)"
-            )
-        lam.append(cmath.exp(0.5j * s))
+    area, ratio = net.dual_face_rows["area"], net.ratios()
+    if (bad := ~(area > 0) | (np.abs(ratio - 1.0) > TOL_RATIO)).any():
+        k = bad.argmax()
+        r = ratio[k].item() if area[k] > 0 else None
+        raise NotCMC1(f"H/area at vertex {disk.interior_vertices[k]} is {r}, not 1")
+    rows = net.edge_rows
+    tan = np.array(list(map(math.tan, (rows["alpha"] / 2.0).tolist())))
+    s = np.where(rows["degenerate"], 0.0, rows["ell"] * tan)
+    total = s + xt.arg_array
+    if (bad := (total < -TOL_ARG_LOW) | (total >= math.pi - TOL_ARG_HIGH)).any():
+        k = bad.argmax()
+        i, j = disk.interior_edges[k]
+        raise NotCMC1(
+            f"edge ({i},{j}): ell tan(alpha/2) + Arg X~ = {total[k].item()} outside [0, pi)"
+        )
+    lam = list(map(cmath.exp, (0.5j * s).tolist()))
     return integrate_eta(gauss_pattern, net.points, lam)

@@ -466,13 +466,13 @@ def surface_convergence(
         row = ConvergenceRow(eps)
         ref = realization_rows(smooth_pair_rows(jet_g, jet_gt, _barycenters(patch)).T)
         row.surface_error = float(hyperbolic_distance_rows(net.points, ref).max())
-        hopf, l1, w23 = 0.0, spec.length(1), spec.omega(2) * spec.omega(3)
-        for v, e in zip(*(a.tolist() for a in _shift_edges(patch, 1))):
-            em = net.edge_measure[patch.disk.interior_edges[e]]
-            val = em.ell * math.tan(em.alpha / 2.0) / (eps * eps)
-            z = patch.positions[v]
-            q = (jet_g.schwarzian(z) - jet_gt.schwarzian(z)) / 2.0
-            hopf = max(hopf, abs(val - l1 * (w23 * q).real))
-        row.hopf_error = hopf
+        v, e = _shift_edges(patch, 1)
+        rows, z = net.edge_rows[e], [patch.positions[k] for k in v.tolist()]
+        tan = np.array(list(map(math.tan, (rows["alpha"] / 2.0).tolist())))
+        val = rows["ell"] * tan / (eps * eps)
+        sg, sgt = (np.array(list(map(jet.schwarzian, z)), dtype=complex) for jet in (jet_g, jet_gt))
+        q = cdiv(sg - sgt, 2.0)
+        hopf = val - spec.length(1) * cmul(spec.omega(2) * spec.omega(3), q).real
+        row.hopf_error = float(np.abs(hopf).max(initial=0.0))
         report.rows.append(row)
     return report

@@ -102,10 +102,6 @@ class NonIntersectingHorospheres(HoronetError):
     exit_code = 53
 
 
-class ZeroArea(HoronetError):
-    exit_code = 54
-
-
 class OffsetTooLarge(HoronetError):
     exit_code = 55
 

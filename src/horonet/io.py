@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -133,15 +132,18 @@ def load_frame(doc: dict) -> MoebiusFrame:
 
 
 def net_report(net: HorosphericalNet, kind: str = "cmc1") -> dict:
+    disk = net.disk  # its interior edges and vertices are in sorted order
     edges = [
-        {"i": i, "j": j, "ell": m.ell, "alpha": m.alpha, "theta": m.theta,
-         "degenerate": m.degenerate}
-        for (i, j), m in sorted(net.edge_measure.items())
+        {"i": i, "j": j, "ell": ell, "alpha": alpha, "theta": theta, "degenerate": degenerate}
+        for (i, j), (theta, ell, alpha, _, degenerate, _) in zip(
+            disk.interior_edges, net.edge_rows.tolist()
+        )
     ]
     faces = [
-        {"vertex": v, "area": area, "H": net.mean_curvature[v],
-         "ratio": net.ratio.get(v, math.nan)}
-        for v, area in sorted(net.area.items())
+        {"vertex": v, "area": area, "H": h, "ratio": ratio}
+        for v, (area, h), ratio in zip(
+            disk.interior_vertices, net.dual_face_rows.tolist(), net.ratios().tolist()
+        )
     ]
     return {
         "kind": kind,
@@ -182,8 +184,8 @@ def _sampled_geometry(net: HorosphericalNet, arc_samples: int):
     _, first, inverse = np.unique(row % n_e, return_index=True, return_inverse=True)
     source = first[inverse]
     forward = source == np.arange(len(row))
-    degenerate = np.fromiter((m.degenerate for m in net.edge_measure.values()), bool, n_e)
-    count = np.where(forward & ~degenerate[row % n_e], max(arc_samples - 1, 0), 0)
+    degenerate = net.edge_rows["degenerate"][row % n_e]
+    count = np.where(forward & ~degenerate, max(arc_samples - 1, 0), 0)
     # each vertex adds its samples, then its centroid
     start = n_f + np.cumsum(count) - count + owner
     last = np.cumsum(sizes) - 1

@@ -216,32 +216,32 @@ class OrientedDisk:
         earlier child, to ``child[k]`` over the interior edge i -> j with the
         parent on its left.  ``edge[k]`` is the row of i -> j, e for
         ``interior_edges[e]`` as i -> j, i < j, and E + e as j -> i, and
-        ``depth[k]`` the child's depth, found by pointer jumping.  The
-        neighbours of a face are visited in increasing order.
+        ``depth[k]`` the child's depth, its parent's plus one, recorded as
+        the walk goes level by level.  The neighbours of a face are visited
+        in increasing order.
         """
         tree = self._dual_trees.get(root)
         if tree is None:
             rows, starts = self._dual_rows, self._dual_starts
             reached = [False] * self.n_faces + [True]
             reached[root] = True
-            order, parent, via = [root], [], []
-            for f in order:
-                row = rows[f]
-                for g in row:
-                    if not reached[g]:
-                        reached[g] = True
-                        order.append(g)
-                        parent.append(f)
-                        via.append(starts[f] + row.index(g))  # its first entry
-            child, parent = np.array(order[1:], dtype=np.intp), np.array(parent, dtype=np.intp)
-            up = np.arange(self.n_faces)  # per face an ancestor, hops up
-            up[child] = parent
-            hops = (up != np.arange(self.n_faces)).astype(np.intp)
-            while (up[up] != up).any():
-                hops, up = hops + hops[up], up[up]
-            tree = self._dual_trees[root] = DualTree(
-                *map(_readonly, (parent, child, self._dual_edges[via], hops[child]))
-            )
+            order, parent, via, depth = [root], [], [], []
+            done = level = 0
+            while done < len(order):  # one level of the tree per pass
+                frontier, done, level = order[done:], len(order), level + 1
+                for f in frontier:
+                    row = rows[f]
+                    for g in row:
+                        if not reached[g]:
+                            reached[g] = True
+                            order.append(g)
+                            parent.append(f)
+                            via.append(starts[f] + row.index(g))  # its first entry
+                depth += [level] * (len(order) - done)
+            tree = self._dual_trees[root] = DualTree(*map(_readonly, (
+                np.array(parent, dtype=np.intp), np.array(order[1:], dtype=np.intp),
+                self._dual_edges[via], np.array(depth, dtype=np.intp),
+            )))
         return tree
 
     def is_interior_edge(self, i: int, j: int) -> bool:

@@ -58,8 +58,6 @@ from .pattern import CirclePattern, CrossRatioSystem, cross_ratios_of
 TOL_TRANSITION = 1e-10
 TOL_ANCHOR = 1e-14
 TOL_ETA = 1e-8
-# composed frames' intermediate patterns agree to this chordal distance
-TOL_COMPOSE = 1e-9
 
 
 @dataclass(eq=False)
@@ -362,21 +360,6 @@ def integrate_eta(gauss: CirclePattern, points, lam):
     return source, gauss, frame
 
 
-def compose_frames(f1: MoebiusFrame, f2: MoebiusFrame) -> MoebiusFrame:
-    """Frame of the composed correspondence; f1: z -> z~, f2: z~ -> z+."""
-    if f1.disk.faces != f2.disk.faces:
-        raise MeshMismatch("frames live on different disks")
-    worst = max(
-        a.chordal(b) for a, b in zip(f1.target.z, f2.source.z)
-    )
-    if worst > TOL_COMPOSE:
-        raise MeshMismatch(
-            f"intermediate patterns disagree by {worst:.2e}"
-        )
-    entries = compose_rows(f2.entries.T, f1.entries.T).T
-    return MoebiusFrame(f1.source, f2.target, entries)
-
-
 def smooth_osculating_rows(h, h1, h2, z) -> np.ndarray:
     """Moebius maps matching the 2-jet of h (value, h', h'') at each point of
     z, as (4, N) columns (a, b, c, d).
@@ -415,8 +398,3 @@ def smooth_osculating(h, h1, h2, z: complex) -> MoebiusMap:
     at the one point z."""
     return MoebiusMap(*smooth_osculating_rows(h, h1, h2, [z])[:, 0].tolist())
 
-
-def smooth_pair_frame(jet_g, jet_gt, z: complex) -> MoebiusMap:
-    """Osculating map A_g~ A_g^{-1} of a pair of locally univalent jets:
-    ``smooth_pair_rows`` at the one point z."""
-    return MoebiusMap(*smooth_pair_rows(jet_g, jet_gt, [z])[:, 0].tolist())

@@ -10,7 +10,6 @@ from horonet.cmc1 import (
     dual_surface,
     extract_patterns,
     flat_patch_net,
-    integrated_mean_curvature,
     measure_net,
     parallel_area_derivative,
     parallel_net,
@@ -175,15 +174,14 @@ class TestIntegratedMeanCurvature:
     def test_flat_ratio_one(self, hex_fan):
         pts = [cmath.exp(1j * math.pi / 3 * k) for k in range(6)]
         net = flat_patch_net(hex_fan, pts)
-        out = integrated_mean_curvature(net)
-        h, ratio = out[0]
-        assert abs(h - net.area[0]) < 1e-14
-        assert abs(ratio - 1.0) < 1e-14
+        assert abs(net.mean_curvature[0] - net.area[0]) < 1e-14
+        assert abs(net.ratio[0] - 1.0) < 1e-14
 
     def test_pipeline_ratio(self, toda_net):
-        out = integrated_mean_curvature(toda_net)
-        for v, (_, ratio) in out.items():
+        assert sorted(toda_net.ratio) == sorted(toda_net.disk.interior_vertices)
+        for v, ratio in toda_net.ratio.items():
             assert abs(ratio - 1.0) <= 1e-9
+            assert ratio == toda_net.mean_curvature[v] / toda_net.area[v]
 
     def test_rescaled_horosphere_breaks_ratio(self, toda_net):
         rows = toda_net.horosphere_rows.copy()
@@ -335,8 +333,9 @@ class TestExtract:
         import copy
 
         net = copy.deepcopy(toda_net)
-        e = net.disk.interior_edges[len(net.disk.interior_edges) // 2]
-        net.edge_measure[e].ell *= 1.05
+        rows = net.edge_rows.copy()  # the stored rows are read-only
+        rows["ell"][len(rows) // 2] *= 1.05
+        net.edge_rows = rows
         with pytest.raises(EtaNotClosed, match="per-vertex"):
             extract_patterns(net)
 

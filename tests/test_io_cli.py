@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -214,7 +215,7 @@ class TestCli:
 
     def test_minimal_subcommand(self, tmp_path, pattern_files):
         a, _ = pattern_files
-        doc = json.loads(open(a).read())
+        doc = json.loads(Path(a).read_text())
         dot = tmp_path / "dot.json"
         n = len(doc["positions"])
         dot.write_text(json.dumps({"dot": [{"re": 0.1, "im": 0.0}] * n}))
@@ -316,7 +317,7 @@ class TestCli:
     def test_error_json_on_stderr(self, tmp_path, capsys, pattern_files):
         a, _ = pattern_files
         bad = tmp_path / "bad.json"
-        doc = json.loads(open(a).read())
+        doc = json.loads(Path(a).read_text())
         doc["positions"][0] = {"re": 50.0, "im": 0.0}  # wrecks Delaunay/shear
         bad.write_text(json.dumps(doc))
         code = main(["cmc1", "--a", a, "--b", str(bad)])

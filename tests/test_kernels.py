@@ -21,6 +21,7 @@ from test_acceptance import _random_delaunay_pair
 from test_mesh import apex, tree_entries
 
 from horonet.cmc1 import (
+    PARALLEL_STEPS,
     EdgeMeasure,
     HorosphericalNet,
     build_cmc1,
@@ -28,6 +29,7 @@ from horonet.cmc1 import (
     extract_patterns,
     flat_patch_net,
     measure_net,
+    parallel_area_derivative,
     parallel_net,
 )
 from horonet import convergence, io as hio
@@ -39,6 +41,7 @@ from horonet.convergence import (
     jet_moebius,
     jet_square,
     shear_preserving_solve,
+    surface_convergence,
 )
 from horonet.equidistant import (
     build_equidistant,
@@ -1243,6 +1246,71 @@ def test_read_side_builds_no_scalar_objects(monkeypatch):
     assert built == []
     HermitianPoint(1.0, 0j, 1.0)  # the counter itself works
     assert built == ["HermitianPoint"]
+
+
+def _scalar_richardson(net, steps=PARALLEL_STEPS):
+    """parallel_area_derivative as the per-vertex dict chain formed it."""
+    diffs = []
+    for t in steps:
+        offset = parallel_net(net, t)
+        diffs.append(
+            {
+                v: (offset.area[v] - net.area[v]) / t
+                for v in net.disk.interior_vertices
+            }
+        )
+    out = {}
+    for v in net.disk.interior_vertices:
+        seq = [d[v] for d in diffs]
+        hs = list(steps)
+        p = 1
+        while len(seq) > 1:
+            nxt = []
+            for k in range(len(seq) - 1):
+                r = (hs[k] / hs[k + 1]) ** p
+                nxt.append((r * seq[k + 1] - seq[k]) / (r - 1.0))
+            seq = nxt
+            hs = hs[1:]
+            p += 1
+        out[v] = (seq[0], -2.0 * net.mean_curvature[v])
+    return out
+
+
+@pytest.mark.parametrize("case", ["toda6", "toda10", "toda12", "flat"])
+def test_parallel_area_derivative_equals_the_dict_chain(case, hex_fan):
+    if case == "flat":
+        net = flat_patch_net(hex_fan, [cmath.exp(1j * math.pi / 3 * k) for k in range(6)])
+    else:
+        n = int(case.removeprefix("toda"))
+        cell, _, sol = square_grid_toda(n, n)
+        net = cmc1_from_toda(cell, sol, 0.05)
+    assert parallel_area_derivative(net) == _scalar_richardson(net)
+
+
+def test_measurement_readers_build_no_edge_measures(monkeypatch):
+    built = []
+
+    def counting(self, *args, init=EdgeMeasure.__init__, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(EdgeMeasure, "__init__", counting)
+    cell, _, sol = square_grid_toda(6, 6)
+    net = cmc1_from_toda(cell, sol, 0.05)
+    measure_net(net)
+    extract_patterns(net)
+    parallel_area_derivative(net)
+    net_report(net)
+    export_net_obj(net)
+    surface_convergence(jet_identity(), jet_exp(), EQ(1.0, (0.0, 1.0, 0.0, 1.0)), [0.1])
+    assert built == []
+    # no reader went through a dict view either
+    assert not set(HorosphericalNet._VIEWS) & net.__dict__.keys()
+    net.measure_of(*net.disk.interior_edges[0])  # the counter itself works
+    assert len(built) == len(net.disk.interior_edges)
+    # measuring again drops the views
+    measure_net(net)
+    assert "edge_measure" not in net.__dict__
 
 
 def test_exports_read_ring_sizes_from_the_padding(monkeypatch):

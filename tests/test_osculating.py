@@ -9,14 +9,13 @@ from test_kernels import _rayleigh
 from horonet.convergence import jet_exp, shear_preserving_solve
 from horonet.errors import MeshMismatch, NotDelaunay
 from horonet.mesh import LatticeSpec, lattice_subcomplex
-from horonet.moebius import MoebiusMap, SpherePoint, hermitian_points
+from horonet.moebius import MoebiusMap, SpherePoint, compose_rows, hermitian_points
 from horonet.osculating import (
     coherent_lift,
-    compose_frames,
     osculating_frame,
     principal_sqrt_ratio,
     smooth_osculating,
-    smooth_pair_frame,
+    smooth_pair_rows,
     transition,
     transition_rows,
     vertex_monodromy,
@@ -227,13 +226,17 @@ class TestRealization:
                 assert abs(p.det() - 1) <= 1e-12
 
 
+def composed_maps(f1, f2):
+    """Per face f2 after f1, the frame of the composed correspondence."""
+    return [MoebiusMap(*row) for row in compose_rows(f2.entries.T, f1.entries.T).T.tolist()]
+
+
 class TestComposeFrames:
     def test_inverse_composition_is_identity(self, lattice_pattern):
         target = smooth_image(lattice_pattern, lambda z: z * z + 1)
         f1 = osculating_frame(lattice_pattern, target)
         f2 = f1.inverse()
-        comp = compose_frames(f1, f2)
-        for m in comp.maps:
+        for m in composed_maps(f1, f2):
             assert m.projective_distance(MoebiusMap.identity()) < 1e-10
 
     def test_composition_law(self, lattice_pattern):
@@ -242,8 +245,7 @@ class TestComposeFrames:
         f1 = osculating_frame(lattice_pattern, t1)
         f2 = osculating_frame(t1, t2)
         direct = osculating_frame(lattice_pattern, t2)
-        comp = compose_frames(f1, f2)
-        for a, b in zip(comp.maps, direct.maps):
+        for a, b in zip(composed_maps(f1, f2), direct.maps):
             assert a.projective_distance(b) < 1e-10
 
 
@@ -332,14 +334,19 @@ class TestSmoothOsculating:
         assert all(o >= 0.9 for o in orders[:4])
 
 
+def smooth_pair_map(jet_g, jet_gt, z):
+    """The osculating map A_g~ A_g^{-1} of the pair at the one point z."""
+    return MoebiusMap(*smooth_pair_rows(jet_g, jet_gt, [z])[:, 0].tolist())
+
+
 class TestSmoothPair:
     def test_equal_pair_is_identity(self):
-        m = smooth_pair_frame(JET_EXP, JET_EXP, 0.2 + 0.1j)
+        m = smooth_pair_map(JET_EXP, JET_EXP, 0.2 + 0.1j)
         assert m.projective_distance(MoebiusMap.identity()) < 1e-13
 
     def test_identity_to_exp(self):
         z0 = 0j
-        m = smooth_pair_frame(JET_ID, JET_EXP, z0)
+        m = smooth_pair_map(JET_ID, JET_EXP, z0)
         ref = smooth_osculating(JET_EXP.f, JET_EXP.d1, JET_EXP.d2, z0)
         assert m.projective_distance(ref) < 1e-13
 
@@ -356,5 +363,5 @@ class TestSmoothPair:
         zc = (
             patch.positions[i] + patch.positions[j] + patch.positions[k]
         ) / 3.0
-        smooth = smooth_pair_frame(JET_ID, JET_EXP, zc)
+        smooth = smooth_pair_map(JET_ID, JET_EXP, zc)
         assert frame.maps[f].projective_distance(smooth) < 5e-3
