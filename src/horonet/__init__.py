@@ -31,26 +31,8 @@ from .minimal import (
     osculating_vector_field,
     smooth_vector_osculating,
 )
-from .moebius import (
-    HermitianPoint,
-    Horosphere,
-    MoebiusMap,
-    SpherePoint,
-    act_on_hermitian,
-    edge_cross_ratio,
-    horosphere,
-    hyperbolic_distance,
-    mobius_from_triples,
-    on_horosphere,
-    to_poincare_ball,
-)
-from .osculating import (
-    MoebiusFrame,
-    coherent_lift,
-    osculating_frame,
-    smooth_osculating,
-    transition,
-)
+from .moebius import HermitianPoint, hyperbolic_distance
+from .osculating import MoebiusFrame, coherent_lift, osculating_frame
 from .pattern import (
     CirclePattern,
     CrossRatioSystem,

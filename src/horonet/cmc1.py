@@ -14,7 +14,7 @@ of circular-arc polygons.  It runs as one array pass over the disk's
 vertex-by-vertex loop bit for bit.
 
 The measurements are stored once, as the net's read-only structured arrays
-``edge_rows`` (theta, ell, alpha, r_tilde, degenerate, flat per interior edge)
+``edge_rows`` (theta, ell, alpha and the degenerate flag per interior edge)
 and ``dual_face_rows`` (area and integrated mean curvature H per interior
 vertex).  The package reads only these rows; the dicts ``edge_measure``,
 ``area``, ``mean_curvature`` and ``ratio`` are views built on request.
@@ -40,8 +40,6 @@ from .errors import (
 )
 from .mesh import TriangulatedDisk, _canon, _readonly
 from .moebius import (
-    Horosphere,
-    SpherePoint,
     act_on_hermitian_rows,
     cabs,
     cdiv,
@@ -83,14 +81,11 @@ class EdgeMeasure:
     theta: float = 0.0
     ell: float = 0.0
     alpha: float = 0.0
-    r_tilde: float = math.inf  # arc radius measured from the face points
     degenerate: bool = False  # coincident endpoints (zero-length edge)
-    flat: bool = False  # neighboring horospheres coincide
 
 
 # one row per interior edge, the fields of EdgeMeasure; one per dual face
-EDGE_ROW = np.dtype([("theta", float), ("ell", float), ("alpha", float),
-                     ("r_tilde", float), ("degenerate", bool), ("flat", bool)])
+EDGE_ROW = np.dtype([("theta", float), ("ell", float), ("alpha", float), ("degenerate", bool)])
 DUAL_FACE_ROW = np.dtype([("area", float), ("H", float)])
 
 
@@ -127,12 +122,8 @@ class HorosphericalNet:
             rows.setflags(write=False)
         measure_net(self)
 
-    # the rows as HermitianPoint, Horosphere and SpherePoint tuples, built when read
+    # the face points as a HermitianPoint tuple, built when read
     f = cached_property(lambda self: hermitian_points(self.points))
-    horospheres = cached_property(
-        lambda self: tuple(map(Horosphere, hermitian_points(self.horosphere_rows)))
-    )
-    gauss = cached_property(lambda self: tuple(map(SpherePoint, *self.gauss_zh.T.tolist())))
     # the measurements as dicts of Python scalars, built when read and
     # dropped when the net is measured again
     _VIEWS = ("edge_measure", "area", "mean_curvature", "ratio")
@@ -222,7 +213,8 @@ def measure_net(net: HorosphericalNet) -> HorosphericalNet:
         plane_residual = np.abs(1.0 / xd[on_chart] - 1.0).max(initial=0.0)
         del corner, xb, xd  # a lower peak of live temporaries
 
-        by_a = ua >= ud  # sigma as Horosphere.factor reads it
+        # sigma from the column of U with the larger diagonal entry
+        by_a = ua >= ud
         root = np.sqrt(np.where(by_a, ua, ud))
         b_root, b_conj_root = cdiv(np.array((ub, np.conj(ub))), root)
         sp, sq = np.where(by_a, root, b_root)[n], np.where(by_a, b_conj_root, root)[n]
@@ -284,8 +276,7 @@ def measure_net(net: HorosphericalNet) -> HorosphericalNet:
     area = np.abs(area + corr)
 
     edges, faces = np.empty(n_e, dtype=EDGE_ROW), np.empty(len(rings), dtype=DUAL_FACE_ROW)
-    r_edge = np.where(arc, r_points, r_tilde)[:n_e]
-    for name, col in zip(EDGE_ROW.names, (theta, ell, alpha, r_edge, degenerate, plane)):
+    for name, col in zip(EDGE_ROW.names, (theta, ell, alpha, degenerate)):
         edges[name] = col[:n_e]
     faces["area"], faces["H"] = area, area + half_sum
     net.edge_rows, net.dual_face_rows = _readonly(edges), _readonly(faces)
@@ -431,7 +422,7 @@ def flat_patch_net(disk: TriangulatedDisk, chart_points) -> HorosphericalNet:
         raise DegenerateFace("one chart point per face required")
 
     w = np.asarray(chart_points, dtype=complex)
-    # from_upper_half_space(w, 1.0) per face; horosphere(inf, 1.0) per vertex
+    # per face the point above w at height 1, per vertex the horosphere N_{inf,1}
     infinity = np.tile((1.0 + 0j, 0j), (disk.n_vertices, 1))
     return HorosphericalNet(
         disk=disk,

@@ -131,7 +131,7 @@ def _ray_eigenvalues(net: EquidistantNet):
     a, b, d = net.points[disk.edge_faces.T.ravel()].T  # left faces, then right
     xa, xb, xd = act_on_hermitian_rows(np.vstack((m, m)), a.real, b, d.real)
     det = xa * xd - sq_abs(xb)
-    # to_upper_half_space on every row
+    # upper-half-space coordinates (w, height) = (b, sqrt(det)) / d on every row
     if (xd <= 0).any():
         raise NotInHyperboloid("upper-half-space chart needs positive (2,2) entry")
     if (det <= 0).any():

@@ -34,10 +34,6 @@ class BoundaryVertex(HoronetError):
     exit_code = 14
 
 
-class BoundaryEdge(HoronetError):
-    exit_code = 15
-
-
 # moebius kernel
 class DegenerateTriple(HoronetError):
     exit_code = 20
@@ -49,10 +45,6 @@ class SingularMatrix(HoronetError):
 
 class CoincidentPoints(HoronetError):
     exit_code = 22
-
-
-class NonpositiveRadius(HoronetError):
-    exit_code = 23
 
 
 class NotInHyperboloid(HoronetError):

@@ -1,9 +1,9 @@
 """File formats, exporters, and run manifests.
 
-JSON conventions: complex numbers as {"re": x, "im": y}; the point at
-infinity as the string "inf".  All writers emit deterministic bytes for
-fixed inputs (sorted keys, fixed float formatting, no timestamp unless
-explicitly requested).
+JSON conventions: complex numbers as {"re": x, "im": y}; a position is the
+affine value p/q of its pair (p, q), or the string "inf" where q = 0.  All
+writers emit deterministic bytes for fixed inputs (sorted keys, fixed float
+formatting, no timestamp unless explicitly requested).
 """
 
 from __future__ import annotations
@@ -17,51 +17,50 @@ import numpy as np
 from .cmc1 import HorosphericalNet, _atan2
 from .errors import DegenerateFace, HoronetError, MeshMismatch
 from .mesh import TriangulatedDisk, build_disk
-from .moebius import SpherePoint, _complex, ball_rows, cdiv, chart_plane_to_ball, cmul
+from .moebius import _complex, ball_rows, cdiv, chart_plane_to_ball, cmul, sphere_rows
 from .osculating import MoebiusFrame
 from .pattern import CirclePattern, CrossRatioSystem
 
 VERSION = "0.1.0"
 
 
-def complex_to_json(z) -> dict | str:
-    if isinstance(z, SpherePoint):
-        if z.is_infinity:
-            return "inf"
-        z = z.value()
+def complex_to_json(z) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def complex_from_json(obj):
+def complex_from_json(obj) -> complex:
     if obj == "inf":
-        return SpherePoint.infinity()
+        raise HoronetError("'inf' is not a complex value; only a position may be infinite")
     return complex(obj["re"], obj["im"])
 
 
-def save_mesh(disk: TriangulatedDisk, positions=None) -> dict:
-    doc = {"faces": [list(f) for f in disk.faces]}
-    if positions is not None:
-        doc["positions"] = [complex_to_json(p) for p in positions]
-    return doc
+def positions_to_json(zh) -> list:
+    """The affine values p/q of the pairs zh, (V, 2), and "inf" where q = 0."""
+    p, q = zh.T
+    infinite = q == 0
+    values = cdiv(p, np.where(infinite, 1.0, q)).tolist()
+    return ["inf" if inf else complex_to_json(z) for z, inf in zip(values, infinite.tolist())]
 
 
-def load_mesh(doc: dict):
-    disk = build_disk(doc["faces"])
-    positions = None
-    if "positions" in doc:
-        positions = [complex_from_json(p) for p in doc["positions"]]
-    return disk, positions
+def positions_from_json(objs) -> np.ndarray:
+    """(V, 2) pairs of the positions ``objs``: (1, 0) for "inf", and the
+    pair (z, 1) of a value z, scaled by ``sphere_rows``."""
+    pairs = [(1.0, 0.0) if o == "inf" else (complex_from_json(o), 1.0) for o in objs]
+    return sphere_rows(np.array(pairs, dtype=complex).reshape(-1, 2))
 
 
 def save_pattern(pattern: CirclePattern) -> dict:
-    return save_mesh(pattern.disk, pattern.z)
+    return {
+        "faces": [list(f) for f in pattern.disk.faces],
+        "positions": positions_to_json(pattern.zh),
+    }
 
 
 def load_pattern(doc: dict) -> CirclePattern:
-    disk, positions = load_mesh(doc)
-    if positions is None:
+    disk = build_disk(doc["faces"])
+    if "positions" not in doc:
         raise HoronetError("pattern file has no positions")
-    return CirclePattern(disk, positions)
+    return CirclePattern(disk, positions_from_json(doc["positions"]))
 
 
 def save_cross_ratios(x: CrossRatioSystem) -> dict:
@@ -101,8 +100,8 @@ def load_toda(doc: dict) -> dict:
 def save_frame(frame: MoebiusFrame) -> dict:
     return {
         "mesh": {"faces": [list(f) for f in frame.disk.faces]},
-        "source_positions": [complex_to_json(p) for p in frame.source.z],
-        "target_positions": [complex_to_json(p) for p in frame.target.z],
+        "source_positions": positions_to_json(frame.source.zh),
+        "target_positions": positions_to_json(frame.target.zh),
         "matrices": [
             [[complex_to_json(a), complex_to_json(b)], [complex_to_json(c), complex_to_json(d)]]
             for a, b, c, d in frame.entries.tolist()
@@ -113,20 +112,14 @@ def save_frame(frame: MoebiusFrame) -> dict:
 
 def load_frame(doc: dict) -> MoebiusFrame:
     disk = build_disk(doc["mesh"]["faces"])
-
-    def pts(key):
-        return [complex_from_json(o) for o in doc[key]]
-
-    source = CirclePattern(disk, pts("source_positions"))
-    target = CirclePattern(disk, pts("target_positions"))
+    source = CirclePattern(disk, positions_from_json(doc["source_positions"]))
+    target = CirclePattern(disk, positions_from_json(doc["target_positions"]))
     for k, m in enumerate(doc["matrices"]):
         if [len(row) for row in m] != [2, 2]:
             raise MeshMismatch(
                 f"frame matrix {k} has rows of {[len(row) for row in m]} entries, not 2 x 2"
             )
     rows = [[complex_from_json(e) for row in m for e in row] for m in doc["matrices"]]
-    if any(isinstance(e, SpherePoint) for r in rows for e in r):
-        raise HoronetError("matrix entries cannot be infinite")
     entries = np.array(rows, dtype=complex)
     return MoebiusFrame(source, target, entries, lift=doc.get("lift", "projective"))
 
@@ -135,7 +128,7 @@ def net_report(net: HorosphericalNet, kind: str = "cmc1") -> dict:
     disk = net.disk  # its interior edges and vertices are in sorted order
     edges = [
         {"i": i, "j": j, "ell": ell, "alpha": alpha, "theta": theta, "degenerate": degenerate}
-        for (i, j), (theta, ell, alpha, _, degenerate, _) in zip(
+        for (i, j), (theta, ell, alpha, degenerate) in zip(
             disk.interior_edges, net.edge_rows.tolist()
         )
     ]

@@ -24,12 +24,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import (
-    BoundaryEdge,
     CriticalPoint,
     DegenerateFace,
     DegenerateTriple,
@@ -41,7 +39,6 @@ from .errors import (
 )
 from .mesh import TriangulatedDisk
 from .moebius import (
-    MoebiusMap,
     act_on_hermitian_rows,
     cabs,
     cdiv,
@@ -55,7 +52,6 @@ from .moebius import (
 )
 from .pattern import CirclePattern, CrossRatioSystem, cross_ratios_of
 
-TOL_TRANSITION = 1e-10
 TOL_ANCHOR = 1e-14
 TOL_ETA = 1e-8
 
@@ -65,11 +61,11 @@ class MoebiusFrame:
     """Per-face Moebius maps from ``source`` to ``target``.
 
     ``entries`` holds the maps as one read-only (F, 4) complex array of rows
-    (a, b, c, d), one per face of ``disk.faces``; ``maps`` views its rows as
-    MoebiusMap objects.  ``lambdas`` is the read-only (E,) array of the
-    transition eigenvalues at the tail z_i of each edge (i, j) of
-    ``disk.interior_edges``, as ``coherent_lift`` caches them, or None when
-    no eigenvalues are cached (inverse, projective and integrated frames).
+    (a, b, c, d), one per face of ``disk.faces``.  ``lambdas`` is the
+    read-only (E,) array of the transition eigenvalues at the tail z_i of
+    each edge (i, j) of ``disk.interior_edges``, as ``coherent_lift`` caches
+    them, or None when no eigenvalues are cached (inverse, projective and
+    integrated frames).
     """
 
     source: CirclePattern
@@ -92,17 +88,13 @@ class MoebiusFrame:
     def disk(self) -> TriangulatedDisk:
         return self.source.disk
 
-    @cached_property
-    def maps(self) -> tuple:
-        """MoebiusMap per face, built from ``entries`` on first access."""
-        return tuple(map(MoebiusMap, *(column.tolist() for column in self.entries.T)))
-
     def inverse(self) -> "MoebiusFrame":
         """Frame from target to source (per-face inverse).
 
-        Its eigenvalues 1/lambda are not cached; ``transition`` recomputes them.
+        Its eigenvalues 1/lambda are not cached; ``edge_eigenvalues``
+        recomputes them.
         """
-        inv = self.entries[:, [3, 1, 2, 0]]  # adjugate, as MoebiusMap.inverse
+        inv = self.entries[:, [3, 1, 2, 0]]  # the adjugate, since det = 1
         inv[:, 1:3] = -inv[:, 1:3]
         return MoebiusFrame(self.target, self.source, inv, lift=self.lift)
 
@@ -118,8 +110,8 @@ class MoebiusFrame:
 
 
 def realization_rows(entries) -> np.ndarray:
-    """``act_on_hermitian(m, HermitianPoint.identity())`` = m m* per map row
-    m of ``entries``, (N, 4), as (N, 3) complex rows (a, b, d)."""
+    """m I m* = m m* per map row m of ``entries``, (N, 4), as (N, 3) complex
+    rows (a, b, d)."""
     n = len(entries)
     ones = np.ones(n)
     return np.column_stack(act_on_hermitian_rows(entries, ones, np.zeros(n, dtype=complex), ones))
@@ -142,7 +134,7 @@ def edge_eigenvalues(entries, zh, left, right, tail):
     ``entries`` and its eigenvalue at the eigenvector zh[tail] (inner-product
     quotient); left, right and tail are (N,) indices.  Returns (lambda, t),
     t as (4, N) columns."""
-    ra, rb, rc, rd = entries[right].T  # right^{-1} left, as MoebiusMap.compose forms it
+    ra, rb, rc, rd = entries[right].T  # right^{-1} left, right^{-1} the adjugate
     t = compose_rows((rd, -rb, -rc, ra), entries[left].T)
     p, q = zh[tail].T
     up, uq = cmul(t[0], p) + cmul(t[1], q), cmul(t[2], p) + cmul(t[3], q)
@@ -181,29 +173,8 @@ def ring_products(disk: TriangulatedDisk, table) -> np.ndarray:
 
 
 def _frobenius_distance(x, y) -> np.ndarray:
-    """``frobenius_distance`` between the maps of the columns x and y."""
+    """Frobenius distance between the maps of the columns x and y."""
     return np.sqrt(sum(sq_abs(u - v) for u, v in zip(x, y)))
-
-
-def transition(frame: MoebiusFrame, i: int, j: int):
-    """Transition A_right^{-1} A_left across the oriented edge i -> j.
-
-    Returns (matrix, lambda) with lambda the eigenvalue at the tail z_i.
-    The matrix quotient is cross-checked against the closed form built
-    from lambda and the endpoints.
-    """
-    disk, zh = frame.disk, frame.source.zh
-    if not disk.is_interior_edge(i, j):
-        raise BoundaryEdge(f"edge ({i},{j}) is not interior")
-    fl, fr = disk.left_face(i, j), disk.right_face(i, j)
-    lam, t = edge_eigenvalues(frame.entries, zh, [fl], [fr], [i])
-    gap = _frobenius_distance(t, transition_rows(zh[[i]], zh[[j]], lam))
-    (lam,) = lam.tolist()
-    if gap.item() > TOL_TRANSITION * max(1.0, abs(lam), 1.0 / abs(lam)) * 10:
-        raise DegenerateFace(
-            f"transition on edge ({i},{j}) fails the eigen closed form"
-        )
-    return MoebiusMap(*t[:, 0].tolist()), lam
 
 
 def principal_sqrt_ratio(x, y):
@@ -346,7 +317,7 @@ def integrate_eta(gauss: CirclePattern, points, lam):
     denom = math.sqrt(a + d + 2.0 * s)
     root = ((a + s) / denom, b / denom, b.conjugate() / denom, (d + s) / denom)
     entries = np.ascontiguousarray(compose_rows(b_maps, root).T)
-    # z = A^{-1} z~ in the first face of each vertex, scaled as SpherePoint is
+    # z = A^{-1} z~ in the first face of each vertex, scaled by sphere_rows
     ea, eb, ec, ed = entries[disk.first_faces].T
     p, q = zh.T
     z = np.column_stack((cmul(ed, p) + cmul(-eb, q), cmul(-ec, p) + cmul(ea, q)))
@@ -391,10 +362,3 @@ def smooth_pair_rows(jet_g, jet_gt, z) -> np.ndarray:
     each point of z, as (4, N) columns."""
     a, b, c, d = smooth_osculating_rows(jet_g.f, jet_g.d1, jet_g.d2, z)
     return compose_rows(smooth_osculating_rows(jet_gt.f, jet_gt.d1, jet_gt.d2, z), (d, -b, -c, a))
-
-
-def smooth_osculating(h, h1, h2, z: complex) -> MoebiusMap:
-    """Moebius map matching the 2-jet of h at z: ``smooth_osculating_rows``
-    at the one point z."""
-    return MoebiusMap(*smooth_osculating_rows(h, h1, h2, [z])[:, 0].tolist())
-

@@ -4,20 +4,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import ClosureViolation, DegenerateFace, DegenerateSeed, MeshMismatch
-from .mesh import TriangulatedDisk
-from .moebius import (
-    SpherePoint,
-    cabs,
-    chordal_rows,
-    cmul,
-    cross_ratio_rows,
-    sphere_rows,
+from .errors import (
+    ClosureViolation,
+    CoincidentPoints,
+    DegenerateFace,
+    DegenerateSeed,
+    MeshMismatch,
 )
+from .mesh import TriangulatedDisk
+from .moebius import cabs, chordal_rows, cmul, cross_ratio_rows, sphere_rows
 
 TOL_CLOSURE_INPUT = 1e-8
 # a closure report passes (ClosureReport.ok, ``horonet check``) within this
@@ -32,26 +30,31 @@ TOL_COINCIDENT = 1e-14
 TOL_SEED = 1e-12
 
 
+def sphere_pairs(z) -> np.ndarray:
+    """Points as (N, 2) complex pairs (p, q): an (N, 2) array of pairs as it
+    is, and complex values z (an (N,) array, a tuple or a list) as the pairs
+    (z, 1) scaled by ``sphere_rows``.  The point at infinity is the pair
+    (1, 0); a non-finite value raises CoincidentPoints."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 2:
+        return z
+    return sphere_rows(np.column_stack((z, np.ones(len(z)))))
+
+
 class CirclePattern:
     """Realization of a triangulated disk in the Riemann sphere.
 
     ``zh`` holds the points as a read-only (V, 2) complex array of pairs
-    (p, q), scaled as SpherePoint.of scales them.  Positions come as such an
-    array from ``develop`` and the nets, as a (V,) complex array whose pairs
-    (z, 1) are scaled here as SpherePoint.of scales them, or as a sequence
-    whose items pass through SpherePoint.of.
+    (p, q) with max(|p|, |q|) = 1.  Positions come as such an array (from
+    ``develop``, the extracts and the file readers) or as V complex values;
+    ``sphere_pairs`` reads both.
     """
 
     def __init__(self, disk: TriangulatedDisk, z):
         if len(z) != disk.n_vertices:
             raise DegenerateFace(f"expected {disk.n_vertices} positions, got {len(z)}")
         self.disk = disk
-        if isinstance(z, np.ndarray) and z.ndim == 2:
-            self.zh = z
-        elif isinstance(z, np.ndarray):
-            self.zh = sphere_rows(np.column_stack((z, np.ones(len(z)))))
-        else:
-            self.zh = np.array([(p.p, p.q) for p in map(SpherePoint.of, z)], dtype=complex)
+        self.zh = sphere_pairs(z)
         self.zh.setflags(write=False)
         tail, head, _, face, twin, _ = disk._corners
         once = np.flatnonzero((tail < head) | (twin == len(twin)))  # one corner per edge
@@ -60,12 +63,6 @@ class CirclePattern:
             sides = np.append(near, twin[near])
             i, j, k = disk.faces[face[sides[sides < len(twin)]].min()]
             raise DegenerateFace(f"face ({i},{j},{k}) has coincident vertices")
-
-    # the pairs as SpherePoint objects, built on first access
-    z = cached_property(lambda self: tuple(map(SpherePoint, *self.zh.T.tolist())))
-
-    def moebius_image(self, m) -> "CirclePattern":
-        return CirclePattern(self.disk, [m.apply(p) for p in self.z])
 
     def __repr__(self):
         return f"CirclePattern({self.disk!r})"
@@ -174,12 +171,13 @@ def develop(
     """Integrate a closed cross ratio system to a realization.
 
     ``seed`` supplies the three vertex positions of ``seed_face`` in face
-    order.  Faces are visited along the breadth-first dual tree from
-    ``seed_face`` and propagate across all their edges; positions reached
-    along different dual paths must agree (tree independence), otherwise
-    ClosureViolation is raised.  Across the edge i -> j of a face with apex
-    k, X = -[(zi-zk)(zj-zl)] / [(zi-zl)(zj-zk)] gives the apex l across as
-    the pair X det(j,k) z_i + det(i,k) z_j, scaled as SpherePoint scales it.
+    order, in either form ``sphere_pairs`` reads.  Faces are visited along
+    the breadth-first dual tree from ``seed_face`` and propagate across all
+    their edges; positions reached along different dual paths must agree
+    (tree independence), otherwise ClosureViolation is raised.  Across the
+    edge i -> j of a face with apex k, X = -[(zi-zk)(zj-zl)] / [(zi-zl)(zj-zk)]
+    gives the apex l across as the pair X det(j,k) z_i + det(i,k) z_j, scaled
+    to max(|p|, |q|) = 1.
     """
     report = verify_closure(x)
     if max(report.product_residual, report.sum_residual) > TOL_CLOSURE_INPUT:
@@ -187,10 +185,10 @@ def develop(
             f"closure residuals {report.product_residual:.2e}, "
             f"{report.sum_residual:.2e} exceed {TOL_CLOSURE_INPUT:.1e}"
         )
-    seed_pts = [SpherePoint.of(p) for p in seed]
-    if len(seed_pts) != 3:
+    seed = sphere_pairs(seed)
+    if len(seed) != 3:
         raise DegenerateSeed("seed must provide three points")
-    if any(seed_pts[n - 1].chordal(seed_pts[n]) < TOL_SEED for n in range(3)):
+    if (chordal_rows(seed, np.array([(2, 0), (0, 1), (1, 2)])) < TOL_SEED).any():
         raise DegenerateSeed("seed points are not pairwise distinct")
 
     # per row c -> n of directed_edges(): left apex, c, right apex, n and X;
@@ -201,8 +199,8 @@ def develop(
     corner_rows = disk._corner_rows[:-1].reshape(-1, 3).tolist()
 
     p, q = [None] * disk.n_vertices, [None] * disk.n_vertices
-    for v, z in zip(disk.face_vertices(seed_face), seed_pts):
-        p[v], q[v] = z.p, z.q
+    for v, (pv, qv) in zip(disk.face_vertices(seed_face), seed.tolist()):
+        p[v], q[v] = pv, qv
     max_mismatch = 0.0
     for f in [seed_face] + disk.dual_tree(seed_face).child.tolist():
         for r in corner_rows[f]:
@@ -216,7 +214,7 @@ def develop(
             except OverflowError:
                 s = math.inf
             if not 0.0 < s < math.inf:
-                SpherePoint.from_homogeneous(pl, ql)  # raises CoincidentPoints
+                raise CoincidentPoints("homogeneous pair must be finite and nonzero")
             pl, ql = pl / s, ql / s
             if p[l] is None:
                 p[l], q[l] = pl, ql

@@ -34,13 +34,8 @@ from horonet.minimal import (
     osculating_vector_field,
     smooth_vector_osculating,
 )
-from horonet.moebius import MoebiusMap, hyperbolic_distance_rows
-from horonet.osculating import (
-    coherent_lift,
-    osculating_frame,
-    smooth_osculating,
-    vertex_monodromy,
-)
+from horonet.moebius import hyperbolic_distance_rows
+from horonet.osculating import coherent_lift, osculating_frame, vertex_monodromy
 from horonet.pattern import (
     CirclePattern,
     cross_ratios_of,
@@ -57,6 +52,7 @@ from horonet.toda import (
     square_grid_toda,
     triangulate,
 )
+from scalar_reference import MoebiusMap, TracelessMatrix, smooth_osculating, sphere_points
 
 GRIDS = (6, 10)
 TS = (0.02, 0.05, 0.1)
@@ -167,7 +163,7 @@ def _random_delaunay_pair(rng, patch, base):
             return z + a * z * z + b * z * z * z + c * cmath.exp(0.5 * z)
 
         try:
-            target = CirclePattern(patch.disk, [w(p.value()) for p in base.z])
+            target = CirclePattern(patch.disk, [w(p.value()) for p in sphere_points(base.zh)])
         except Exception:
             continue
         if cross_ratios_of(target).is_delaunay(1e-9):
@@ -208,9 +204,11 @@ def test_criterion_6_closure_developing():
     pattern = CirclePattern(patch.disk, patch.positions)
     x = cross_ratios_of(pattern)
     closure = verify_closure(x)
-    seed = [pattern.z[v] for v in patch.disk.face_vertices(0)]
+    seed = pattern.zh[list(patch.disk.face_vertices(0))]
     rebuilt = develop(patch.disk, x, seed)
-    round_trip = max(a.chordal(b) for a, b in zip(rebuilt.z, pattern.z))
+    round_trip = max(
+        a.chordal(b) for a, b in zip(sphere_points(rebuilt.zh), sphere_points(pattern.zh))
+    )
     x_err = max(
         abs(x.x(*e) - cmath.exp(1j * math.pi / 3))
         for e in patch.disk.interior_edges
@@ -267,9 +265,8 @@ def test_criterion_8_toda_family():
     tri_b = triangulate(cell, "anti")
     za = develop_family(tri, family_xt(tri, lab, 0.1j))
     xb = family_xt(tri_b, lab, 0.1j)
-    seed = [za.z[v] for v in tri_b.disk.face_vertices(0)]
-    zb = develop(tri_b.disk, xb, seed)
-    indep = max(za.z[v].chordal(zb.z[v]) for v in range(cell.n_vertices))
+    zb = develop(tri_b.disk, xb, za.zh[list(tri_b.disk.face_vertices(0))])
+    indep = max(a.chordal(b) for a, b in zip(sphere_points(za.zh), sphere_points(zb.zh)))
     report(
         "8 Toda family: closure, angle/shear symmetries, triangulation independence",
         worst_closure <= 1e-10
@@ -331,11 +328,12 @@ def test_criterion_10_convergence():
 def test_criterion_11_minimal():
     patch = lattice_subcomplex(LatticeSpec.equilateral(0.3, (0.0, 1.0, 0.0, 1.0)))
     pattern = CirclePattern(patch.disk, patch.positions)
-    moebius_dot = [0.3 + 0.7 * p.value() - 0.2 * p.value() ** 2 for p in pattern.z]
+    zs = [p.value() for p in sphere_points(pattern.zh)]
+    moebius_dot = [0.3 + 0.7 * z - 0.2 * z ** 2 for z in zs]
     frame = osculating_vector_field(pattern, moebius_dot)
     pts = minimal_surface(frame)
     spread = max(max(abs(a - b) for a, b in zip(p, pts[0])) for p in pts)
-    generic_dot = [cmath.exp(p.value()) for p in pattern.z]
+    generic_dot = [cmath.exp(z) for z in zs]
     frame2 = osculating_vector_field(pattern, generic_dot)
     compat = edge_compatibility(frame2, pattern)
     # shrinking off-center equilateral face vs the smooth formula
@@ -349,8 +347,8 @@ def test_criterion_11_minimal():
         f = osculating_vector_field(
             CirclePattern(disk1, verts), [cmath.exp(v) for v in verts]
         )
-        ref = smooth_vector_osculating(cmath.exp, cmath.exp, cmath.exp, bary)
-        errs.append(f.a[0].minus(ref).norm())
+        ref = smooth_vector_osculating(cmath.exp, cmath.exp, cmath.exp, [bary])
+        errs.append(TracelessMatrix(*(f.a[0] - ref[0]).tolist()).norm())
     orders = [
         math.log(errs[k] / errs[k + 1]) / math.log(2.0) for k in range(len(errs) - 1)
     ]

@@ -22,19 +22,19 @@ from horonet.errors import (
     OffsetTooLarge,
 )
 from horonet.mesh import build_disk
-from horonet.moebius import (
-    HermitianPoint,
-    Horosphere,
+from horonet.moebius import HermitianPoint, cabs, hyperbolic_distance_rows
+from horonet.pattern import CirclePattern, cross_ratios_of, shear_match
+from horonet.toda import cmc1_from_toda, square_grid_toda
+from scalar_reference import (
     MoebiusMap,
     SpherePoint,
     from_upper_half_space,
     horosphere,
-    hyperbolic_distance,
-    inner,
+    horospheres,
+    moebius_image,
     on_horosphere,
+    sphere_points,
 )
-from horonet.pattern import CirclePattern, cross_ratios_of, shear_match
-from horonet.toda import cmc1_from_toda, square_grid_toda
 from test_acceptance import pair_distances
 from test_kernels import net_of_objects
 
@@ -49,9 +49,8 @@ class TestBuildCmc1:
     def test_identical_patterns_degenerate(self, hex_pattern):
         net = build_cmc1(hex_pattern, hex_pattern)
         assert net.degenerate
-        center = HermitianPoint.identity()
-        for x in net.f:
-            assert hyperbolic_distance(x, center) < 1e-12
+        center = np.tile((1.0 + 0j, 0j, 1.0 + 0j), (len(net.points), 1))  # the ball centre
+        assert (hyperbolic_distance_rows(net.points, center) < 1e-12).all()
         for m in net.edge_measure.values():
             assert m.ell == m.alpha == m.theta == 0.0
 
@@ -62,7 +61,7 @@ class TestBuildCmc1:
     def test_non_shear_matched_rejected(self, hex_pattern):
         warped = CirclePattern(
             hex_pattern.disk,
-            [p.value() + 0.2 * p.value() ** 2 for p in hex_pattern.z],
+            [p.value() + 0.2 * p.value() ** 2 for p in sphere_points(hex_pattern.zh)],
         )
         with pytest.raises(NotShearMatched):
             build_cmc1(hex_pattern, warped)
@@ -74,19 +73,16 @@ class TestBuildCmc1:
             build_cmc1(bad, bad)
 
     def test_horosphere_incidence(self, toda_net):
-        disk = toda_net.disk
+        disk, horos = toda_net.disk, horospheres(toda_net.horosphere_rows)
         for fidx, fv in enumerate(disk.faces):
             for v in fv:
-                ok, res = on_horosphere(
-                    toda_net.f[fidx], toda_net.horospheres[v], tol=1e-9
-                )
+                ok, res = on_horosphere(toda_net.f[fidx], horos[v], tol=1e-9)
                 assert ok, (fidx, v, res)
 
     def test_gauss_tangency(self, toda_net):
+        horos, gauss = horospheres(toda_net.horosphere_rows), sphere_points(toda_net.gauss_zh)
         for v in range(toda_net.disk.n_vertices):
-            assert (
-                toda_net.horospheres[v].tangency.chordal(toda_net.gauss[v]) < 1e-9
-            )
+            assert horos[v].tangency.chordal(gauss[v]) < 1e-9
 
     def test_isometry_equivariance(self, toda_net):
         # moving the Gauss-map side by a Moebius map and the source side by
@@ -95,8 +91,8 @@ class TestBuildCmc1:
         # the net, so only this combination is equivariant.
         m = MoebiusMap.from_entries(1.1, 0.2 + 0.1j, -0.05j, 0.9)
         u = MoebiusMap(cmath.exp(0.3j), 0, 0, cmath.exp(-0.3j))
-        src = toda_net.frame.source.moebius_image(u)
-        tgt = toda_net.frame.target.moebius_image(m)
+        src = moebius_image(toda_net.frame.source, u)
+        tgt = moebius_image(toda_net.frame.target, m)
         moved = build_cmc1(src, tgt)
         d0, d1 = pair_distances(toda_net, 5), pair_distances(moved, 5)
         assert (np.abs(d0 - d1) < 1e-10 * np.maximum(1.0, d0)).all()
@@ -137,7 +133,8 @@ class TestMeasure:
         pts = [cmath.exp(1j * math.pi / 3 * k) for k in range(6)]
         net = flat_patch_net(hex_fan, pts)
         assert all(m.alpha == 0.0 for m in net.edge_measure.values())
-        assert all(m.flat for m in net.edge_measure.values())
+        # every neighbour is a plane: no circle centre on any edge
+        assert np.isnan(net.centers[: len(hex_fan.interior_edges)]).all()
         # hexagon with unit circumradius
         assert abs(net.area[0] - 3 * math.sqrt(3) / 2) < 1e-12
         assert abs(net.ratio[0] - 1.0) < 1e-15
@@ -165,7 +162,11 @@ class TestMeasure:
         measure_net(net)
         em = net.measure_of(0, 1)
         assert abs(em.alpha - math.pi / 2) < 1e-12
-        assert abs(em.r_tilde - 1.0) < 1e-12
+        # the arc radius of the face points about the circle centre, in the
+        # chart of vertex 0
+        (_, _, left, right), c = disk.directed_edges()[0], net.centers[0]
+        w = net.chart_w.ravel()
+        assert abs(0.5 * (cabs(w[left] - c) + cabs(w[right] - c)) - 1.0) < 1e-12
         assert abs(em.theta - theta) < 1e-12
         assert abs(em.ell - theta) < 1e-12
 
@@ -186,7 +187,7 @@ class TestIntegratedMeanCurvature:
     def test_rescaled_horosphere_breaks_ratio(self, toda_net):
         rows = toda_net.horosphere_rows.copy()
         v0 = toda_net.disk.interior_vertices[0]
-        u = toda_net.horospheres[v0].offset(0.3).u
+        u = horospheres(toda_net.horosphere_rows)[v0].offset(0.3).u
         rows[v0] = (u.a, u.b, u.d)
         broken = replace(toda_net, horosphere_rows=rows)
         measure_net(broken)
@@ -258,9 +259,11 @@ class TestParallel:
         cell, _, sol = square_grid_toda(6, 6)
         net = cmc1_from_toda(cell, sol, 0.05)
 
+        horos = horospheres(net.horosphere_rows)
+
         def reference_points(t):
             return [
-                _newton_offset(x, [net.horospheres[v] for v in net.disk.faces[fidx]], t)
+                _newton_offset(x, [horos[v] for v in net.disk.faces[fidx]], t)
                 for fidx, x in enumerate(net.f)
             ]
 

@@ -20,8 +20,9 @@ from horonet.convergence import (
 )
 from horonet.errors import CriticalPoint, DomainExhausted, FoldOver, NotShearMatched
 from horonet.mesh import LatticeSpec, lattice_subcomplex
-from horonet.moebius import HermitianPoint, MoebiusMap, SpherePoint
+from horonet.moebius import HermitianPoint
 from horonet.pattern import CirclePattern, cross_ratios_of, shear_match
+from scalar_reference import scalar_names_in_package, sphere_points
 
 EQ = LatticeSpec.equilateral
 
@@ -34,7 +35,7 @@ def patch_01():
 class TestSampled:
     def test_identity_is_lattice(self, patch_01):
         pattern = sampled_pattern(jet_identity(), patch_01)
-        for p, w in zip(pattern.z, patch_01.positions):
+        for p, w in zip(sphere_points(pattern.zh), patch_01.positions):
             assert abs(p.value() - w) < 1e-15
 
     def test_exp_is_valid(self, patch_01):
@@ -58,7 +59,7 @@ class TestSampled:
 class TestSolver:
     def test_identity_gives_lattice(self, patch_01):
         pattern = shear_preserving_solve(patch_01, jet_identity())
-        for p, w in zip(pattern.z, patch_01.positions):
+        for p, w in zip(sphere_points(pattern.zh), patch_01.positions):
             assert abs(p.value() - w) < 1e-12
 
     def test_exp_shear_match_and_delaunay(self, patch_01):
@@ -69,7 +70,7 @@ class TestSolver:
 
     def test_angle_sums_flat(self, patch_01):
         pattern = shear_preserving_solve(patch_01, jet_exp())
-        disk = patch_01.disk
+        disk, z = patch_01.disk, sphere_points(pattern.zh)
         # interior angle sums of the layout are 2 pi
         import cmath as cm
 
@@ -78,9 +79,9 @@ class TestSolver:
             for fidx in disk.vertex_faces_ccw(v):
                 fv = disk.face_vertices(fidx)
                 m = fv.index(v)
-                a = pattern.z[fv[(m + 1) % 3]].value()
-                b = pattern.z[fv[(m + 2) % 3]].value()
-                c = pattern.z[v].value()
+                a = z[fv[(m + 1) % 3]].value()
+                b = z[fv[(m + 2) % 3]].value()
+                c = z[v].value()
                 total += abs(cm.phase((a - c) / (b - c)))
             assert abs(total - 2 * math.pi) <= 1e-10
 
@@ -92,7 +93,7 @@ class TestSolver:
             devs.append(
                 max(
                     abs(p.value() - cmath.exp(w))
-                    for p, w in zip(pattern.z, patch.positions)
+                    for p, w in zip(sphere_points(pattern.zh), patch.positions)
                 )
             )
         orders = [
@@ -258,30 +259,27 @@ def test_studies_are_pinned(case):
 
 
 def test_studies_build_no_scalar_maps_or_points(monkeypatch):
+    # the package holds no scalar map; of its Hermitian points, the studies
+    # build none
+    assert scalar_names_in_package() == []
     built = []
-    for cls in (MoebiusMap, HermitianPoint):
-        def counting(self, *args, init=cls.__init__, name=cls.__name__, **kw):
-            built.append(name)
-            init(self, *args, **kw)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+    def counting(self, *args, init=HermitianPoint.__init__, **kw):
+        built.append("HermitianPoint")
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(HermitianPoint, "__init__", counting)
     frame_convergence(jet_exp(), EQ(1.0, U), [0.1])
     surface_convergence(jet_identity(), jet_exp(), EQ(1.0, U), [0.1])
     assert built == []
-    MoebiusMap.identity()  # the counter itself works
-    assert built == ["MoebiusMap"]
+    HermitianPoint.identity()  # the counter itself works
+    assert built == ["HermitianPoint"]
 
 
-def test_solve_and_frame_study_make_no_sphere_points(monkeypatch):
-    made, of = [], SpherePoint.of
-
-    def counting(value):
-        made.append(value)
-        return of(value)
-
-    monkeypatch.setattr(SpherePoint, "of", staticmethod(counting))
-    shear_preserving_solve(lattice_subcomplex(EQ(0.1, U)), jet_exp())
+def test_solve_and_frame_study_make_no_sphere_points():
+    # no package module holds a scalar sphere point; the solve and the
+    # frame study run on pairs
+    assert scalar_names_in_package() == []
+    pattern = shear_preserving_solve(lattice_subcomplex(EQ(0.1, U)), jet_exp())
+    assert pattern.zh.shape == (pattern.disk.n_vertices, 2)
     frame_convergence(jet_exp(), EQ(1.0, U), [0.1])
-    assert made == []
-    SpherePoint.of(0.5)  # the counter itself works
-    assert made == [0.5]

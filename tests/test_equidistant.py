@@ -10,15 +10,15 @@ from horonet.equidistant import (
     verify_equidistant,
 )
 from horonet.errors import FrameUnavailable, NotAngleMatched, NotEquidistant
-from horonet.moebius import (
-    hermitian_points,
-    inner,
-    mobius_from_triples,
-    act_on_hermitian,
-    to_upper_half_space,
-)
+from horonet.moebius import hermitian_points
 from horonet.pattern import CirclePattern, angle_match, cross_ratios_of
 from horonet.toda import equidistant_from_toda, square_grid_toda
+from scalar_reference import (
+    act_on_hermitian,
+    mobius_from_triples,
+    sphere_points,
+    to_upper_half_space,
+)
 from test_acceptance import pair_distances
 from test_mesh import apex
 
@@ -47,7 +47,7 @@ class TestBuild:
     def test_angle_mismatch_rejected(self, hex_pattern):
         warped = CirclePattern(
             hex_pattern.disk,
-            [p.value() + 0.15 * p.value() ** 2 for p in hex_pattern.z],
+            [p.value() + 0.15 * p.value() ** 2 for p in sphere_points(hex_pattern.zh)],
         )
         with pytest.raises(NotAngleMatched):
             build_equidistant(hex_pattern, warped)
@@ -82,7 +82,7 @@ class TestVerify:
         # after sending the edge tangencies to 0 and infinity, the two face
         # points share their chart direction (same ray from the origin)
         net = toda_equidistant
-        disk, gauss = net.disk, net.frame.target.z
+        disk, gauss = net.disk, sphere_points(net.frame.target.zh)
         checked = 0
         for (i, j) in disk.interior_edges:
             fl, fr = disk.left_face(i, j), disk.right_face(i, j)

@@ -6,6 +6,7 @@ loads no scipy module, and numpy functions that round unlike libm and
 CPython appear only where listed."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -14,7 +15,12 @@ from pathlib import Path
 
 import pytest
 
+import horonet
 from horonet import errors
+from horonet.cmc1 import HorosphericalNet
+from horonet.osculating import MoebiusFrame
+from horonet.pattern import CirclePattern
+from scalar_reference import scalar_names_in_package
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -482,6 +488,19 @@ def test_error_classes_raised_with_distinct_exit_codes():
         if not re.search(rf"raise {c.__name__}\b", source)
     ]
     assert unraised == []
+
+
+def test_package_holds_none_of_the_removed_names():
+    """The scalar objects live in the tests' reference only: no module holds
+    them, a one-row wrapper or an error class nothing raises, and no
+    container has a view that builds them."""
+    assert scalar_names_in_package() == []
+    gone = ("transition", "smooth_osculating", "BoundaryEdge", "NonpositiveRadius")
+    modules = [horonet] + [importlib.import_module(f"horonet.{p.stem}") for p in MODULES]
+    assert [(m.__name__, n) for m in modules for n in gone if hasattr(m, n)] == []
+    views = [(CirclePattern, "z"), (CirclePattern, "moebius_image"), (MoebiusFrame, "maps"),
+             (HorosphericalNet, "horospheres"), (HorosphericalNet, "gauss")]
+    assert [(c.__name__, n) for c, n in views if hasattr(c, n)] == []
 
 
 def test_package_import_loads_no_scipy():

@@ -7,11 +7,19 @@ import pytest
 from horonet import io as hio
 from horonet.cli import main
 from horonet.cmc1 import _net_from_frame, dual_surface
-from horonet.errors import DegenerateFace
+import numpy as np
+
+from horonet.errors import DegenerateFace, HoronetError
 from horonet.mesh import build_disk
-from horonet.moebius import SpherePoint, from_poincare_ball, on_horosphere
 from horonet.pattern import CirclePattern, cross_ratios_of
 from horonet.toda import cmc1_from_toda, square_grid_toda
+from scalar_reference import (
+    from_poincare_ball,
+    horospheres,
+    moebius_maps,
+    on_horosphere,
+    sphere_points,
+)
 
 
 @pytest.fixture(scope="module")
@@ -33,23 +41,25 @@ class TestJson:
     def test_complex_round_trip(self):
         z = 1.25 - 0.5j
         assert hio.complex_from_json(hio.complex_to_json(z)) == z
-        assert hio.complex_to_json(SpherePoint.infinity()) == "inf"
-        assert hio.complex_from_json("inf").is_infinity
+        # infinity is a position, written from the pair (1, 0), never a value
+        assert hio.positions_to_json(np.array([(1, 0)], dtype=complex)) == ["inf"]
+        with pytest.raises(HoronetError, match="only a position may be infinite"):
+            hio.complex_from_json("inf")
 
     def test_pattern_round_trip(self, toda_net):
         doc = hio.save_pattern(toda_net.frame.source)
         text = hio.dump_json(doc)
         again = hio.load_pattern(json.loads(text))
-        for p, q in zip(again.z, toda_net.frame.source.z):
+        for p, q in zip(sphere_points(again.zh), sphere_points(toda_net.frame.source.zh)):
             assert p.chordal(q) < 1e-12
 
     def test_pattern_with_infinity(self):
         disk = build_disk([(0, 1, 2)])
-        pattern = CirclePattern(disk, [0, 1, "inf"])
+        pattern = CirclePattern(disk, np.array([(0, 1), (1, 1), (1, 0)], dtype=complex))
         doc = hio.save_pattern(pattern)
         assert doc["positions"][2] == "inf"
         again = hio.load_pattern(doc)
-        assert again.z[2].is_infinity
+        assert again.zh.tolist() == pattern.zh.tolist()
 
     def test_cross_ratio_round_trip(self, toda_net):
         x = cross_ratios_of(toda_net.frame.source)
@@ -68,7 +78,7 @@ class TestJson:
     def test_frame_round_trip(self, toda_net):
         doc = hio.save_frame(toda_net.frame)
         again = hio.load_frame(json.loads(hio.dump_json(doc)))
-        for m, n in zip(again.maps, toda_net.frame.maps):
+        for m, n in zip(moebius_maps(again.entries), moebius_maps(toda_net.frame.entries)):
             assert m.frobenius_distance(n) < 1e-12
 
     def test_toda_round_trip(self):
@@ -121,13 +131,13 @@ class TestExport:
         ends = [frozenset((ids[0], ids[-1])) for ids in polylines]
         assert len(set(ends)) == len(ends)
         assert len(ends) == sum(1 for e in disk.edges if interior & set(e))
-        samples = 0
+        horos, samples = horospheres(toda_net.horosphere_rows), 0
         for ids, end in zip(polylines, ends):
             i, j = edge_of[end]
             for k in ids[1:-1]:
                 x = from_poincare_ball(vertices[k])
                 for v in (i, j):
-                    assert on_horosphere(x, toda_net.horospheres[v])[1] <= 1e-9
+                    assert on_horosphere(x, horos[v])[1] <= 1e-9
                 samples += 1
         assert samples > 0
 
@@ -226,6 +236,21 @@ class TestCli:
         disk = hio.load_pattern(doc).disk
         lines = [ln.split() for ln in out.read_text().splitlines() if ln.startswith("l ")]
         assert [[int(a), int(b)] for _, a, b in lines] == (disk.edge_faces + 1).tolist()
+
+    def test_minimal_rejects_an_infinite_velocity(self, tmp_path, capsys, pattern_files):
+        a, _ = pattern_files
+        n = len(json.loads(Path(a).read_text())["positions"])
+        dot = tmp_path / "dot.json"
+        dot.write_text(json.dumps({"dot": ["inf"] + [{"re": 0.1, "im": 0.0}] * (n - 1)}))
+        out = tmp_path / "surf.obj"
+        code = main(["minimal", "--pattern", a, "--dot", str(dot), "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "HoronetError",
+            "message": "'inf' is not a complex value; only a position may be infinite",
+        }
+        assert not out.exists()
 
     def test_converge_subcommand(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -74,23 +74,13 @@ from horonet.mesh import (
     lattice_subcomplex,
 )
 from horonet.moebius import (
-    TOL_HYPERBOLOID,
     HermitianPoint,
-    Horosphere,
-    MoebiusMap,
-    SpherePoint,
-    act_on_hermitian,
+    cabs,
     cdiv,
     chordal_rows,
     cmul,
     csqrt,
-    det2,
-    inner,
-    edge_cross_ratio,
-    from_upper_half_space,
-    horosphere,
     hyperbolic_distance_rows,
-    mobius_from_triples,
 )
 from horonet.osculating import (
     coherent_lift,
@@ -111,6 +101,23 @@ from horonet.toda import (
     labeling_from,
     square_grid_toda,
     triangulate,
+)
+from scalar_reference import (
+    Horosphere,
+    MoebiusMap,
+    SpherePoint,
+    act_on_hermitian,
+    det2,
+    edge_cross_ratio,
+    from_upper_half_space,
+    horosphere,
+    horospheres,
+    inner,
+    mobius_from_triples,
+    moebius_maps,
+    scalar_names_in_package,
+    sphere_points,
+    to_poincare_ball,
 )
 
 EQ = LatticeSpec.equilateral
@@ -217,7 +224,7 @@ def test_cross_ratios_equal_edge_cross_ratio(toda_pair, random_pairs):
     for pair in _pairs(toda_pair, random_pairs):
         for pattern in pair:
             x = cross_ratios_of(pattern)
-            z = pattern.z
+            z = sphere_points(pattern.zh)
             for (k, i, l, j) in pattern.disk.edge_quads.tolist():
                 scalar = edge_cross_ratio(z[k], z[i], z[l], z[j])
                 assert x.x(i, j) == scalar
@@ -249,12 +256,10 @@ def test_frame_maps_equal_mobius_from_triples(toda_pair, random_pairs):
     # np.sqrt and cmath.sqrt round differently
     for source, target in _pairs(toda_pair, random_pairs) + [_toda_pair(10)]:
         frame = osculating_frame(source, target)
+        z, zt, maps = sphere_points(source.zh), sphere_points(target.zh), moebius_maps(frame.entries)
         for f, (i, j, k) in enumerate(source.disk.faces):
-            scalar = mobius_from_triples(
-                source.z[i], source.z[j], source.z[k],
-                target.z[i], target.z[j], target.z[k],
-            )
-            assert frame.maps[f] == scalar
+            scalar = mobius_from_triples(z[i], z[j], z[k], zt[i], zt[j], zt[k])
+            assert maps[f] == scalar
             assert tuple(frame.entries[f]) == scalar.entries()
 
 
@@ -269,8 +274,8 @@ def _rayleigh(t: MoebiusMap, z: SpherePoint) -> complex:
 
 def _sequential_lift(frame, x, xt):
     """Signs fixed one dual-tree edge at a time on MoebiusMap objects."""
-    disk, z = frame.disk, frame.source.z
-    maps = list(frame.maps)
+    disk, z = frame.disk, sphere_points(frame.source.zh)
+    maps = list(moebius_maps(frame.entries))
     m = maps[0]
     anchor = m.d if abs(m.d) > 1e-14 else next(e for e in m.entries() if abs(e) > 1e-14)
     phi = cmath.phase(anchor)
@@ -301,7 +306,7 @@ def test_lift_matches_the_sequential_walk(toda_pair, random_pairs):
         frame = osculating_frame(source, target)
         lifted = coherent_lift(frame, x, xt)
         maps, lambdas = _sequential_lift(frame, x, xt)
-        assert list(lifted.maps) == maps  # same sign on every face
+        assert list(moebius_maps(lifted.entries)) == maps  # same sign on every face
         assert lifted.lambdas.tolist() == [lambdas[e] for e in source.disk.interior_edges]
         assert lifted.entries.tolist() == [list(m.entries()) for m in maps]
 
@@ -320,7 +325,7 @@ def _closed_form(zi, zj, lam):
 
 def _scalar_monodromy(frame, v):
     """Product of the closed-form transitions around v, one map at a time."""
-    disk, z, maps = frame.disk, frame.source.z, frame.maps
+    disk, z, maps = frame.disk, sphere_points(frame.source.zh), moebius_maps(frame.entries)
     ring = disk.ring_ccw(v)
     prod = MoebiusMap.identity()
     for w in ring[1:] + ring[:1]:
@@ -358,7 +363,7 @@ def _scalar_normal(us):
 
 def test_normals_equal_one_svd_per_face():
     _, eq = _toda_nets(6)
-    units = [horosphere(z, 1.0).u for z in eq.frame.target.z]
+    units = [horosphere(z, 1.0).u for z in sphere_points(eq.frame.target.zh)]
     for face, normal, level, x in zip(eq.disk.faces, eq.normals.tolist(), eq.levels, eq.f):
         p = _scalar_normal([units[v] for v in face])
         assert normal == [p.a, p.b, p.d]
@@ -368,13 +373,13 @@ def test_normals_equal_one_svd_per_face():
 def test_realization_and_horospheres_equal_scalar_actions(toda_pair):
     source, target = toda_pair
     net = build_cmc1(source, target)
-    maps, disk = net.frame.maps, net.disk
+    maps, disk = moebius_maps(net.frame.entries), net.disk
     assert net.f == tuple(act_on_hermitian(m, HermitianPoint.identity()) for m in maps)
-    incidence = 0.0
+    incidence, z, horos = 0.0, sphere_points(source.zh), horospheres(net.horosphere_rows)
     for v in range(disk.n_vertices):
-        base = horosphere(source.z[v], 1.0).u
+        base = horosphere(z[v], 1.0).u
         u0, *rest = (act_on_hermitian(maps[f], base) for f in disk.vertex_faces_ccw(v))
-        assert net.horospheres[v].u == u0
+        assert horos[v].u == u0
         scale = max(abs(u0.a), abs(u0.b), abs(u0.d), 1e-30)
         for u in rest:
             incidence = max(
@@ -527,7 +532,7 @@ def _scalar_sampled_geometry(net, arc_samples):
     its reference: lists of vertex tuples, polylines and fan triangles, one
     ``cmath.exp`` per arc sample and one ball map per interior vertex."""
     disk = net.disk
-    vertices = [_scalar_ball(x) for x in net.f]
+    vertices = [to_poincare_ball(x) for x in net.f]
     polylines, triangles = [], []
     if net.degenerate:
         return vertices, polylines, triangles
@@ -559,14 +564,6 @@ def _scalar_sampled_geometry(net, arc_samples):
             (cid, a, b) for a, b in zip(boundary_ids, boundary_ids[1:] + boundary_ids[:1])
         ]
     return vertices, polylines, triangles
-
-
-def _scalar_ball(x):
-    """Ball point of the hyperboloid point x, by the scalar formula."""
-    assert x.is_hyperboloid(TOL_HYPERBOLOID)
-    x0, x1, x2, x3 = x.minkowski()
-    s = 1.0 + x0
-    return (x1 / s, x2 / s, x3 / s)
 
 
 def _scalar_arc_interior(center, w_a, w_b, count):
@@ -757,25 +754,21 @@ def test_family_matches_the_edge_loop(n, rule, scale):
             assert list(map(repr, x)) == list(map(repr, expected))
 
 
-def test_toda_pipelines_make_sphere_points_only_for_seeds(monkeypatch):
-    """The base pattern and its cross ratios come from the position array;
-    SpherePoint.of is left to the seeds of ``develop``."""
-    made, of = [], SpherePoint.of
-
-    def counting(value):
-        made.append(value)
-        return of(value)
-
-    monkeypatch.setattr(SpherePoint, "of", staticmethod(counting))
+def test_toda_pipelines_make_sphere_points_only_for_seeds():
+    """The base pattern, its cross ratios and the seeds of ``develop`` all
+    come from position arrays: no package module holds a scalar sphere
+    point, and the seeds give the pairs the scalar points would."""
+    assert scalar_names_in_package() == []
     cell, _, sol = square_grid_toda(6, 6)
-    seed = {cell.positions[v] for v in triangulate(cell).disk.face_vertices(0)}
+    tri = triangulate(cell)
+    seed = [tri.positions[v] for v in tri.disk.face_vertices(0)]
+    for t in (0.05j, -0.05j):
+        z = develop_family(tri, family_xt(tri, labeling_from(cell, sol), t))
+        assert z.zh[list(tri.disk.face_vertices(0))].tolist() == [
+            [p.p, p.q] for p in map(SpherePoint.of, seed)
+        ]
     cmc1_from_toda(cell, sol, 0.05)
-    assert len(made) <= 6 and set(made) <= seed
-    made.clear()
     equidistant_from_toda(cell, sol, 0.05)
-    assert len(made) <= 3 and set(made) <= seed
-    SpherePoint.of(0.5)  # the counter itself works
-    assert made[-1] == 0.5
 
 
 @pytest.mark.parametrize("case", ["toda6", "lattice"])
@@ -801,21 +794,20 @@ def test_nets_store_rows_and_build_views_on_request(case, monkeypatch):
         expected = [tuple(map(SpherePoint.of, z)) for z in layouts]
     measure_net(net)
     source, target = net.frame.source, net.frame.target
-    assert not {"f", "horospheres", "gauss"} & vars(net).keys()
-    assert "z" not in vars(source) and "z" not in vars(target)
-    # once read, the views equal the scalar construction
-    assert [source.z, target.z] == expected
-    maps = net.frame.maps
+    assert "f" not in vars(net)
+    # the rows, and the f view once read, equal the scalar construction
+    z = sphere_points(source.zh)
+    assert [z, sphere_points(target.zh)] == expected
+    maps = moebius_maps(net.frame.entries)
     assert net.f == tuple(act_on_hermitian(m, HermitianPoint.identity()) for m in maps)
-    assert net.horospheres == tuple(
-        Horosphere(act_on_hermitian(maps[f], horosphere(z, 1.0).u))
-        for f, z in zip(net.disk.first_faces.tolist(), source.z)
+    assert horospheres(net.horosphere_rows) == tuple(
+        Horosphere(act_on_hermitian(maps[f], horosphere(p, 1.0).u))
+        for f, p in zip(net.disk.first_faces.tolist(), z)
     )
-    assert net.gauss == target.z
+    assert net.gauss_zh.tobytes() == target.zh.tobytes()
     # of Python scalars, never numpy ones
-    x, u, g = net.f[-1], net.horospheres[-1].u, net.gauss[-1]
-    assert {type(x.a), type(x.d), type(u.a), type(u.d)} == {float}
-    assert {type(x.b), type(u.b), type(g.p), type(g.q), type(source.z[-1].q)} == {complex}
+    x = net.f[-1]
+    assert {type(x.a), type(x.d)} == {float} and type(x.b) is complex
 
 
 def _face_angles(a, b, c):
@@ -884,6 +876,16 @@ def test_angle_defect_jacobian_matches_finite_differences(solve_data):
 # reference: one chart per vertex, one neighbour circle per edge and star pair.
 
 
+def _objects(net):
+    """The fields of a net as per-point objects, the form the loop reads."""
+    return SimpleNamespace(
+        disk=net.disk,
+        f=net.f,
+        horospheres=horospheres(net.horosphere_rows),
+        gauss=sphere_points(net.gauss_zh),
+    )
+
+
 def _chart_map(net, v):
     zp = net.gauss[v]
     n = math.hypot(abs(zp.p), abs(zp.q))
@@ -930,9 +932,12 @@ def _neighbor_circle(net, m, v, j):
 
 def _scalar_measure(net):
     """(edge_measure, area, mean_curvature, ratio, chart_residual,
-    degenerate, chart maps, chart positions, star circle centres)."""
+    degenerate, chart maps, chart positions, star circle centres, and per
+    edge its arc radius from the face points and whether it is flat) of the
+    ``_objects`` of a net."""
     disk = net.disk
     charts, edge_measure, area, mean_curvature, ratio, centers = {}, {}, {}, {}, {}, {}
+    arc_radius, flat = {}, {}
 
     def chart_of(v):
         if v not in charts:
@@ -942,16 +947,17 @@ def _scalar_measure(net):
     for (i, j) in disk.interior_edges:
         m, w_face, _ = chart_of(i)
         wl, wr = w_face[disk.left_face(i, j)], w_face[disk.right_face(i, j)]
-        is_plane, center, r_tilde, d = _neighbor_circle(net, m, i, j)
+        is_plane, center, _, d = _neighbor_circle(net, m, i, j)
         em = EdgeMeasure()
+        flat[(i, j)] = is_plane
         if abs(wl - wr) <= 1e-12 * max(1.0, abs(wl), abs(wr)):
-            em.degenerate, em.r_tilde, em.flat = True, r_tilde, is_plane
+            em.degenerate = True
         elif is_plane:
-            em.flat, em.ell = True, abs(wr - wl)
+            em.ell = abs(wr - wl)
         else:
-            em.r_tilde = 0.5 * (abs(wl - center) + abs(wr - center))
+            arc_radius[(i, j)] = 0.5 * (abs(wl - center) + abs(wr - center))
             em.theta = -cmath.phase((wr - center) / (wl - center))
-            em.ell = abs(em.theta) * em.r_tilde
+            em.ell = abs(em.theta) * arc_radius[(i, j)]
             cos_alpha = max(-1.0, min(1.0, 1.0 - 2.0 / d))
             em.alpha = math.copysign(math.acos(cos_alpha), em.theta)
         edge_measure[(i, j)] = em
@@ -995,7 +1001,7 @@ def _scalar_measure(net):
     w = {(v, f): x for v, c in charts.items() for f, x in c[1].items()}
     return (
         edge_measure, area, mean_curvature, ratio, chart_residual, degenerate,
-        maps, w, centers,
+        maps, w, centers, arc_radius, flat,
     )
 
 
@@ -1036,9 +1042,8 @@ def _lattice_net(eps):
 
 def _hex_fan_net(hex_pattern, **changes):
     """The flat hexagon net of ``hex_pattern``'s fan, with fields replaced."""
-    ring = [p.value() for p in hex_pattern.z[1:]]
-    net = flat_patch_net(hex_pattern.disk, ring)
-    fields = dict(disk=net.disk, f=net.f, horospheres=net.horospheres, gauss=net.gauss)
+    ring = [p.value() for p in sphere_points(hex_pattern.zh)[1:]]
+    fields = dict(vars(_objects(flat_patch_net(hex_pattern.disk, ring))))
     for name, (index, value) in changes.items():
         values = list(fields[name])
         values[index] = value
@@ -1056,7 +1061,9 @@ def test_measure_net_equals_the_vertex_loop(case, toda_pair, hex_pattern):
         "hex": lambda: build_cmc1(hex_pattern, hex_pattern),
         "flat": lambda: net_of_objects(**_hex_fan_net(hex_pattern)),
     }[case]()
-    measure, area, h, ratio, residual, degenerate, maps, w, centers = _scalar_measure(net)
+    measure, area, h, ratio, residual, degenerate, maps, w, centers, radius, flat = (
+        _scalar_measure(_objects(net))
+    )
     assert net.edge_measure == measure
     assert (net.area, net.mean_curvature, net.ratio) == (area, h, ratio)
     assert (net.chart_residual, net.degenerate) == (residual, degenerate)
@@ -1071,6 +1078,14 @@ def test_measure_net_equals_the_vertex_loop(case, toda_pair, hex_pattern):
     for pair, center in centers.items():
         kept = net.centers[row_of[pair]]
         assert kept == center or (cmath.isnan(kept) and cmath.isnan(center))
+    # per edge, in the chart of its first end: flat where the centre is nan,
+    # and the arc radius of the face points about the centre
+    n_e = len(disk.interior_edges)
+    _, _, left, right = disk.directed_edges()[:n_e].T
+    c, wc = net.centers[:n_e], net.chart_w.ravel()
+    assert np.isnan(c).tolist() == [flat[e] for e in disk.interior_edges]
+    arc_radius = (0.5 * (cabs(wc[left] - c) + cabs(wc[right] - c))).tolist()
+    assert {e: arc_radius[k] for k, e in enumerate(disk.interior_edges) if e in radius} == radius
 
 
 # sha256 of the exports of the 10 x 10 Toda net at t = 0.05, from the
@@ -1113,8 +1128,6 @@ def test_frame_and_cross_ratio_files_are_pinned():
     for edge in ((i, j), (j, i)):
         with pytest.raises(KeyError):
             x.x(*edge)
-    m = net.frame.maps[-1]
-    assert type(m) is MoebiusMap and all(type(e) is complex for e in m.entries())
 
 
 # sha256 of the pattern files of the eps = 0.1 lattice patterns of criterion
@@ -1148,7 +1161,7 @@ def test_horosphere_off_its_gauss_point_raises(hex_pattern):
     _raises_as_the_loop(_hex_fan_net(hex_pattern, gauss=(0, zero)), message)
     # boundary vertex 3 ends no interior edge first: it is not charted
     net = net_of_objects(**_hex_fan_net(hex_pattern, gauss=(3, zero)))
-    assert net.edge_measure == _scalar_measure(net)[0]
+    assert net.edge_measure == _scalar_measure(_objects(net))[0]
 
 
 def test_face_point_leaving_its_chart_raises(hex_pattern):
@@ -1230,14 +1243,17 @@ def test_12x12_extracts_fail_closure_as_pinned():
 
 
 def test_read_side_builds_no_scalar_objects(monkeypatch):
+    # the package holds no scalar map or sphere point; of its Hermitian
+    # points, the read side builds none
+    assert scalar_names_in_package() == []
     net, eq = _toda_nets(6)
     built = []
-    for cls in (MoebiusMap, HermitianPoint, SpherePoint):
-        def counting(self, *args, init=cls.__init__, name=cls.__name__, **kw):
-            built.append(name)
-            init(self, *args, **kw)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+    def counting(self, *args, init=HermitianPoint.__init__, **kw):
+        built.append("HermitianPoint")
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(HermitianPoint, "__init__", counting)
     verify_equidistant(build_equidistant(eq.frame.source, eq.frame.target))
     extract_patterns(net)
     extract_equidistant_patterns(eq)

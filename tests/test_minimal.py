@@ -7,7 +7,6 @@ import pytest
 from horonet.errors import InfinityInFace
 from horonet.mesh import LatticeSpec, build_disk, lattice_subcomplex
 from horonet.minimal import (
-    TracelessMatrix,
     edge_compatibility,
     minimal_surface,
     osculating_vector_field,
@@ -15,6 +14,14 @@ from horonet.minimal import (
     smooth_vector_osculating,
 )
 from horonet.pattern import CirclePattern
+from horonet.toda import develop_family, family_xt, labeling_from, square_grid_toda, triangulate
+from scalar_reference import (
+    TracelessMatrix,
+    edge_compatibility_loop,
+    minimal_surface_loop,
+    smooth_vector_osculating_loop,
+    vector_field_loop,
+)
 
 JET_CUBE = (lambda z: z ** 3, lambda z: 3 * z * z, lambda z: 6 * z)
 JET_EXP = (cmath.exp, cmath.exp, cmath.exp)
@@ -25,113 +32,94 @@ def lattice_pattern(equilateral_patch):
     return CirclePattern(equilateral_patch.disk, equilateral_patch.positions)
 
 
+def fields(frame):
+    """The rows (alpha, beta, gamma) of a frame as TracelessMatrix objects."""
+    return [TracelessMatrix(*row) for row in frame.a.tolist()]
+
+
+def values(pattern):
+    """The affine positions of a pattern without a point at infinity."""
+    return pattern.zh[:, 0] / pattern.zh[:, 1]
+
+
 class TestVectorField:
     def test_global_moebius_field_constant(self, lattice_pattern):
         # zdot = z^2 corresponds to alpha = 0, beta = 0, gamma = -1
-        zdot = [p.value() ** 2 for p in lattice_pattern.z]
-        frame = osculating_vector_field(lattice_pattern, zdot)
-        for a in frame.a:
-            assert abs(a.alpha) < 1e-11
-            assert abs(a.beta) < 1e-11
-            assert abs(a.gamma + 1.0) < 1e-11
+        frame = osculating_vector_field(lattice_pattern, values(lattice_pattern) ** 2)
+        assert (np.abs(frame.a - (0, 0, -1)) < 1e-11).all()
 
     def test_zero_field(self, lattice_pattern):
-        frame = osculating_vector_field(lattice_pattern, [0j] * len(lattice_pattern.z))
-        for a in frame.a:
-            assert a.norm() < 1e-14
+        frame = osculating_vector_field(lattice_pattern, [0j] * len(lattice_pattern.zh))
+        assert all(a.norm() < 1e-14 for a in fields(frame))
 
     def test_interpolation_residual(self, lattice_pattern):
-        zdot = [cmath.sin(p.value()) for p in lattice_pattern.z]
-        frame = osculating_vector_field(lattice_pattern, zdot)
-        disk = lattice_pattern.disk
-        for fidx, fv in enumerate(disk.faces):
-            for v in fv:
-                z = lattice_pattern.z[v].value()
-                assert abs(frame.a[fidx].field_at(z) - zdot[v]) < 1e-11
+        zs = values(lattice_pattern)
+        frame = osculating_vector_field(lattice_pattern, np.sin(zs))
+        z = zs[lattice_pattern.disk.face_array]
+        alpha, beta, gamma = frame.a.T[:, :, None]
+        assert (np.abs(-gamma * z * z + 2.0 * alpha * z + beta - np.sin(z)) < 1e-11).all()
 
     def test_infinity_rejected(self, hex_fan):
         ring = [cmath.exp(1j * math.pi / 3 * k) for k in range(6)]
-        pattern = CirclePattern(hex_fan, ["inf"] + ring)
+        pattern = CirclePattern(hex_fan, np.array([(1, 0)] + [(z, 1) for z in ring]))
         with pytest.raises(InfinityInFace):
             osculating_vector_field(pattern, [0j] * 7)
 
     def test_linearity(self, lattice_pattern):
         rng = np.random.default_rng(11)
-        n = len(lattice_pattern.z)
+        n = len(lattice_pattern.zh)
         za = rng.normal(size=n) + 1j * rng.normal(size=n)
         zb = rng.normal(size=n) + 1j * rng.normal(size=n)
-        fa = osculating_vector_field(lattice_pattern, list(za))
-        fb = osculating_vector_field(lattice_pattern, list(zb))
-        fab = osculating_vector_field(lattice_pattern, list(za + 2.5 * zb))
-        for a, b, ab in zip(fa.a, fb.a, fab.a):
-            assert abs(ab.alpha - a.alpha - 2.5 * b.alpha) < 1e-11
-            assert abs(ab.beta - a.beta - 2.5 * b.beta) < 1e-11
-            assert abs(ab.gamma - a.gamma - 2.5 * b.gamma) < 1e-11
+        fa, fb, fab = (osculating_vector_field(lattice_pattern, z) for z in (za, zb, za + 2.5 * zb))
+        assert (np.abs(fab.a - fa.a - 2.5 * fb.a) < 1e-11).all()
 
 
 class TestMinimalSurface:
     def test_moebius_field_gives_point(self, lattice_pattern):
-        zdot = [1.5 * p.value() + 0.3 for p in lattice_pattern.z]
-        frame = osculating_vector_field(lattice_pattern, zdot)
+        frame = osculating_vector_field(lattice_pattern, 1.5 * values(lattice_pattern) + 0.3)
         pts = minimal_surface(frame)
-        spread = max(
-            max(abs(a - b) for a, b in zip(p, pts[0])) for p in pts
-        )
-        assert spread < 1e-12
+        assert np.abs(pts - pts[0]).max() < 1e-12
 
     def test_edge_compatibility(self, lattice_pattern):
-        zdot = [cmath.exp(0.8 * p.value()) for p in lattice_pattern.z]
-        frame = osculating_vector_field(lattice_pattern, zdot)
+        frame = osculating_vector_field(lattice_pattern, np.exp(0.8 * values(lattice_pattern)))
         assert edge_compatibility(frame, lattice_pattern) < 1e-10
 
     def test_isomorphism_matches_det_pairing(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            a = TracelessMatrix(
-                complex(rng.normal(), rng.normal()),
-                complex(rng.normal(), rng.normal()),
-                complex(rng.normal(), rng.normal()),
-            )
-            x, y, z = sl2_to_c3(a)
-            det = -(a.alpha * a.alpha + a.beta * a.gamma)
-            assert abs(x * x + y * y + z * z + det) < 1e-12
+        a = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
+        x, y, z = sl2_to_c3(a).T
+        det = -(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 2])
+        assert (np.abs(x * x + y * y + z * z + det) < 1e-12).all()
 
     def test_toda_deformation_surface_nondegenerate(self):
-        from horonet.toda import labeling_from, square_grid_toda, triangulate, family_xt, develop_family
-
         cell, _, sol = square_grid_toda(4, 4)
         lab = labeling_from(cell, sol)
         tri = triangulate(cell)
         h = 1e-4
         zp = develop_family(tri, family_xt(tri, lab, h))
         zm = develop_family(tri, family_xt(tri, lab, -h))
-        zdot = [
-            (a.value() - b.value()) / (2 * h) for a, b in zip(zp.z, zm.z)
-        ]
         base = CirclePattern(tri.disk, tri.positions)
-        frame = osculating_vector_field(base, zdot)
+        frame = osculating_vector_field(base, (values(zp) - values(zm)) / (2 * h))
         pts = minimal_surface(frame)
-        spread = max(
-            max(abs(a - b) for a, b in zip(p, pts[0])) for p in pts
-        )
-        assert spread > 1e-3  # genuinely non-constant
+        assert np.abs(pts - pts[0]).max() > 1e-3  # genuinely non-constant
         assert edge_compatibility(frame, base) < 1e-7  # finite-difference noise
+
+
+def smooth_field(h, h1, h2, z):
+    """``smooth_vector_osculating`` at the one point z, as a TracelessMatrix."""
+    return TracelessMatrix(*smooth_vector_osculating(h, h1, h2, [z])[0].tolist())
 
 
 class TestSmoothVector:
     def test_quadratic_field_constant(self):
-        f = smooth_vector_osculating(
-            lambda z: z * z, lambda z: 2 * z, lambda z: 2.0 + 0j, 0.7 + 0.2j
-        )
-        g = smooth_vector_osculating(
-            lambda z: z * z, lambda z: 2 * z, lambda z: 2.0 + 0j, -0.4j
-        )
+        f = smooth_field(lambda z: z * z, lambda z: 2 * z, lambda z: 2.0 + 0j, 0.7 + 0.2j)
+        g = smooth_field(lambda z: z * z, lambda z: 2 * z, lambda z: 2.0 + 0j, -0.4j)
         assert abs(f.alpha - g.alpha) < 1e-14
         assert abs(f.beta - g.beta) < 1e-14
         assert abs(f.gamma - g.gamma) < 1e-14
 
     def test_cube_at_one(self):
-        a = smooth_vector_osculating(*JET_CUBE, 1.0 + 0j)
+        a = smooth_field(*JET_CUBE, 1.0 + 0j)
         assert abs(a.alpha + 1.5) < 1e-14
         assert abs(a.beta - 1.0) < 1e-14
         assert abs(a.gamma + 3.0) < 1e-14
@@ -149,8 +137,8 @@ class TestSmoothVector:
         steps = [1e-3 / 2 ** k for k in range(5)]
         errs = []
         for dz in steps:
-            a0 = smooth_vector_osculating(*JET_EXP, z0)
-            a1 = smooth_vector_osculating(*JET_EXP, z0 + dz)
+            a0 = smooth_field(*JET_EXP, z0)
+            a1 = smooth_field(*JET_EXP, z0 + dz)
             fd = np.array(
                 [
                     [a1.alpha - a0.alpha, a1.beta - a0.beta],
@@ -177,11 +165,56 @@ class TestSmoothVector:
             pattern = CirclePattern(disk, verts)
             zdot = [cmath.exp(v) for v in verts]
             frame = osculating_vector_field(pattern, zdot)
-            ref = smooth_vector_osculating(*JET_EXP, bary)
-            d = frame.a[0].minus(ref)
+            ref = smooth_field(*JET_EXP, bary)
+            d = fields(frame)[0].minus(ref)
             errs.append(d.norm())
         orders = [
             math.log(errs[k] / errs[k + 1]) / math.log(2.0)
             for k in range(len(errs) - 1)
         ]
         assert all(o >= 1.8 for o in orders[1:])
+
+
+def _minimal_cases():
+    """(pattern, velocities) on the eps = 0.35 lattice patch and the 6 x 6
+    Toda triangulation: a Moebius field, a generic one and random ones."""
+    patch = lattice_subcomplex(LatticeSpec.equilateral(0.35, (0.0, 1.0, 0.0, 1.0)))
+    tri = triangulate(square_grid_toda(6, 6)[0])
+    rng = np.random.default_rng(2)
+    for disk, positions in ((patch.disk, patch.positions), (tri.disk, tri.positions)):
+        pattern = CirclePattern(disk, positions)
+        zs = values(pattern)
+        yield pattern, [0.3 + 0.7 * z - 0.2 * z * z for z in zs.tolist()]
+        yield pattern, list(map(cmath.exp, (0.8 * zs).tolist()))
+        yield pattern, rng.normal(size=len(zs)) + 1j * rng.normal(size=len(zs))
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_rows_equal_the_per_face_loop(case):
+    """The batched solve, the surface and the edge residual equal the
+    per-face loop bit for bit."""
+    pattern, zdot = list(_minimal_cases())[case]
+    frame, loop = osculating_vector_field(pattern, zdot), vector_field_loop(pattern, zdot)
+    assert fields(frame) == list(loop.a)
+    assert minimal_surface(frame).tolist() == [list(p) for p in minimal_surface_loop(loop)]
+    assert edge_compatibility(frame, pattern) == edge_compatibility_loop(loop, pattern)
+    z = values(pattern)[:40]
+    for jet in (JET_CUBE, JET_EXP):
+        rows = smooth_vector_osculating(*jet, z)
+        assert [TracelessMatrix(*r) for r in rows.tolist()] == [
+            smooth_vector_osculating_loop(*jet, w) for w in z.tolist()
+        ]
+
+
+def test_infinite_vertices_raise_as_the_loop(hex_fan):
+    """The first face with a vertex at infinity is named as the loop names
+    it, also where it is face 0."""
+    points = [(0j, 1)] + [(cmath.exp(1j * math.pi / 3 * k), 1) for k in range(6)]
+    for v in (4, 0):
+        z = np.array(points[:v] + [(1, 0)] + points[v + 1:])
+        pattern = CirclePattern(hex_fan, z)
+        with pytest.raises(InfinityInFace) as reference:
+            vector_field_loop(pattern, [0.1j] * 7)
+        with pytest.raises(InfinityInFace) as raised:
+            osculating_vector_field(pattern, [0.1j] * 7)
+        assert str(raised.value) == str(reference.value)

@@ -5,23 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horonet.errors import (
-    CoincidentPoints,
-    DegenerateTriple,
-    NonpositiveRadius,
-    NotInHyperboloid,
-)
-from horonet.moebius import (
-    HermitianPoint,
+from horonet.errors import CoincidentPoints, DegenerateTriple, NotInHyperboloid
+from horonet.moebius import HermitianPoint, chart_plane_to_ball, hyperbolic_distance
+from scalar_reference import (
     MoebiusMap,
+    NonpositiveRadius,
     SpherePoint,
     act_on_hermitian,
-    chart_plane_to_ball,
     edge_cross_ratio,
     from_poincare_ball,
     from_upper_half_space,
     horosphere,
-    hyperbolic_distance,
     inner,
     mobius_from_triples,
     on_horosphere,

@@ -9,14 +9,14 @@ from test_kernels import _rayleigh
 from horonet.convergence import jet_exp, shear_preserving_solve
 from horonet.errors import MeshMismatch, NotDelaunay
 from horonet.mesh import LatticeSpec, lattice_subcomplex
-from horonet.moebius import MoebiusMap, SpherePoint, compose_rows, hermitian_points
+from horonet.moebius import compose_rows, hermitian_points
 from horonet.osculating import (
+    MoebiusFrame,
     coherent_lift,
+    edge_eigenvalues,
     osculating_frame,
     principal_sqrt_ratio,
-    smooth_osculating,
     smooth_pair_rows,
-    transition,
     transition_rows,
     vertex_monodromy,
 )
@@ -29,6 +29,15 @@ from horonet.toda import (
     labeling_from,
     square_grid_toda,
     triangulate,
+)
+from scalar_reference import (
+    MoebiusMap,
+    SpherePoint,
+    moebius_image,
+    moebius_maps,
+    pairs,
+    smooth_osculating,
+    sphere_points,
 )
 
 
@@ -55,30 +64,36 @@ def lattice_pattern(equilateral_patch):
 
 
 def smooth_image(pattern, func):
-    return CirclePattern(
-        pattern.disk, [func(p.value()) for p in pattern.z]
-    )
+    return CirclePattern(pattern.disk, [func(p.value()) for p in sphere_points(pattern.zh)])
+
+
+def transition(frame, i, j):
+    """(A_right^{-1} A_left, lambda at z_i) across the interior edge i -> j."""
+    disk = frame.disk
+    fl, fr = disk.left_face(i, j), disk.right_face(i, j)
+    lam, t = edge_eigenvalues(frame.entries, frame.source.zh, [fl], [fr], [i])
+    return MoebiusMap(*t[:, 0].tolist()), lam.item()
 
 
 class TestOsculatingFrame:
     def test_identity_patterns(self, lattice_pattern):
         frame = osculating_frame(lattice_pattern, lattice_pattern)
-        for m in frame.maps:
+        for m in moebius_maps(frame.entries):
             assert m.projective_distance(MoebiusMap.identity()) < 1e-12
 
     def test_global_moebius(self, lattice_pattern):
         g = MoebiusMap.from_entries(1.2, 0.1j, -0.05, 0.9)
-        frame = osculating_frame(lattice_pattern, lattice_pattern.moebius_image(g))
-        for m in frame.maps:
+        frame = osculating_frame(lattice_pattern, moebius_image(lattice_pattern, g))
+        for m in moebius_maps(frame.entries):
             assert m.projective_distance(g) < 1e-10
 
     def test_face_mapping_invariant(self, lattice_pattern):
         target = smooth_image(lattice_pattern, lambda z: z * z + z)
         frame = osculating_frame(lattice_pattern, target)
-        for f, (i, j, k) in enumerate(lattice_pattern.disk.faces):
-            m = frame.maps[f]
-            for v in (i, j, k):
-                assert m.apply(lattice_pattern.z[v]).chordal(target.z[v]) < 1e-10
+        z, zt = sphere_points(lattice_pattern.zh), sphere_points(target.zh)
+        for m, face in zip(moebius_maps(frame.entries), lattice_pattern.disk.faces):
+            for v in face:
+                assert m.apply(z[v]).chordal(zt[v]) < 1e-10
 
     def test_mismatched_disks(self, lattice_pattern, hex_pattern):
         with pytest.raises(MeshMismatch):
@@ -115,9 +130,7 @@ class TestTransition:
         zi = SpherePoint.of(0.3 + 0.1j)
         zj = SpherePoint.of(-1.0 + 2.0j)
         lam = cmath.exp(0.3 + 0.2j)
-        (row,) = transition_rows(
-            np.array([(zi.p, zi.q)]), np.array([(zj.p, zj.q)]), np.array([lam])
-        ).T
+        (row,) = transition_rows(pairs([zi]), pairs([zj]), np.array([lam])).T
         t = MoebiusMap(*row.tolist())
         assert abs(t.det() - 1) < 1e-13
         assert t.apply(zi).chordal(zi) < 1e-13
@@ -151,17 +164,11 @@ class TestCoherentLift:
         golden = coherent_lift(base)
         entries = base.entries.copy()
         entries[3] = -entries[3]
-        from horonet.osculating import MoebiusFrame
-
         flipped = MoebiusFrame(base.source, base.target, entries)
         repaired = coherent_lift(flipped)
-        d_plus = max(
-            a.frobenius_distance(b) for a, b in zip(repaired.maps, golden.maps)
-        )
-        d_minus = max(
-            a.frobenius_distance(b.negate())
-            for a, b in zip(repaired.maps, golden.maps)
-        )
+        maps = list(zip(moebius_maps(repaired.entries), moebius_maps(golden.entries)))
+        d_plus = max(a.frobenius_distance(b) for a, b in maps)
+        d_minus = max(a.frobenius_distance(b.negate()) for a, b in maps)
         assert min(d_plus, d_minus) < 1e-12
 
     def test_lambdas_exact(self):
@@ -177,11 +184,11 @@ class TestCoherentLift:
         for source, target in (toda, lattice):
             frame = coherent_lift(osculating_frame(source, target))
             x, xt = cross_ratios_of(source), cross_ratios_of(target)
-            disk, maps = frame.disk, frame.maps
+            disk, maps, z = frame.disk, moebius_maps(frame.entries), sphere_points(source.zh)
             assert frame.lambdas.shape == (len(disk.interior_edges),)
             for (i, j), cached in zip(disk.interior_edges, frame.lambdas.tolist()):
                 t = maps[disk.right_face(i, j)].inverse().compose(maps[disk.left_face(i, j)])
-                lam = _rayleigh(t, source.z[i])
+                lam = _rayleigh(t, z[i])
                 assert lam == cached
                 lam_star = principal_sqrt_ratio(x.x(i, j), xt.x(i, j))
                 assert abs(lam - lam_star) < abs(lam + lam_star)
@@ -245,7 +252,7 @@ class TestComposeFrames:
         f1 = osculating_frame(lattice_pattern, t1)
         f2 = osculating_frame(t1, t2)
         direct = osculating_frame(lattice_pattern, t2)
-        for a, b in zip(composed_maps(f1, f2), direct.maps):
+        for a, b in zip(composed_maps(f1, f2), moebius_maps(direct.entries)):
             assert a.projective_distance(b) < 1e-10
 
 
@@ -364,4 +371,4 @@ class TestSmoothPair:
             patch.positions[i] + patch.positions[j] + patch.positions[k]
         ) / 3.0
         smooth = smooth_pair_map(JET_ID, JET_EXP, zc)
-        assert frame.maps[f].projective_distance(smooth) < 5e-3
+        assert moebius_maps(frame.entries)[f].projective_distance(smooth) < 5e-3

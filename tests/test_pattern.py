@@ -14,7 +14,6 @@ from horonet.errors import (
     MeshMismatch,
 )
 from horonet.mesh import LatticeSpec, build_disk, lattice_subcomplex
-from horonet.moebius import MoebiusMap, SpherePoint
 from horonet.pattern import (
     CirclePattern,
     CrossRatioSystem,
@@ -24,6 +23,8 @@ from horonet.pattern import (
     shear_match,
     verify_closure,
 )
+from horonet.toda import square_grid_toda, triangulate
+from scalar_reference import MoebiusMap, SpherePoint, moebius_image, pairs, sphere_points
 from test_mesh import apex
 
 OMEGA = cmath.exp(1j * math.pi / 3)
@@ -74,6 +75,53 @@ class TestPositionArrays:
                 CirclePattern(TRIANGLE, positions)
 
 
+def _positions(case):
+    """(disk, positions as a tuple) of a Toda triangulation or a lattice patch."""
+    kind, size = case.split("-")
+    if kind == "toda":
+        tri = triangulate(square_grid_toda(int(size), int(size))[0])
+        return tri.disk, tri.positions
+    patch = lattice_subcomplex(LatticeSpec.equilateral(float(size), (0.0, 1.0, 0.0, 1.0)))
+    return patch.disk, patch.positions
+
+
+def _develop_outcome(disk, x, seed):
+    try:
+        return develop(disk, x, seed).zh.tobytes()
+    except HoronetError as exc:
+        return type(exc), str(exc)
+
+
+class TestPositionForms:
+    @pytest.mark.parametrize(
+        "case", ["toda-6", "toda-10", "toda-12", "lattice-0.1", "lattice-0.05", "lattice-0.025"]
+    )
+    def test_every_form_gives_the_same_pairs(self, case):
+        """A tuple, a list, a (V,) array and the (V, 2) pairs give the bytes
+        of the points scaled one at a time, for the pattern and the seed."""
+        disk, positions = _positions(case)
+        reference = pairs(positions)
+        forms = (positions, list(positions), np.array(positions), reference)
+        for z in forms:
+            assert CirclePattern(disk, z).zh.tobytes() == reference.tobytes()
+        x = cross_ratios_of(CirclePattern(disk, positions))
+        seed = list(disk.face_vertices(0))
+        outcomes = {
+            repr(_develop_outcome(disk, x, [z[v] for v in seed] if i < 2 else z[seed]))
+            for i, z in enumerate(forms)
+        }
+        assert len(outcomes) == 1
+
+    def test_infinity_enters_only_as_the_pair_one_zero(self):
+        with pytest.raises(CoincidentPoints):
+            CirclePattern(TRIANGLE, [0, 1, "inf"])
+        pattern = CirclePattern(TRIANGLE, np.array([(0, 1), (1, 1), (1, 0)], dtype=complex))
+        assert pattern.zh[2].tolist() == [1 + 0j, 0j]
+        x = CrossRatioSystem(build_disk([(0, 1, 2), (2, 1, 3)]), [OMEGA])
+        with pytest.raises(CoincidentPoints):
+            develop(x.disk, x, [0, 1, "inf"])
+
+
 class TestCrossRatios:
     def test_equilateral_lattice_constant(self, lattice_pattern):
         x = cross_ratios_of(lattice_pattern)
@@ -83,7 +131,7 @@ class TestCrossRatios:
     def test_moebius_invariance(self, lattice_pattern):
         m = MoebiusMap.from_entries(1.1, 0.2 - 0.4j, 0.05j, 0.8)
         x0 = cross_ratios_of(lattice_pattern)
-        x1 = cross_ratios_of(lattice_pattern.moebius_image(m))
+        x1 = cross_ratios_of(moebius_image(lattice_pattern, m))
         for e in lattice_pattern.disk.interior_edges:
             assert abs(x0.x(*e) - x1.x(*e)) < 1e-12
 
@@ -153,16 +201,16 @@ class TestDevelop:
         # apex of the right face of 0 -> 1 lands at (1 - sqrt3 i)/2
         l = apex(hex_fan, 1, 0)
         expect = SpherePoint.of((1 - math.sqrt(3) * 1j) / 2)
-        assert pattern.z[l].chordal(expect) < 1e-12
+        assert sphere_points(pattern.zh)[l].chordal(expect) < 1e-12
 
     def test_round_trip_from_pattern(self, lattice_pattern, central_face):
         disk = lattice_pattern.disk
         x = cross_ratios_of(lattice_pattern)
         assert central_face != 0
         for seed_face in (0, central_face):
-            seed = [lattice_pattern.z[v] for v in disk.face_vertices(seed_face)]
+            seed = lattice_pattern.zh[list(disk.face_vertices(seed_face))]
             rebuilt = develop(disk, x, seed, seed_face)
-            for a, b in zip(rebuilt.z, lattice_pattern.z):
+            for a, b in zip(sphere_points(rebuilt.zh), sphere_points(lattice_pattern.zh)):
                 assert a.chordal(b) < 1e-10
             x2 = cross_ratios_of(rebuilt)
             for e in disk.interior_edges:
@@ -174,14 +222,14 @@ class TestDevelop:
         values = x.array.copy()
         values[len(values) // 2] *= cmath.exp(0.05j)
         bad = CrossRatioSystem(disk, values)
-        seed = [lattice_pattern.z[v] for v in disk.face_vertices(0)]
+        seed = lattice_pattern.zh[list(disk.face_vertices(0))]
         with pytest.raises(ClosureViolation):
             develop(disk, bad, seed)
 
     def test_develop_with_infinity_seed(self, hex_fan):
         values = [OMEGA] * len(hex_fan.interior_edges)
         x = CrossRatioSystem(hex_fan, values)
-        seed = [0, 1, "inf"]
+        seed = np.array([(0, 1), (1, 1), (1, 0)], dtype=complex)  # 0, 1, infinity
         pattern = develop(hex_fan, x, seed)
         x2 = cross_ratios_of(pattern)
         for e in hex_fan.interior_edges:

@@ -24,6 +24,7 @@ from horonet.toda import (
     triangulate,
     verify_toda,
 )
+from scalar_reference import sphere_points
 
 
 class TestSquareGridToda:
@@ -184,10 +185,9 @@ class TestFamily:
         # seed B with the developed positions of its own seed face under A
         xb = family_xt(tri_b, lab, t)
         seed_vertices = tri_b.disk.face_vertices(0)
-        seed = [za.z[v] for v in seed_vertices]
-        zb = develop(tri_b.disk, xb, seed)
-        for v in range(cell.n_vertices):
-            assert za.z[v].chordal(zb.z[v]) <= 1e-9
+        zb = develop(tri_b.disk, xb, za.zh[list(seed_vertices)])
+        for a, b in zip(sphere_points(za.zh), sphere_points(zb.zh)):
+            assert a.chordal(b) <= 1e-9
 
 
 class TestPipeline:
