@@ -293,7 +293,9 @@ class TriangulatedDisk(OrientedDisk):
     * ``first_faces``, (V,): the first face of ``vertex_faces_ccw(v)``.
 
     A face's corners are numbered 3 f + k, so ``face_array.ravel()`` is the
-    tail column of the directed-edge table.
+    tail column of the directed-edge table.  The directed-edge and ring
+    tables and the apex schedules of ``develop`` are built on first request
+    and cached.
     """
 
     def __init__(self, faces):
@@ -310,6 +312,32 @@ class TriangulatedDisk(OrientedDisk):
         )
         self.edge_faces = _readonly(np.column_stack((face[ij], face[ji])))
         self._directed = self._rings = None
+        self._schedules: dict = {}
+
+    def apex_schedule(self, root: int = 0) -> tuple:
+        """The walk of ``develop`` from face ``root``, as the pair (setters,
+        checked), cached per root.
+
+        The walk visits the faces of ``dual_tree(root)`` in order, the root
+        first, and in each face the rows of its interior edges in corner
+        order: row e is ``interior_edges[e]`` as i -> j and row E + e is
+        j -> i, and across it lies the apex of the face right of it.
+        ``setters`` holds the V - 3 rows that are the first to reach the
+        vertex across them, one per vertex outside the root face, and
+        ``checked`` every other row, both in walk order, as read-only int
+        arrays.
+        """
+        schedule = self._schedules.get(root)
+        if schedule is None:
+            faces = np.append(root, self.dual_tree(root).child)
+            rows = self._corner_rows[3 * faces[:, None] + np.arange(3)].ravel()
+            rows = rows[rows >= 0]
+            across = np.append(self.edge_quads[:, 2], self.edge_quads[:, 0])[rows]
+            first = np.zeros(len(rows), dtype=bool)
+            first[np.unique(across, return_index=True)[1]] = True
+            first &= ~np.isin(across, self.face_array[root])
+            schedule = self._schedules[root] = (_readonly(rows[first]), _readonly(rows[~first]))
+        return schedule
 
     def interior_stars(self):
         """Rows of the edges around each interior vertex, clockwise from its

@@ -35,8 +35,10 @@ def osculating_vector_field(pattern: CirclePattern, zdot) -> MoebiusVectorFrame:
 
     Solves -gamma z_v^2 + 2 alpha z_v + beta = zdot_v on the three vertices
     of every face at once; requires an affine chart, so the first face
-    with a vertex at infinity raises InfinityInFace, and a collinear face
-    before it DegenerateFace.
+    with a vertex at infinity raises InfinityInFace.  Three distinct points
+    give a nonsingular (Vandermonde) system, collinear ones included; a
+    face before that one whose system the solver reports singular raises
+    DegenerateFace.
     """
     disk = pattern.disk
     if len(zdot) != disk.n_vertices:
@@ -56,7 +58,9 @@ def osculating_vector_field(pattern: CirclePattern, zdot) -> MoebiusVectorFrame:
                 np.linalg.solve(mat[f], rhs[f])
             except np.linalg.LinAlgError as exc:
                 i, j, k = disk.faces[f]
-                raise DegenerateFace(f"face ({i},{j},{k}) is collinear") from exc
+                raise DegenerateFace(
+                    f"face ({i},{j},{k}) gives a singular interpolation system"
+                ) from exc
     if n < len(faces):
         i, j, k = disk.faces[n]
         v = disk.faces[n][int(infinite[n].argmax())]

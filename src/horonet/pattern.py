@@ -15,7 +15,16 @@ from .errors import (
     MeshMismatch,
 )
 from .mesh import TriangulatedDisk
-from .moebius import cabs, chordal_rows, cmul, cross_ratio_rows, sphere_rows
+from .moebius import (
+    cabs,
+    cdiv,
+    chordal_rows,
+    cmul,
+    cross_ratio_rows,
+    det2_rows,
+    norm_rows,
+    sphere_rows,
+)
 
 TOL_CLOSURE_INPUT = 1e-8
 # a closure report passes (ClosureReport.ok, ``horonet check``) within this
@@ -178,6 +187,14 @@ def develop(
     edge i -> j of a face with apex k, X = -[(zi-zk)(zj-zl)] / [(zi-zl)(zj-zk)]
     gives the apex l across as the pair X det(j,k) z_i + det(i,k) z_j, scaled
     to max(|p|, |q|) = 1.
+
+    Which edge of the walk first reaches a vertex depends on the disk alone,
+    so the walk follows the disk's cached ``apex_schedule(seed_face)``: the
+    V - 3 setter rows place their apexes one at a time in Python complex
+    arithmetic, and every other row forms its pair from the placed points in
+    one array pass, rounded alike (see ``moebius``), and is checked against
+    the apex already there.  A pair that is not finite and nonzero raises
+    CoincidentPoints on either kind of row.
     """
     report = verify_closure(x)
     if max(report.product_residual, report.sum_residual) > TOL_CLOSURE_INPUT:
@@ -191,41 +208,45 @@ def develop(
     if (chordal_rows(seed, np.array([(2, 0), (0, 1), (1, 2)])) < TOL_SEED).any():
         raise DegenerateSeed("seed points are not pairwise distinct")
 
-    # per row c -> n of directed_edges(): left apex, c, right apex, n and X;
-    # per face corner, the row of its edge, -1 on the boundary
+    # per row of apex_schedule, the edge i -> j: (i, j, the apex k left of
+    # it, the apex l across) and X
     quads = disk.edge_quads
-    apex, tail, across, head = np.vstack((quads, quads[:, [2, 3, 0, 1]])).T.tolist()
-    values = x.array.tolist() * 2
-    corner_rows = disk._corner_rows[:-1].reshape(-1, 3).tolist()
+    rows = np.vstack((quads[:, [1, 3, 0, 2]], quads[:, [3, 1, 2, 0]]))
+    values = np.tile(x.array, 2)
+    setters, checked = disk.apex_schedule(seed_face)
 
     p, q = [None] * disk.n_vertices, [None] * disk.n_vertices
     for v, (pv, qv) in zip(disk.face_vertices(seed_face), seed.tolist()):
         p[v], q[v] = pv, qv
-    max_mismatch = 0.0
-    for f in [seed_face] + disk.dual_tree(seed_face).child.tolist():
-        for r in corner_rows[f]:
-            if r < 0:
-                continue
-            i, j, k, l = tail[r], head[r], apex[r], across[r]
-            u, v = values[r] * (p[j] * q[k] - q[j] * p[k]), p[i] * q[k] - q[i] * p[k]
-            pl, ql = u * p[i] + v * p[j], u * q[i] + v * q[j]
-            try:
-                s = max(abs(pl), abs(ql))
-            except OverflowError:
-                s = math.inf
-            if not 0.0 < s < math.inf:
-                raise CoincidentPoints("homogeneous pair must be finite and nonzero")
-            pl, ql = pl / s, ql / s
-            if p[l] is None:
-                p[l], q[l] = pl, ql
-            else:  # their chordal distance
-                norms = math.hypot(abs(p[l]), abs(q[l])) * math.hypot(abs(pl), abs(ql))
-                max_mismatch = max(max_mismatch, abs(p[l] * ql - q[l] * pl) / norms)
+    for (i, j, k, l), xr in zip(rows[setters].tolist(), values[setters].tolist()):
+        u, v = xr * (p[j] * q[k] - q[j] * p[k]), p[i] * q[k] - q[i] * p[k]
+        pl, ql = u * p[i] + v * p[j], u * q[i] + v * q[j]
+        try:
+            s = max(abs(pl), abs(ql))
+        except OverflowError:
+            s = math.inf
+        if not 0.0 < s < math.inf:
+            raise CoincidentPoints("homogeneous pair must be finite and nonzero")
+        p[l], q[l] = pl / s, ql / s
+    z = np.array((p, q), dtype=complex).T
+
+    i, j, k, l = rows[checked].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = cmul(values[checked], det2_rows(z[j], z[k]))
+        pair = cmul(u[:, None], z[i]) + cmul(det2_rows(z[i], z[k])[:, None], z[j])
+        size = cabs(pair)
+        s = np.where(size[:, 1] > size[:, 0], size[:, 1], size[:, 0])  # as max()
+        if not ((0.0 < s) & (s < math.inf)).all():
+            raise CoincidentPoints("homogeneous pair must be finite and nonzero")
+        pair = cdiv(pair, s[:, None])
+        # their chordal distance; a NaN, as max() would, never counts
+        mismatch = cabs(det2_rows(z[l], pair)) / (norm_rows(z)[l] * norm_rows(pair))
+    max_mismatch = float(np.fmax.reduce(mismatch, initial=0.0))
     if max_mismatch > TOL_TREE:
         raise ClosureViolation(
             f"tree-independence residual {max_mismatch:.2e} exceeds {TOL_TREE:.1e}"
         )
-    return CirclePattern(disk, np.array((p, q), dtype=complex).T)
+    return CirclePattern(disk, z)
 
 
 def _check_same_disk(x: CrossRatioSystem, y: CrossRatioSystem):

@@ -45,13 +45,18 @@ TANGENT_STEPS = (1e-3, 5e-4)
 
 
 class CellDecomposition(OrientedDisk):
-    """Oriented polygonal cell decomposition of a disk with its realization."""
+    """Oriented polygonal cell decomposition of a disk with its realization.
+
+    Immutable like every ``OrientedDisk``, so it keeps its triangulations:
+    ``triangulate`` builds one per rule and hands the same one out after.
+    """
 
     def __init__(self, faces, positions):
         super().__init__(faces)
         self.positions = tuple(complex(p) for p in positions)
         if len(self.positions) != self.n_vertices:
             raise NotADisk(f"{len(self.positions)} positions for {self.n_vertices} vertices")
+        self._triangulations: dict = {}
 
 
 def square_grid(n: int, m: int, stretch: complex = 1.0) -> CellDecomposition:
@@ -178,14 +183,17 @@ def labeling_from(cell: CellDecomposition, q) -> Labeling:
     return Labeling(cell, alpha)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TriangulatedCell:
     """Triangulation of a cell decomposition with its realization.
 
     ``primal``, a read-only (E,) bool over ``disk.interior_edges``, is True
     on the edges of the cell, whose rows follow ``cell.interior_edges``, and
     False on the diagonals.  The base pattern at ``positions`` and its cross
-    ratios are built on first request.
+    ratios are built on first request.  Frozen and shared: ``triangulate``
+    returns one per cell and rule, so the disk's tables, dual trees and apex
+    schedules, the pattern and the cross ratios are built once for every t
+    and both constructions.
     """
 
     cell: CellDecomposition
@@ -198,11 +206,15 @@ class TriangulatedCell:
 
 
 def triangulate(cell: CellDecomposition, rule: str = "lex") -> TriangulatedCell:
-    """Split every non-triangular face by a diagonal.
+    """Split every non-triangular face by a diagonal, once per cell and rule.
 
     ``lex`` picks the diagonal with the lexicographically smaller sorted
-    pair, ``anti`` the other one; quadrilaterals only.
+    pair, ``anti`` the other one; quadrilaterals only.  The result is kept
+    on the cell, and later calls with the same rule return it.
     """
+    tri = cell._triangulations.get(rule)
+    if tri is not None:
+        return tri
     faces = []
     for f in cell.faces:
         if len(f) == 3:
@@ -220,7 +232,8 @@ def triangulate(cell: CellDecomposition, rule: str = "lex") -> TriangulatedCell:
     parent = np.repeat(np.arange(cell.n_faces), [len(f) - 2 for f in cell.faces])
     primal = parent[disk.edge_faces[:, 0]] != parent[disk.edge_faces[:, 1]]
     primal.setflags(write=False)
-    return TriangulatedCell(cell, disk, cell.positions, primal)
+    tri = cell._triangulations[rule] = TriangulatedCell(cell, disk, cell.positions, primal)
+    return tri
 
 
 def family_xt(tri: TriangulatedCell, labeling: Labeling, t: complex) -> CrossRatioSystem:
@@ -243,9 +256,8 @@ def family_xt(tri: TriangulatedCell, labeling: Labeling, t: complex) -> CrossRat
 
 
 def develop_family(tri: TriangulatedCell, x: CrossRatioSystem) -> CirclePattern:
-    """Develop X_t from the base realization of the seed face."""
-    seed = [tri.positions[v] for v in tri.disk.face_vertices(0)]
-    return develop(tri.disk, x, seed)
+    """Develop X_t from the base pattern's points on the seed face."""
+    return develop(tri.disk, x, tri.pattern.zh[list(tri.disk.face_vertices(0))])
 
 
 def _family_patterns(cell: CellDecomposition, q, ts, production: str):

@@ -1,6 +1,7 @@
 """Scalar reference for the package's row kernels: the sphere points,
-Moebius maps, horospheres and chart maps of one point at a time, and the
-per-face loops of ``minimal``, in plain Python complex arithmetic.
+Moebius maps, horospheres and chart maps of one point at a time, the corner
+walk of ``pattern.develop`` and the per-face loops of ``minimal``, in plain
+Python complex arithmetic.
 
 The package stores every point, map and horosphere as rows of arrays; the
 tests check its kernels against these forms, which are independent of numpy
@@ -18,14 +19,17 @@ import numpy as np
 
 import horonet
 from horonet.errors import (
+    ClosureViolation,
     CoincidentPoints,
     DegenerateFace,
+    DegenerateSeed,
     DegenerateTriple,
     HoronetError,
     InfinityInFace,
     NotInHyperboloid,
     SingularMatrix,
 )
+from horonet.mesh import TriangulatedDisk
 from horonet.moebius import (
     DEGENERATE_TRIPLE,
     SINGULAR_MATRIX,
@@ -34,10 +38,19 @@ from horonet.moebius import (
     TOL_HYPERBOLOID,
     TOL_ZERO_ENTRY,
     HermitianPoint,
+    chordal_rows,
     hermitian_points,
 )
 from horonet.osculating import smooth_osculating_rows
-from horonet.pattern import CirclePattern
+from horonet.pattern import (
+    TOL_CLOSURE_INPUT,
+    TOL_SEED,
+    TOL_TREE,
+    CirclePattern,
+    CrossRatioSystem,
+    sphere_pairs,
+    verify_closure,
+)
 
 
 class NonpositiveRadius(HoronetError):
@@ -397,6 +410,76 @@ def moebius_image(pattern: CirclePattern, m: MoebiusMap) -> CirclePattern:
     return CirclePattern(pattern.disk, pairs(m.apply(p) for p in sphere_points(pattern.zh)))
 
 
+# -- the corner walk of develop ------------------------------------------------
+
+
+def develop_walk(
+    disk: TriangulatedDisk,
+    x: CrossRatioSystem,
+    seed,
+    seed_face: int = 0,
+) -> CirclePattern:
+    """Integrate a closed cross ratio system to a realization, walking
+    every corner of every face in Python complex arithmetic.
+
+    ``seed`` supplies the three vertex positions of ``seed_face`` in face
+    order, in either form ``sphere_pairs`` reads.  Faces are visited along
+    the breadth-first dual tree from ``seed_face`` and propagate across all
+    their edges; positions reached along different dual paths must agree
+    (tree independence), otherwise ClosureViolation is raised.  Across the
+    edge i -> j of a face with apex k, X = -[(zi-zk)(zj-zl)] / [(zi-zl)(zj-zk)]
+    gives the apex l across as the pair X det(j,k) z_i + det(i,k) z_j, scaled
+    to max(|p|, |q|) = 1.
+    """
+    report = verify_closure(x)
+    if max(report.product_residual, report.sum_residual) > TOL_CLOSURE_INPUT:
+        raise ClosureViolation(
+            f"closure residuals {report.product_residual:.2e}, "
+            f"{report.sum_residual:.2e} exceed {TOL_CLOSURE_INPUT:.1e}"
+        )
+    seed = sphere_pairs(seed)
+    if len(seed) != 3:
+        raise DegenerateSeed("seed must provide three points")
+    if (chordal_rows(seed, np.array([(2, 0), (0, 1), (1, 2)])) < TOL_SEED).any():
+        raise DegenerateSeed("seed points are not pairwise distinct")
+
+    # per row c -> n of directed_edges(): left apex, c, right apex, n and X;
+    # per face corner, the row of its edge, -1 on the boundary
+    quads = disk.edge_quads
+    apex, tail, across, head = np.vstack((quads, quads[:, [2, 3, 0, 1]])).T.tolist()
+    values = x.array.tolist() * 2
+    corner_rows = disk._corner_rows[:-1].reshape(-1, 3).tolist()
+
+    p, q = [None] * disk.n_vertices, [None] * disk.n_vertices
+    for v, (pv, qv) in zip(disk.face_vertices(seed_face), seed.tolist()):
+        p[v], q[v] = pv, qv
+    max_mismatch = 0.0
+    for f in [seed_face] + disk.dual_tree(seed_face).child.tolist():
+        for r in corner_rows[f]:
+            if r < 0:
+                continue
+            i, j, k, l = tail[r], head[r], apex[r], across[r]
+            u, v = values[r] * (p[j] * q[k] - q[j] * p[k]), p[i] * q[k] - q[i] * p[k]
+            pl, ql = u * p[i] + v * p[j], u * q[i] + v * q[j]
+            try:
+                s = max(abs(pl), abs(ql))
+            except OverflowError:
+                s = math.inf
+            if not 0.0 < s < math.inf:
+                raise CoincidentPoints("homogeneous pair must be finite and nonzero")
+            pl, ql = pl / s, ql / s
+            if p[l] is None:
+                p[l], q[l] = pl, ql
+            else:  # their chordal distance
+                norms = math.hypot(abs(p[l]), abs(q[l])) * math.hypot(abs(pl), abs(ql))
+                max_mismatch = max(max_mismatch, abs(p[l] * ql - q[l] * pl) / norms)
+    if max_mismatch > TOL_TREE:
+        raise ClosureViolation(
+            f"tree-independence residual {max_mismatch:.2e} exceeds {TOL_TREE:.1e}"
+        )
+    return CirclePattern(disk, np.array((p, q), dtype=complex).T)
+
+
 # -- the per-face loops of minimal ---------------------------------------------
 
 
@@ -454,7 +537,9 @@ def vector_field_loop(pattern: CirclePattern, zdot) -> ScalarVectorFrame:
         try:
             alpha, beta, gamma = np.linalg.solve(mat, rhs)
         except np.linalg.LinAlgError as exc:
-            raise DegenerateFace(f"face ({i},{j},{k}) is collinear") from exc
+            raise DegenerateFace(
+                f"face ({i},{j},{k}) gives a singular interpolation system"
+            ) from exc
         out.append(TracelessMatrix(alpha, beta, gamma))
     return ScalarVectorFrame(disk, tuple(out))
 

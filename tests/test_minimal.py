@@ -206,6 +206,18 @@ def test_rows_equal_the_per_face_loop(case):
         ]
 
 
+def test_collinear_face_solves():
+    """Three distinct collinear points give a nonsingular system: the face
+    (0, 1, 2) at the points 0, 1, 2 solves as the loop solves it, and its
+    field takes the velocities at the vertices."""
+    pattern = CirclePattern(build_disk([(0, 1, 2)]), [0, 1, 2])
+    zdot = [0.1j, 1.0, 0.3 - 0.2j]
+    (field,) = fields(osculating_vector_field(pattern, zdot))
+    assert [field] == list(vector_field_loop(pattern, zdot).a)
+    for z, w in zip((0, 1, 2), zdot):
+        assert abs(field.field_at(z) - w) < 1e-15
+
+
 def test_infinite_vertices_raise_as_the_loop(hex_fan):
     """The first face with a vertex at infinity is named as the loop names
     it, also where it is face 0."""

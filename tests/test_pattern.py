@@ -23,8 +23,15 @@ from horonet.pattern import (
     shear_match,
     verify_closure,
 )
-from horonet.toda import square_grid_toda, triangulate
-from scalar_reference import MoebiusMap, SpherePoint, moebius_image, pairs, sphere_points
+from horonet.toda import family_xt, labeling_from, square_grid_toda, triangulate
+from scalar_reference import (
+    MoebiusMap,
+    SpherePoint,
+    develop_walk,
+    moebius_image,
+    pairs,
+    sphere_points,
+)
 from test_mesh import apex
 
 OMEGA = cmath.exp(1j * math.pi / 3)
@@ -85,9 +92,9 @@ def _positions(case):
     return patch.disk, patch.positions
 
 
-def _develop_outcome(disk, x, seed):
+def _develop_outcome(develop_fn, *args):
     try:
-        return develop(disk, x, seed).zh.tobytes()
+        return develop_fn(*args).zh.tobytes()
     except HoronetError as exc:
         return type(exc), str(exc)
 
@@ -107,7 +114,7 @@ class TestPositionForms:
         x = cross_ratios_of(CirclePattern(disk, positions))
         seed = list(disk.face_vertices(0))
         outcomes = {
-            repr(_develop_outcome(disk, x, [z[v] for v in seed] if i < 2 else z[seed]))
+            repr(_develop_outcome(develop, disk, x, [z[v] for v in seed] if i < 2 else z[seed]))
             for i, z in enumerate(forms)
         }
         assert len(outcomes) == 1
@@ -242,6 +249,83 @@ class TestDevelop:
         x = CrossRatioSystem(disk, [1.7e308 - 1.7e308j])
         with pytest.raises(CoincidentPoints):
             develop(disk, x, [0, 1, 1j])
+        # on the row that places 3, as in the corner walk
+        assert disk.apex_schedule(0)[0].tolist() == [0]
+        expected = _develop_outcome(develop_walk, disk, x, [0, 1, 1j], 0)
+        assert _develop_outcome(develop, disk, x, [0, 1, 1j], 0) == expected
+
+
+def _toda_family(n):
+    """Triangulation and labeling of the n x n Toda grid."""
+    cell, _, sol = square_grid_toda(n, n)
+    return triangulate(cell), labeling_from(cell, sol)
+
+
+class TestDevelopSchedule:
+    """``develop`` places the apexes along the disk's cached schedule and
+    checks the other rows in one pass; ``develop_walk``, which walks every
+    corner, is the reference, bit for bit and message for message."""
+
+    @pytest.mark.parametrize("n", [6, 10, 12, 20])
+    @pytest.mark.parametrize("t", [0.02j, -0.02j, 0.05j, -0.05j, 0.05, 0.1])
+    def test_toda_family_equals_the_walk(self, n, t):
+        tri, labeling = _toda_family(n)
+        x = family_xt(tri, labeling, t)
+        for seed_face in (0, tri.disk.n_faces // 2):
+            seed = tri.pattern.zh[list(tri.disk.face_vertices(seed_face))]
+            expected = develop_walk(tri.disk, x, seed, seed_face).zh.tobytes()
+            assert develop(tri.disk, x, seed, seed_face).zh.tobytes() == expected
+
+    @pytest.mark.parametrize("t", [0.02j, -0.02j, 0.05j, -0.05j, 0.05, 0.1])
+    def test_tree_independence_failures_read_as_the_walk(self, t):
+        """On 30 x 30 the family fails tree independence from face 0 at
+        most t; the outcome, bytes or message, is the walk's at both seeds."""
+        tri, labeling = _toda_family(30)
+        x = family_xt(tri, labeling, t)
+        outcomes = []
+        for seed_face in (0, tri.disk.n_faces // 2):
+            seed = tri.pattern.zh[list(tri.disk.face_vertices(seed_face))]
+            expected = _develop_outcome(develop_walk, tri.disk, x, seed, seed_face)
+            assert _develop_outcome(develop, tri.disk, x, seed, seed_face) == expected
+            outcomes.append(expected)
+        if t != 0.1:
+            assert outcomes[0][0] is ClosureViolation
+
+    def test_lattice_failure_reads_as_the_walk(self):
+        patch = lattice_subcomplex(LatticeSpec.equilateral(0.05, (0.0, 1.0, 0.0, 1.0)))
+        pattern = CirclePattern(patch.disk, patch.positions)
+        x = cross_ratios_of(pattern)
+        seed = pattern.zh[list(patch.disk.face_vertices(0))]
+        expected = _develop_outcome(develop_walk, patch.disk, x, seed, 0)
+        assert expected[0] is ClosureViolation
+        assert _develop_outcome(develop, patch.disk, x, seed, 0) == expected
+
+    def test_schedule_places_every_vertex_once(self):
+        tri, _ = _toda_family(12)
+        disk, n_rows = tri.disk, 2 * len(tri.disk.interior_edges)
+        for seed_face in (0, disk.n_faces // 2):
+            setters, checked = disk.apex_schedule(seed_face)
+            assert disk.apex_schedule(seed_face)[0] is setters
+            assert len(setters) == disk.n_vertices - 3
+            assert sorted(np.append(setters, checked).tolist()) == list(range(n_rows))
+            quads = np.vstack((disk.edge_quads, disk.edge_quads[:, [2, 3, 0, 1]]))
+            placed = np.append(disk.face_array[seed_face], quads[setters, 2])
+            assert sorted(placed.tolist()) == list(range(disk.n_vertices))
+
+    def test_overflow_on_a_checked_row_raises_as_the_walk(self):
+        # a closed star of degree 4 with X = 1e308 on the spoke (0, 1): from
+        # face 1 the spokes (0, 2) and (0, 3) place the apexes, and the first
+        # row over (0, 1) forms a pair whose modulus overflows
+        disk = build_disk([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)])
+        big = 1e308
+        x = CrossRatioSystem(disk, [big, -1.0, 1.0 / big, -1.0])  # edges (0, 1) .. (0, 4)
+        assert verify_closure(x).ok()
+        setters, checked = disk.apex_schedule(1)
+        assert sorted(r % 4 for r in setters.tolist()) == [1, 2]
+        assert {0, 4} <= set(checked.tolist())
+        expected = _develop_outcome(develop_walk, disk, x, [0.1, 1, -1], 1)
+        assert expected[0] is CoincidentPoints
+        assert _develop_outcome(develop, disk, x, [0.1, 1, -1], 1) == expected
 
 
 class TestMatches:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -16,6 +17,7 @@ from horonet.toda import (
     CellDecomposition,
     cmc1_from_toda,
     develop_family,
+    equidistant_from_toda,
     family_xt,
     labeling_from,
     square_grid,
@@ -215,3 +217,34 @@ class TestPipeline:
         cell, _, _ = square_grid_toda(4, 4)
         q = {e: 0j for e in cell.edges}
         assert tangent_check(cell, q) <= 1e-12
+
+
+class TestSharedTriangulation:
+    def test_one_triangulation_per_cell_and_rule(self):
+        cell, _, _ = square_grid_toda(5, 5)
+        tri = triangulate(cell)
+        assert triangulate(cell) is tri
+        assert triangulate(cell, "lex") is tri
+        anti = triangulate(cell, "anti")
+        assert anti is not tri and anti.disk.faces != tri.disk.faces
+        assert triangulate(cell, "anti") is anti
+        assert tri.pattern is triangulate(cell).pattern
+
+    def test_triangulation_is_frozen(self):
+        tri = triangulate(square_grid_toda(4, 4)[0])
+        for name in ("cell", "disk", "positions", "primal"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tri, name, None)
+
+    @pytest.mark.parametrize("t", [0.05, 0.1])
+    def test_repeated_builds_equal_a_fresh_cell(self, t):
+        """Later builds on one cell read its shared triangulation, pattern
+        and schedules and give the bytes of a build on a fresh cell."""
+        cell, _, sol = square_grid_toda(8, 8)
+        first, second = cmc1_from_toda(cell, sol, t), cmc1_from_toda(cell, sol, t)
+        fresh_cell, _, fresh_sol = square_grid_toda(8, 8)
+        fresh = cmc1_from_toda(fresh_cell, fresh_sol, t)
+        assert first.points.tobytes() == second.points.tobytes() == fresh.points.tobytes()
+        equidistant_from_toda(cell, sol, t)
+        again = cmc1_from_toda(cell, sol, t)
+        assert again.points.tobytes() == fresh.points.tobytes()
